@@ -3,13 +3,14 @@
 Times the fixed synthetic-rate workloads of
 :mod:`repro.queueing.hotpath` — the saturated MAXIT/SRPT probing
 clusters (narrow and wide) and the bursty MAXTP + affinity scenario
-run — on the interned-type fast path (point 0) and the count-vector
-compiled engine (point 1), and checks them against the committed
+run — on the production count-vector engine (``engine="compiled"``)
+and the reference loop (``engine="legacy"``, the machine-speed
+calibration), and checks them against the committed
 ``BENCH_CORE.json`` perf trajectory with a generous tolerance (CI
 hardware varies; only a wholesale regression fails).  A correctness
-assertion pins the fast path to the legacy string path on the MAXIT
+assertion pins the compiled engine to the reference on the MAXIT
 workload: identical completions, work, and turnarounds (the exhaustive
-three-engine pin is ``tests/property/test_differential_engines.py``).
+pin is ``tests/property/test_differential_engines.py``).
 
 Refreshing the baseline after an intentional perf-relevant change::
 
@@ -50,17 +51,17 @@ def committed_baseline() -> dict[str, dict]:
 
 @pytest.mark.parametrize("workload", sorted(HOTPATH_WORKLOADS))
 def test_hotpath_legacy(benchmark, workload):
-    """The legacy string path, timed on *this* machine.
+    """The reference loop, timed on *this* machine.
 
     Not a gate by itself: it calibrates the absolute comparison in
     ``tools/compare_bench.py`` (a slow CI runner is slow on both
-    paths, so the committed budget is scaled by the observed
-    legacy-path ratio) and feeds the fresh machine-local speedup
+    engines, so the committed budget is scaled by the observed
+    legacy-engine ratio) and feeds the fresh machine-local speedup
     check.
     """
     runner = HOTPATH_WORKLOADS[workload]
     metrics, _ = benchmark.pedantic(
-        runner, kwargs={"fast_path": False}, rounds=2, iterations=1
+        runner, kwargs={"engine": "legacy"}, rounds=2, iterations=1
     )
     baseline = committed_baseline().get(workload)
     if baseline:
@@ -68,48 +69,23 @@ def test_hotpath_legacy(benchmark, workload):
 
 
 @pytest.mark.parametrize("workload", sorted(HOTPATH_WORKLOADS))
-def test_hotpath(benchmark, workload):
-    runner = HOTPATH_WORKLOADS[workload]
-    metrics, stats = benchmark.pedantic(runner, rounds=3, iterations=1)
-
-    # Cache efficacy is part of the contract: a steady-state run must
-    # overwhelmingly hit the memo (surface the numbers either way).
-    assert stats is not None
-    print(f"\n[{workload}] memo stats: {stats}")
-    assert stats["hits"] > stats["misses"], stats
-    benchmark.extra_info["memo_stats"] = stats
-    benchmark.extra_info["completed"] = metrics.completed
-
-    baseline = committed_baseline().get(workload)
-    if baseline:
-        # Completions are hardware-independent: they must match the
-        # committed baseline exactly (same workload, same engine).
-        assert metrics.completed == baseline["completed"]
-        if not BASELINE_TOLERANCE:
-            return
-        measured = benchmark.stats.stats.min
-        budget = baseline["fast_s"] * BASELINE_TOLERANCE
-        assert measured <= budget, (
-            f"{workload}: {measured:.3f}s exceeds {budget:.3f}s "
-            f"({BASELINE_TOLERANCE}x the committed {baseline['fast_s']:.3f}s "
-            "baseline) — the hot path regressed; see BENCH_CORE.json"
-        )
-
-
-@pytest.mark.parametrize("workload", sorted(HOTPATH_WORKLOADS))
 def test_hotpath_compiled(benchmark, workload):
-    """The count-vector compiled engine (perf point 1).
+    """The production count-vector engine.
 
-    Surfaces the engine's own counters (fusion, batching, probe
-    vectorization) in the benchmark JSON, and gates the timing against
-    the committed ``compiled_s`` baseline.
+    Surfaces the engine's own counters (fusion, batching, probe hits)
+    in the benchmark JSON, and gates the timing against the committed
+    ``compiled_s`` baseline.
     """
     runner = HOTPATH_WORKLOADS[workload]
     metrics, stats = benchmark.pedantic(
         runner, kwargs={"engine": "compiled"}, rounds=3, iterations=1
     )
 
+    # Cache efficacy is part of the contract: a steady-state run must
+    # overwhelmingly hit the memo (surface the numbers either way).
     assert stats is not None
+    print(f"\n[{workload}] memo stats: {stats}")
+    assert stats["hits"] > stats["misses"], stats
     engine_stats = stats.get("engine")
     assert engine_stats is not None, "compiled run reported no engine stats"
     print(f"\n[{workload}] engine stats: {engine_stats}")
@@ -121,6 +97,8 @@ def test_hotpath_compiled(benchmark, workload):
 
     baseline = committed_baseline().get(workload)
     if baseline:
+        # Completions are hardware-independent: they must match the
+        # committed baseline exactly (same workload, same engine).
         assert metrics.completed == baseline["completed"]
         if not BASELINE_TOLERANCE or not baseline.get("compiled_s"):
             return
@@ -134,10 +112,10 @@ def test_hotpath_compiled(benchmark, workload):
         )
 
 
-def test_fast_path_matches_legacy_path():
-    """Spot-check (the exhaustive pin is the equivalence property
-    test): both paths produce identical ClusterMetrics on the
-    saturated MAXIT workload at a reduced size."""
-    fast, _ = saturated_cluster("maxit", n_jobs=600, fast_path=True)
-    legacy, _ = saturated_cluster("maxit", n_jobs=600, fast_path=False)
-    assert to_jsonable(fast) == to_jsonable(legacy)
+def test_compiled_matches_legacy_path():
+    """Spot-check (the exhaustive pin is the differential harness):
+    both engines produce identical ClusterMetrics on the saturated
+    MAXIT workload at a reduced size."""
+    compiled, _ = saturated_cluster("maxit", n_jobs=600, engine="compiled")
+    legacy, _ = saturated_cluster("maxit", n_jobs=600, engine="legacy")
+    assert to_jsonable(compiled) == to_jsonable(legacy)

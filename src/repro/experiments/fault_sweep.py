@@ -107,8 +107,6 @@ class FaultOutcome:
         abandoned: jobs dropped after exhausting the retry budget.
         shed: arrivals dropped by the admission-control valve.
         completed: jobs finished inside the measurement window.
-        engine: engine that advanced the run (provenance — all
-            engines are bit-identical, faults included).
     """
 
     scenario: str
@@ -129,7 +127,6 @@ class FaultOutcome:
     abandoned: int
     shed: int
     completed: int
-    engine: str = "compiled"
 
 
 def _cell_seed(base: int, scenario: str, dispatcher: str) -> int:
@@ -176,8 +173,6 @@ def run_fault_cell(
     seed: int = 0,
     contexts: int | None = None,
     capacity: float | None = None,
-    engine: str | None = "compiled",
-    backend: str | None = None,
 ) -> FaultOutcome:
     """Run one (scenario, dispatcher, fault mode) cell.
 
@@ -239,8 +234,6 @@ def run_fault_cell(
         ),
         stop_when_fewer_than=stop_when_fewer_than,
         keep_in_system=keep_in_system,
-        engine=engine,
-        backend=backend,
         faults=faults,
     )
     stats = cluster.last_fault_stats or {}
@@ -270,7 +263,6 @@ def run_fault_cell(
         abandoned=int(stats.get("abandoned", 0)),
         shed=int(stats.get("shed", 0)),
         completed=metrics.completed,
-        engine=engine or "fast",
     )
 
 
@@ -294,8 +286,6 @@ def compute_fault_sweep(
     n_jobs: int | None = None,
     seed: int = 0,
     contexts: int | None = None,
-    engine: str | None = "compiled",
-    backend: str | None = None,
     jobs: int = 1,
 ) -> list[FaultOutcome]:
     """The full chaos grid: scenarios × dispatchers × fault modes.
@@ -325,8 +315,6 @@ def compute_fault_sweep(
         "seed": seed,
         "contexts": k,
         "capacity": capacity,
-        "engine": engine,
-        "backend": backend,
     }
     if jobs > 1 and len(cells) > 1:
         frozen = snapshot_rates(rates, workload.types, k)

@@ -203,7 +203,6 @@ def _run_once(
     n_jobs: int,
     stream_seed: int,
     warmup_frac: float,
-    engine: str | None,
     rate_source: str,
     estimation: EstimationConfig | None,
 ) -> tuple[ClusterMetrics, dict | None]:
@@ -240,7 +239,6 @@ def _run_once(
         keep_in_system=(
             scenario.backlog_per_machine if scenario.saturated else None
         ),
-        engine=engine,
         rate_source=rate_source,
         estimation=estimation,
     )
@@ -261,7 +259,6 @@ def run_tournament_cell(
     seed: int = 0,
     contexts: int | None = None,
     capacity: float | None = None,
-    engine: str | None = None,
     oracle: tuple[ClusterMetrics, float] | None = None,
 ) -> TournamentCell:
     """Run one paired (oracle, estimated) tournament comparison.
@@ -288,7 +285,6 @@ def run_tournament_cell(
         n_jobs=n_jobs,
         stream_seed=stream_seed,
         warmup_frac=warmup_frac,
-        engine=engine,
     )
     if oracle is None:
         oracle_metrics, _ = _run_once(
@@ -377,7 +373,6 @@ def _run_group(
     seed: int,
     contexts: int,
     capacity: float,
-    engine: str | None,
 ) -> list[TournamentCell]:
     """Every cell of one (scenario, policy) group.
 
@@ -398,7 +393,6 @@ def _run_group(
                 n_jobs=n_jobs,
                 stream_seed=_pair_seed(seed, scenario.name, rep),
                 warmup_frac=warmup_frac,
-                engine=engine,
                 rate_source="oracle",
                 estimation=None,
             )
@@ -413,7 +407,6 @@ def _run_group(
                     seed=seed,
                     contexts=contexts,
                     capacity=capacity,
-                    engine=engine,
                     oracle=oracle,
                 ))
     return cells
@@ -492,7 +485,6 @@ def compute_tournament(
     n_jobs: int = 240,
     seed: int = 0,
     contexts: int | None = None,
-    engine: str | None = None,
     jobs: int = 1,
 ) -> dict:
     """The full tournament grid on one workload.
@@ -520,7 +512,6 @@ def compute_tournament(
         seed=seed,
         contexts=k,
         capacity=capacity,
-        engine=engine,
     )
     groups = [
         (scenario, policy)

@@ -74,14 +74,11 @@ class ScenarioOutcome:
         empty_fraction: mean per-machine fraction of empty time.
         fairness: min/max per-machine utilization (1.0 = even).
         completed: jobs completed inside the measurement window.
-        engine: engine that advanced the run (all three are
-            bit-identical; this is provenance, not a result axis).
         shards: time-slice shards the run was split into (provenance —
             every value yields bit-identical metrics).
         memo_stats: the run's ``RunRateMemo`` hit/miss counters.
         engine_stats: compiled-engine counters (fusion count, batch
-            sizes, probe vectorization hit rate); ``None`` on the
-            legacy/fast engines.
+            sizes, probe hit rate).
     """
 
     scenario: str
@@ -95,7 +92,6 @@ class ScenarioOutcome:
     empty_fraction: float
     fairness: float
     completed: int
-    engine: str = "fast"
     shards: int = 1
     memo_stats: dict | None = None
     engine_stats: dict | None = None
@@ -127,8 +123,6 @@ def run_scenario(
     seed: int = 0,
     contexts: int | None = None,
     capacity: float | None = None,
-    engine: str | None = None,
-    backend: str | None = None,
     shards: int = 1,
     checkpoint_dir: Path | str | None = None,
 ) -> ScenarioOutcome:
@@ -136,10 +130,8 @@ def run_scenario(
 
     ``capacity`` is the cluster's LP work rate (M × single-machine
     optimum); pass it when sweeping to amortize the LP solve, else it
-    is computed here.  ``engine``/``backend`` select the event loop
-    exactly as in :meth:`Cluster.run` (all engines are bit-identical;
-    the compiled one additionally reports its fusion/batching/
-    vectorization counters in the outcome).
+    is computed here.  The run uses the default compiled engine, whose
+    fusion/batching/probe counters land in the outcome.
 
     ``shards > 1`` splits the run into deterministic time-slice
     segments (boundaries from the scenario's expected duration —
@@ -203,8 +195,6 @@ def run_scenario(
             checkpoint_dir=checkpoint_dir,
             stop_when_fewer_than=stop_when_fewer_than,
             keep_in_system=keep_in_system,
-            engine=engine,
-            backend=backend,
         )
         metrics = sharded.metrics
     else:
@@ -212,8 +202,6 @@ def run_scenario(
             build_stream(),
             stop_when_fewer_than=stop_when_fewer_than,
             keep_in_system=keep_in_system,
-            engine=engine,
-            backend=backend,
         )
     return ScenarioOutcome(
         scenario=scenario.name,
@@ -229,7 +217,6 @@ def run_scenario(
         empty_fraction=metrics.empty_fraction,
         fairness=_fairness(metrics),
         completed=metrics.completed,
-        engine=engine or "fast",
         shards=max(shards, 1),
         memo_stats=cluster.last_memo_stats,
         engine_stats=cluster.last_engine_stats,
@@ -258,17 +245,14 @@ def compute_scenario_sweep(
     n_jobs: int | None = None,
     seed: int = 0,
     contexts: int | None = None,
-    engine: str | None = "compiled",
-    backend: str | None = None,
     jobs: int = 1,
     shards: int = 1,
     checkpoint_dir: Path | str | None = None,
 ) -> list[ScenarioOutcome]:
     """Sweep every scenario against every dispatcher on one workload.
 
-    Defaults to the compiled engine (bit-identical to the others) so
-    every cell's JSON carries the engine counters alongside the memo
-    stats; pass ``engine=None`` for the plain fast path.
+    Every cell's JSON carries the compiled engine's counters alongside
+    the memo stats.
 
     The (scenario, dispatcher) cells share nothing, so ``jobs > 1``
     fans them out over worker processes (results keep sweep order and
@@ -298,8 +282,6 @@ def compute_scenario_sweep(
             "seed": seed,
             "contexts": k,
             "capacity": capacity,
-            "engine": engine,
-            "backend": backend,
             "shards": shards,
             "checkpoint_dir": (
                 str(

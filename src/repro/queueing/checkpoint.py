@@ -41,6 +41,13 @@ threshold, each machine's effective speed (DEGRADED episodes), and the
 full :class:`~repro.queueing.faults.FaultRuntime` state (lifecycle,
 event heap, retry heap, attempt counts, RNG position) — a killed run
 resumes bit-identically *through* a failure event.
+
+``run.engine`` must name one of :data:`~repro.queueing.cluster.ENGINES`.
+Payloads written before the interned "fast" loop was removed may say
+``"fast"``; those raise :class:`~repro.errors.CheckpointError` instead
+of being remapped, because a fast-loop checkpoint carries none of the
+compiled engine's queue-order flags.  The ``run.backend`` field older
+payloads carry (the retired SRPT scoring backend) is ignored.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from typing import Iterable
 from repro.errors import CheckpointError, SimulationError
 from repro.microarch.rate_cache import _atomic_dump
 from repro.queueing.cluster import (
+    ENGINES,
     Cluster,
     ClusterRunHandle,
     JobQueue,
@@ -141,7 +149,6 @@ def capture(
         "format": CHECKPOINT_FORMAT,
         "run": {
             "engine": handle.engine,
-            "backend": handle.backend,
             "warmup_time": handle.warmup_time,
             "horizon": handle.horizon,
             "stop_when_fewer_than": handle.stop_when_fewer_than,
@@ -174,7 +181,7 @@ def capture(
         # reproduces every interned id of the original run.
         "codec": (
             list(handle.memo.codec.names())
-            if handle.engine != "legacy"
+            if handle.engine == "compiled"
             else None
         ),
         "machines": machines,
@@ -265,6 +272,13 @@ def restore(
     differently mid-interval).
     """
     run = payload["run"]
+    engine = run["engine"]
+    if engine not in ENGINES:
+        raise CheckpointError(
+            f"checkpoint names engine {engine!r}; valid engines are "
+            f"{', '.join(ENGINES)}.  A checkpoint from a removed engine "
+            "cannot be remapped — re-run from the start"
+        )
     fault_payload = run.get("faults")
     faults = (
         FaultConfig.from_jsonable(fault_payload)
@@ -278,8 +292,7 @@ def restore(
         stop_when_fewer_than=run["stop_when_fewer_than"],
         keep_in_system=run["keep_in_system"],
         max_events=run["max_events"],
-        engine=run["engine"],
-        backend=run["backend"],
+        engine=engine,
         pick_log=pick_log,
         faults=faults,
         stall_events=run.get("stall_events", DEFAULT_STALL_EVENTS),
@@ -289,9 +302,9 @@ def restore(
             "checkpoint machine count does not match this cluster: "
             f"{len(payload['machines'])} vs {len(handle.machines)}"
         )
-    fast = handle.engine != "legacy"
+    compiled = engine == "compiled"
     memo = handle.memo
-    if fast:
+    if compiled:
         for name in payload["codec"]:
             memo.codec.encode(name)
 
@@ -330,11 +343,11 @@ def restore(
                 arrival_time=arrival_time,
                 remaining=remaining,
             )
-            job.type_code = memo.codec.encode(job_type) if fast else None
+            job.type_code = memo.codec.encode(job_type) if compiled else None
             queue.append(job)
             by_id[job.job_id] = job
-        if fast:
-            queue.enable_index(memo.codec)
+        if compiled:
+            queue.enable_index()
         machine.jobs = queue
         running = [by_id[i] for i in mstate["running_ids"]]
         machine.running = running
@@ -344,7 +357,7 @@ def restore(
         # the same operands — see Machine.reschedule).
         speed = mstate.get("speed", 1.0)
         machine.speed = speed
-        if fast:
+        if compiled:
             codes = tuple(sorted(job.type_code for job in running))
             entry = memo.compiled_entry(codes)
             machine.coschedule = entry.names
@@ -364,7 +377,6 @@ def restore(
             if speed != 1.0:
                 job_rates = {k: v * speed for k, v in job_rates.items()}
             machine.job_rates = job_rates
-            machine.rates_by_code = None
         if list(machine.coschedule) != mstate["coschedule"]:
             raise SimulationError(
                 "restored coschedule does not match the checkpoint — "
@@ -390,7 +402,7 @@ def restore(
             )
         handle.fault_rt.load_state(
             faults_state,
-            encode=memo.codec.encode if fast else None,
+            encode=memo.codec.encode if compiled else None,
         )
 
     handle.state = LoopState(

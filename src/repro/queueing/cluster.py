@@ -25,13 +25,21 @@ to an M-machine cluster while *removing* the per-event full rescan:
   :class:`~repro.microarch.rate_cache.CachedRateSource`.  Probing
   shares the memo only when a scheduler was built on *the same rate
   source object* the run uses — a scheduler probing a different source
-  (a counterfactual table, say) keeps doing exactly that.  By default
-  the memo runs *compiled*: a per-run
-  :class:`~repro.microarch.codec.TypeCodec` interns type names to
-  dense int ids, coschedules become small sorted int tuples, and
-  stepping/probing index flat per-type rate arrays — bit-identical to
-  the string path (``fast_path=False``), just without its per-event
-  sorting and dict churn.
+  (a counterfactual table, say) keeps doing exactly that.
+
+Two event loops advance a run, and they are bit-identical:
+
+* ``engine="compiled"`` (the default, the production loop) —
+  :func:`repro.queueing.compiled.run_compiled`: a per-run
+  :class:`~repro.microarch.codec.TypeCodec` interns type names to dense
+  int ids, machines keep per-type count vectors, and each policy's
+  decision runs as the engine's own ``pick_*`` over memoized candidate
+  sets.
+* ``engine="legacy"`` (the reference) — :meth:`Cluster._event_loop`
+  below: string-keyed coschedules and every scheduler's own
+  ``select``.  It is the shared definition the differential harness
+  (``tests/property/test_differential_engines.py``) holds the compiled
+  loop to.
 
 Single-machine runs are the M=1 special case:
 :func:`repro.queueing.engine.run_system` is now a thin wrapper over
@@ -77,10 +85,14 @@ __all__ = [
     "ClusterRunHandle",
     "LoopState",
     "run_cluster",
+    "ENGINES",
 ]
 
 _EPSILON = 1e-9
 _INF = float("inf")
+
+#: Recognized values of the ``engine=`` switch; the first is the default.
+ENGINES = ("compiled", "legacy")
 
 
 def _encoded_stream(stream: Iterator[Job], codec: TypeCodec) -> Iterator[Job]:
@@ -98,8 +110,8 @@ def _encoded_stream(stream: Iterator[Job], codec: TypeCodec) -> Iterator[Job]:
 
 
 def _uncoded_stream(stream: Iterator[Job]) -> Iterator[Job]:
-    """Legacy-mode twin of :func:`_encoded_stream`: clear stale ids so
-    every downstream consumer takes its string path."""
+    """Reference-loop twin of :func:`_encoded_stream`: clear stale ids
+    so every downstream consumer takes its string path."""
     for job in stream:
         job.type_code = None
         yield job
@@ -138,7 +150,7 @@ class LoopState:
     run.  ``pending`` is the pulled-but-unadmitted head of the arrival
     stream; ``routed`` its already-made dispatch decision (if any);
     ``age_ok`` the compiled engine's per-machine queue-order flags
-    (``None`` on the interpreted engines).
+    (``None`` on the reference loop).
     """
 
     clock: float
@@ -153,27 +165,23 @@ class LoopState:
 class JobQueue(list):
     """A machine's job list with an incremental per-type-code index.
 
-    Scheduler probing needs the queue grouped by type at every event;
-    rebuilding that grouping is O(queue) per event and dominates long
-    non-saturated queues.  With the index enabled (compiled runs), the
-    grouping is maintained as a delta per admission/completion instead:
-    ``by_code[type_id]`` lists the queued jobs of that type in
+    The compiled engine's picks need the queue grouped by type at every
+    event; rebuilding that grouping is O(queue) per event and dominates
+    long non-saturated queues.  With the index enabled (compiled runs),
+    the grouping is maintained as a delta per admission/completion
+    instead: ``by_code[type_id]`` lists the queued jobs of that type in
     admission order (pools may be left empty when a type drains —
-    consumers skip those).  Legacy runs, and plain lists handed to a
-    scheduler directly, leave ``by_code`` as ``None`` and schedulers
-    rebuild the grouping as before.
+    consumers skip those).  The reference loop leaves ``by_code`` as
+    ``None``.
     """
 
-    __slots__ = ("by_code", "index_codec")
+    __slots__ = ("by_code",)
 
     def __init__(self) -> None:
         super().__init__()
         self.by_code: dict[int, list[Job]] | None = None
-        #: The codec whose ids key ``by_code`` — consumers probing
-        #: with a different codec must rebuild their own grouping.
-        self.index_codec: TypeCodec | None = None
 
-    def enable_index(self, codec: TypeCodec) -> None:
+    def enable_index(self) -> None:
         """Start maintaining the per-type-code index.
 
         Any jobs already queued (a checkpoint-restored queue) seed the
@@ -188,7 +196,6 @@ class JobQueue(list):
             else:
                 pool.append(job)
         self.by_code = index
-        self.index_codec = codec
 
     def admit(self, job: Job) -> None:
         """Append an arriving job, keeping the index in sync."""
@@ -232,8 +239,8 @@ class Machine:
     running: list[Job] = field(default_factory=list)
     coschedule: tuple[str, ...] = ()
     job_rates: dict[str, float] = field(default_factory=dict)
-    #: Compiled-mode rate array (per-job rate indexed by type id);
-    #: ``None`` on the legacy string path.
+    #: Compiled-engine rate array (per-job rate indexed by type id);
+    #: ``None`` on the reference loop.
     rates_by_code: list[float] | None = None
     next_completion: float = _INF
     last_sync: float = 0.0
@@ -264,7 +271,11 @@ class Machine:
         return self.scheduler.contexts
 
     def reschedule(self, memo: RunRateMemo, clock: float) -> None:
-        """Re-select the running set and its rates (one machine only)."""
+        """Re-select the running set and its rates (one machine only).
+
+        The reference loop's decision step: the scheduler's own string
+        ``select``, validated, then the coschedule's string-keyed rates.
+        """
         scheduler = self.scheduler
         running = scheduler.select(self.jobs, clock) if self.jobs else []
         if len(running) > scheduler.contexts:
@@ -276,56 +287,23 @@ class Machine:
         if len(ids) != len(running):
             raise SimulationError(f"{scheduler.name} selected a job twice")
 
-        rates_by_code: list[float] | None = None
-        if memo.compiled:
-            # Coded path: small sorted int tuple in, flat rate array
-            # out.  The array holds the exact floats of the legacy
-            # per-job dict, so stepping stays bit-identical.
-            codec = memo.codec
-            codes = []
-            for job in running:
-                code = job.type_code
-                if code is None:
-                    code = codec.encode(job.job_type)
-                    job.type_code = code
-                codes.append(code)
-            codes.sort()
-            entry = memo.compiled_entry(tuple(codes))
-            coschedule = entry.names
-            job_rates = entry.per_job
-            rates_by_code = entry.rates_by_code
-            speed = self.speed
-            if speed != 1.0:
-                job_rates = {k: v * speed for k, v in job_rates.items()}
-                rates_by_code = [r * speed for r in rates_by_code]
-            next_completion = _INF
-            for job in running:
-                rate = rates_by_code[job.type_code]
-                if rate <= 0.0:
-                    raise SimulationError(
-                        f"job {job.job_id} ({job.job_type}) has zero rate "
-                        "in its coschedule"
-                    )
-                next_completion = min(next_completion, job.remaining / rate)
-        else:
-            coschedule = tuple(sorted(job.job_type for job in running))
-            job_rates = memo.per_job_rates(coschedule)
-            speed = self.speed
-            if speed != 1.0:
-                job_rates = {k: v * speed for k, v in job_rates.items()}
-            next_completion = _INF
-            for job in running:
-                rate = job_rates[job.job_type]
-                if rate <= 0.0:
-                    raise SimulationError(
-                        f"job {job.job_id} ({job.job_type}) has zero rate in "
-                        "its coschedule"
-                    )
-                next_completion = min(next_completion, job.remaining / rate)
+        coschedule = tuple(sorted(job.job_type for job in running))
+        job_rates = memo.per_job_rates(coschedule)
+        speed = self.speed
+        if speed != 1.0:
+            job_rates = {k: v * speed for k, v in job_rates.items()}
+        next_completion = _INF
+        for job in running:
+            rate = job_rates[job.job_type]
+            if rate <= 0.0:
+                raise SimulationError(
+                    f"job {job.job_id} ({job.job_type}) has zero rate in "
+                    "its coschedule"
+                )
+            next_completion = min(next_completion, job.remaining / rate)
         self.running = running
         self.coschedule = coschedule
         self.job_rates = job_rates
-        self.rates_by_code = rates_by_code
         self.next_completion = next_completion
         self.dirty = False
         self.epoch += 1
@@ -348,17 +326,11 @@ class Machine:
         if span is None:
             span = new_clock - self.last_sync
         work = 0.0
-        rates_by_code = self.rates_by_code
-        if rates_by_code is not None:
-            for job in self.running:
-                step = rates_by_code[job.type_code] * span
-                job.progress(step)
-                work += step
-        else:
-            for job in self.running:
-                step = self.job_rates[job.job_type] * span
-                job.progress(step)
-                work += step
+        job_rates = self.job_rates
+        for job in self.running:
+            step = job_rates[job.job_type] * span
+            job.progress(step)
+            work += step
 
         measured = new_clock - max(self.last_sync, warmup)
         if measured > 0.0:
@@ -560,7 +532,7 @@ class Cluster:
         self.last_memo_stats: dict[str, object] | None = None
         #: Compiled-engine counters of the last run (see
         #: :meth:`repro.queueing.compiled.CompiledEngineStats.as_dict`);
-        #: ``None`` before any run and after legacy/fast runs.
+        #: ``None`` before any run and after reference-loop runs.
         self.last_engine_stats: dict[str, object] | None = None
         #: Estimator summary of the last run (see
         #: :meth:`repro.queueing.estimation.ThroughputEstimator.stats_dict`);
@@ -585,9 +557,7 @@ class Cluster:
         stop_when_fewer_than: int | None = None,
         keep_in_system: int | None = None,
         max_events: int = 5_000_000,
-        fast_path: bool = True,
-        engine: str | None = None,
-        backend: str | None = None,
+        engine: str = "compiled",
         engine_options: dict[str, bool] | None = None,
         pick_log: list | None = None,
         rate_source: str = "oracle",
@@ -610,31 +580,22 @@ class Cluster:
                 until its dispatch target has room; if every machine is
                 full, the stream stalls until a completion.
             max_events: safety bound on processed events.
-            fast_path: legacy spelling of the engine switch, honoured
-                when ``engine`` is ``None``: ``True`` → ``"fast"``,
-                ``False`` → ``"legacy"``.
-            engine: which event loop advances the run — all three are
+            engine: which event loop advances the run — the two are
                 bit-identical (pinned by the differential fuzz harness
                 in ``tests/property/test_differential_engines.py``):
 
-                * ``"legacy"`` — the pre-interning string path, kept
-                  in-tree for equivalence testing and before/after
-                  profiling;
-                * ``"fast"`` — the PR-4 interned-type path (compiled
-                  memo + per-machine lazy sync);
-                * ``"compiled"`` — the count-vector engine
-                  (:mod:`repro.queueing.compiled`): dense per-machine
-                  type counts, event fusion, machine batching, and
-                  vectorized probe scoring.
-            backend: compiled-engine probe-scoring backend,
-                ``"numpy"`` or ``"tuples"`` (``None`` → the benchmarked
-                default, numpy when importable).  Ignored by the other
-                engines.
+                * ``"compiled"`` (the default) — the production
+                  count-vector engine (:mod:`repro.queueing.compiled`):
+                  dense per-machine type counts, memoized candidate
+                  sets, event fusion, and machine batching;
+                * ``"legacy"`` — the interpreted string-keyed loop,
+                  kept as the reference the compiled engine is tested
+                  against.
             engine_options: compiled-engine debug knobs (``{"fuse":
                 False}`` / ``{"batch": False}``) used by the isolation
                 property tests; either knob off must not change a bit
                 of any output.
-            pick_log: optional list; every engine appends one
+            pick_log: optional list; both engines append one
                 ``(machine_id, (job_id, ...))`` entry per scheduling
                 decision, in decision order — the pick-sequence trace
                 the differential harness compares across engines.
@@ -668,9 +629,7 @@ class Cluster:
             stop_when_fewer_than=stop_when_fewer_than,
             keep_in_system=keep_in_system,
             max_events=max_events,
-            fast_path=fast_path,
             engine=engine,
-            backend=backend,
             engine_options=engine_options,
             pick_log=pick_log,
             rate_source=rate_source,
@@ -693,9 +652,7 @@ class Cluster:
         stop_when_fewer_than: int | None = None,
         keep_in_system: int | None = None,
         max_events: int = 5_000_000,
-        fast_path: bool = True,
-        engine: str | None = None,
-        backend: str | None = None,
+        engine: str = "compiled",
         engine_options: dict[str, bool] | None = None,
         pick_log: list | None = None,
         rate_source: str = "oracle",
@@ -719,9 +676,7 @@ class Cluster:
             stop_when_fewer_than=stop_when_fewer_than,
             keep_in_system=keep_in_system,
             max_events=max_events,
-            fast_path=fast_path,
             engine=engine,
-            backend=backend,
             engine_options=engine_options,
             pick_log=pick_log,
             rate_source=rate_source,
@@ -1164,9 +1119,7 @@ class ClusterRunHandle:
         stop_when_fewer_than: int | None = None,
         keep_in_system: int | None = None,
         max_events: int = 5_000_000,
-        fast_path: bool = True,
-        engine: str | None = None,
-        backend: str | None = None,
+        engine: str = "compiled",
         engine_options: dict[str, bool] | None = None,
         pick_log: list | None = None,
         rate_source: str = "oracle",
@@ -1174,12 +1127,10 @@ class ClusterRunHandle:
         faults: FaultConfig | None = None,
         stall_events: int = DEFAULT_STALL_EVENTS,
     ) -> None:
-        if engine is None:
-            engine = "fast" if fast_path else "legacy"
-        if engine not in ("legacy", "fast", "compiled"):
+        if engine not in ENGINES:
             raise SimulationError(
-                f"unknown engine {engine!r}; choose legacy, fast, "
-                "or compiled"
+                f"unknown engine {engine!r}; choose compiled (the "
+                "default) or legacy"
             )
         if rate_source not in ("oracle", "estimated"):
             raise SimulationError(
@@ -1194,8 +1145,8 @@ class ClusterRunHandle:
         self.cluster = cluster
         self.engine = engine
         self.rate_source = rate_source
-        fast = engine != "legacy"
-        self.memo = RunRateMemo(cluster.rates, compiled=fast)
+        compiled = engine == "compiled"
+        self.memo = RunRateMemo(cluster.rates)
         #: Estimated-rate state: the estimator (fed by every machine's
         #: sync) and the policy-side memo over its published estimates.
         #: Both ``None`` on oracle runs.  Stepping always uses
@@ -1230,22 +1181,22 @@ class ClusterRunHandle:
                 )
             self.estimator = ThroughputEstimator(self.memo, estimation)
             self.policy_memo = RunRateMemo(
-                self.estimator, compiled=fast, codec=self.memo.codec
+                self.estimator, codec=self.memo.codec
             )
         self.machines = [
             Machine(machine_id=i, scheduler=s)
             for i, s in enumerate(cluster.schedulers)
         ]
-        if fast:
+        if compiled:
             for machine in self.machines:
-                machine.jobs.enable_index(self.memo.codec)
+                machine.jobs.enable_index()
         #: Raw-pull counter around the arrival stream; its ``pulled``
         #: count is what checkpoints persist to fast-forward a rebuilt
         #: stream on restore.
         self.counter = _CountingStream(iter(arrivals))
         self.stream = (
             _encoded_stream(self.counter, self.memo.codec)
-            if fast
+            if compiled
             else _uncoded_stream(self.counter)
         )
         self.warmup_time = warmup_time
@@ -1263,23 +1214,11 @@ class ClusterRunHandle:
         #: segments (their queue-order flags must survive a pause).
         self._cstates: list | None = None
         self._engine_options = engine_options or {}
-        self.backend: str | None = None
         self.engine_stats = None
-        if engine == "compiled":
-            from repro.queueing.compiled import (
-                BACKENDS,
-                CompiledEngineStats,
-                default_backend,
-            )
+        if compiled:
+            from repro.queueing.compiled import CompiledEngineStats
 
-            resolved = backend or default_backend()
-            if resolved not in BACKENDS:
-                raise SimulationError(
-                    f"unknown backend {resolved!r}; choose "
-                    f"{' or '.join(BACKENDS)}"
-                )
-            self.backend = resolved
-            self.engine_stats = CompiledEngineStats(backend=resolved)
+            self.engine_stats = CompiledEngineStats()
         # Hoist the per-run memo into every scheduler that probes the
         # run's own rate source, so candidate evaluation and stepping
         # share one memo (restored on close — schedulers outlive runs).
@@ -1289,7 +1228,9 @@ class ClusterRunHandle:
         self._rebound = [
             s for s in cluster.schedulers if s.rates is cluster.rates
         ]
-        probe_source = (
+        #: The memo every policy decision probes: the estimates on
+        #: estimated-rate runs, the stepping memo otherwise.
+        self.probe_memo = probe_source = (
             self.policy_memo if self.policy_memo is not None else self.memo
         )
         for scheduler in self._rebound:
@@ -1298,7 +1239,7 @@ class ClusterRunHandle:
         # it onto the run's type ids; unbound on close so a later run —
         # whose codec may assign different ids — starts clean.
         self._bind_codec = getattr(cluster.dispatcher, "bind_codec", None)
-        if self._bind_codec is not None and fast:
+        if self._bind_codec is not None and compiled:
             self._bind_codec(self.memo.codec)
         # Estimated mode: wire the observation feed into every machine,
         # start every offline-solved policy from the estimator's priors
@@ -1324,17 +1265,23 @@ class ClusterRunHandle:
             def _reoptimize(_estimator: ThroughputEstimator) -> None:
                 # New epoch published: every memoized estimate is
                 # stale.  Flush the policy memo (codec survives, so
-                # queue indexes stay valid) and re-solve the offline
-                # policies against the fresh estimates.
+                # queue indexes stay valid) — and the compiled
+                # engine's per-machine handles on its candidate sets —
+                # then re-solve the offline policies against the fresh
+                # estimates.
                 policy_memo.clear()
+                if self._cstates is not None:
+                    from repro.queueing.compiled import forget_probes
+
+                    forget_probes(self._cstates)
                 for scheduler in rebound:
                     scheduler.reoptimize(policy_memo)
                 if rebuild is not None:
                     rebuild(policy_memo)
 
             self.estimator.add_listener(_reoptimize)
-        #: Fault layer: one runtime per run, shared verbatim by every
-        #: engine (the loops call the same methods at the same points —
+        #: Fault layer: one runtime per run, shared verbatim by both
+        #: engines (the loops call the same methods at the same points —
         #: that is what makes faulty runs bit-identical across engines).
         self.fault_config = faults
         self.stall_events = stall_events
@@ -1348,7 +1295,7 @@ class ClusterRunHandle:
             # policies re-solve over the run's probe source.  With
             # oracle rates the re-solve is value-neutral (same table,
             # same solution) but it exercises the same code path the
-            # estimated mode uses, identically in every engine.
+            # estimated mode uses, identically in both engines.
             rebound = self._rebound
             rebuild = (
                 getattr(cluster.dispatcher, "rebuild", None)
@@ -1390,9 +1337,12 @@ class ClusterRunHandle:
                 )
 
                 if self._cstates is None:
-                    self._cstates = _prepare_state(self.machines, self.memo)
+                    self._cstates = _prepare_state(
+                        self.machines, self.probe_memo
+                    )
                 state = run_compiled(
                     self.memo,
+                    self.probe_memo,
                     self.machines,
                     self.stream,
                     warmup_time=self.warmup_time,
@@ -1522,9 +1472,7 @@ def run_cluster(
     stop_when_fewer_than: int | None = None,
     keep_in_system: int | None = None,
     max_events: int = 5_000_000,
-    fast_path: bool = True,
-    engine: str | None = None,
-    backend: str | None = None,
+    engine: str = "compiled",
     engine_options: dict[str, bool] | None = None,
     pick_log: list | None = None,
     rate_source: str = "oracle",
@@ -1541,9 +1489,7 @@ def run_cluster(
         stop_when_fewer_than=stop_when_fewer_than,
         keep_in_system=keep_in_system,
         max_events=max_events,
-        fast_path=fast_path,
         engine=engine,
-        backend=backend,
         engine_options=engine_options,
         pick_log=pick_log,
         rate_source=rate_source,

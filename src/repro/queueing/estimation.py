@@ -245,7 +245,10 @@ class ThroughputEstimator:
         Zero- and negative-span intervals are ignored (the compiled
         engine fuses zero-span syncs away, so skipping them here keeps
         the observation sequence — and therefore the noise-RNG draw
-        order — identical across all three engines).
+        order — identical on both engines).  Within one observation the
+        per-type draws follow the canonical coschedule's name order,
+        never the source's dict order: a table built by iterating a
+        ``set`` orders its entries by ``PYTHONHASHSEED``.
         """
         if span <= 0.0 or not coschedule:
             return
@@ -259,8 +262,11 @@ class ThroughputEstimator:
         alpha = config.alpha
         noise = config.noise
         gauss = self._rng.gauss
+        draws = [
+            (name, truth[name]) for name in dict.fromkeys(key) if name in truth
+        ]
         if config.noise_model == "multiplicative":
-            for name, true_rate in truth.items():
+            for name, true_rate in draws:
                 observed = true_rate * (1.0 + noise * gauss(0.0, 1.0))
                 if observed < 0.0:
                     observed = 0.0
@@ -268,7 +274,7 @@ class ThroughputEstimator:
                     observed - pending[name]
                 )
         else:
-            for name, true_rate in truth.items():
+            for name, true_rate in draws:
                 observed = true_rate + noise * gauss(0.0, 1.0)
                 if observed < 0.0:
                     observed = 0.0

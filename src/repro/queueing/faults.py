@@ -1,4 +1,4 @@
-"""Fault layer: machine failure/repair processes shared by every engine.
+"""Fault layer: machine failure/repair processes shared by both engines.
 
 Deployed schedulers treat node failure and job retry as first-class;
 this module gives the cluster simulator the same vocabulary while
@@ -18,15 +18,15 @@ keeping the determinism contract of the rest of the codebase:
   heap, the per-job attempt counts, and the availability accounting.
 
 **Bit-identity across engines is structural.**  Both event loops
-(:meth:`~repro.queueing.cluster.Cluster._event_loop` and
-:func:`~repro.queueing.compiled.run_compiled`) call *the same runtime
+(the production :func:`~repro.queueing.compiled.run_compiled` and the
+reference :meth:`~repro.queueing.cluster.Cluster._event_loop`) call *the same runtime
 methods at the same points of the iteration*, handing over their
 engine-specific effects through a tiny :class:`EngineOps` adapter
 (sync one machine, mark it dirty, clear its queue, note a speed
 change).  Every random draw happens inside the application of a fault
 event — never inside an engine — on a dedicated
 ``derive_rng(seed, "fault-events")`` stream, so the draw sequence is a
-pure function of the fault schedule, identical for every engine.
+pure function of the fault schedule, identical on both engines.
 
 Lifecycle semantics:
 
@@ -48,7 +48,7 @@ Lifecycle semantics:
 * ``degraded`` episodes (mean gap ``degraded_mtbf``, fixed
   ``degraded_duration``): the machine's effective speed drops to
   ``degraded_factor`` — every per-coschedule rate is scaled, in the
-  same float operations on every engine — and recovers afterwards.
+  same float operations on both engines — and recovers afterwards.
   Dispatch prefers non-degraded machines under the default
   ``degraded_dispatch="avoid"``.
 
@@ -270,7 +270,7 @@ class EngineOps:
 
 
 class FaultRuntime:
-    """Mutable fault state of one cluster run (all engines share it).
+    """Mutable fault state of one cluster run (both engines share it).
 
     Fault events live in a ``(time, seq, kind, machine_id, tag)`` heap;
     ``tag`` is a lifecycle epoch (crash/repair/planned-down events) or
@@ -280,7 +280,7 @@ class FaultRuntime:
     through the loop's admission phase.  Both ``seq`` tie-breakers and
     every RNG draw are driven purely by the event application order,
     which the loops replicate exactly, so the runtime evolves
-    identically under every engine.
+    identically under both engines.
     """
 
     def __init__(
@@ -733,9 +733,9 @@ class FaultRuntime:
     ) -> None:
         """Restore :meth:`state_dict` onto this runtime.
 
-        ``encode`` is the run codec's interning function on the fast
-        engines (retry-heap jobs get their type ids back), ``None`` on
-        the legacy engine.
+        ``encode`` is the run codec's interning function on the
+        compiled engine (retry-heap jobs get their type ids back),
+        ``None`` on the reference loop.
         """
         self.state = [str(s) for s in payload["state"]]
         self.life_epoch = [int(e) for e in payload["life_epoch"]]

@@ -23,9 +23,10 @@ for both:
 * :func:`scenario_run` — the **scenario-sweep** workload: bursty MMPP
   traffic through MAXTP machines behind the LP-affinity dispatcher,
   exercising long non-saturated queues and the dispatch layer;
-* :func:`measure` — best-of-N wall-clock of one workload on any of
-  the three engines (``legacy``, ``fast``, ``compiled`` — the axes of
-  ``tools/profile_hotpaths.py`` and ``BENCH_CORE.json``).
+* :func:`measure` — best-of-N wall-clock of one workload on either
+  engine (``compiled``, the production loop, or ``legacy``, the
+  reference — the axes of ``tools/profile_hotpaths.py`` and
+  ``BENCH_CORE.json``).
 
 ``benchmarks/bench_hotpath.py`` wraps these in pytest-benchmark and
 checks the committed ``BENCH_CORE.json`` trajectory; CI's perf-smoke
@@ -66,7 +67,9 @@ def synthetic_rates(
     Per-type base rates are seeded-random in [0.6, 1.0); coschedules
     gain throughput with size (SMT-style overlap) and lose a little
     with heterogeneity, so schedulers face real trade-offs.  All
-    multisets of sizes 1..contexts are present.
+    multisets of sizes 1..contexts are present.  Each entry lists its
+    types in the combo's (sorted) order, so the table is identical
+    under every ``PYTHONHASHSEED``.
     """
     names = tuple(chr(ord("A") + i) for i in range(n_types))
     rng = make_rng(seed)
@@ -78,7 +81,7 @@ def synthetic_rates(
             factor = 1.0 + 0.35 * (size - 1) - 0.08 * (distinct - 1)
             table[combo] = {
                 t: base[t] * combo.count(t) * factor / size
-                for t in set(combo)
+                for t in dict.fromkeys(combo)
             }
     return TableRates(table), names
 
@@ -103,8 +106,8 @@ def saturated_jobs(
 
 def _run_stats(cluster: Cluster) -> dict[str, object] | None:
     """Memo stats of the last run, with the compiled engine's own
-    counters (fusion, batching, vectorization) nested under
-    ``"engine"`` when that engine ran."""
+    counters (fusion, batching, probe hits) nested under ``"engine"``
+    when that engine ran."""
     stats = cluster.last_memo_stats
     if cluster.last_engine_stats is not None:
         stats = dict(stats or {})
@@ -119,9 +122,7 @@ def saturated_cluster(
     n_machines: int = 3,
     contexts: int = 4,
     backlog: int = 10,
-    fast_path: bool = True,
-    engine: str | None = None,
-    backend: str | None = None,
+    engine: str = "compiled",
 ) -> tuple[ClusterMetrics, dict[str, object] | None]:
     """The saturated probing workload (every event probes candidates).
 
@@ -141,9 +142,7 @@ def saturated_cluster(
         saturated_jobs(names, n_jobs),
         stop_when_fewer_than=n_machines * contexts,
         keep_in_system=backlog,
-        fast_path=fast_path,
         engine=engine,
-        backend=backend,
     )
     return metrics, _run_stats(cluster)
 
@@ -155,15 +154,13 @@ def scenario_run(
     contexts: int = 4,
     scenario: str = "bursty_mmpp",
     mean_rate: float = 6.0,
-    fast_path: bool = True,
-    engine: str | None = None,
-    backend: str | None = None,
+    engine: str = "compiled",
 ) -> tuple[ClusterMetrics, dict[str, object] | None]:
     """The scenario-sweep workload: bursty MAXTP + affinity dispatch.
 
     Non-saturated but heavily backlogged during bursts, so the
-    per-type queue index and the coded MAXTP containment check carry
-    the load.
+    per-type queue index and the count-vector MAXTP containment check
+    carry the load.
     """
     rates, names = synthetic_rates(contexts=contexts)
     workload = Workload.of(*names)
@@ -182,15 +179,12 @@ def scenario_run(
             "affinity", rates=rates, workload=workload, contexts=contexts
         ),
     )
-    metrics = cluster.run(
-        jobs, fast_path=fast_path, engine=engine, backend=backend
-    )
+    metrics = cluster.run(jobs, engine=engine)
     return metrics, _run_stats(cluster)
 
 
-#: name -> workload runner taking engine-selection kwargs only
-#: (``fast_path``/``engine``/``backend``); the keys are the benchmark
-#: ids committed in BENCH_CORE.json.
+#: name -> workload runner taking the ``engine=`` switch only; the keys
+#: are the benchmark ids committed in BENCH_CORE.json.
 HOTPATH_WORKLOADS: dict[str, Callable[..., tuple[ClusterMetrics, dict | None]]] = {
     "saturated_maxit_cluster": lambda **engine_kw: saturated_cluster(
         "maxit", **engine_kw
@@ -210,19 +204,16 @@ HOTPATH_WORKLOADS: dict[str, Callable[..., tuple[ClusterMetrics, dict | None]]] 
 def measure(
     workload: str,
     *,
-    fast_path: bool = True,
-    engine: str | None = None,
-    backend: str | None = None,
+    engine: str = "compiled",
     repeats: int = 3,
 ) -> dict[str, object]:
     """Best-of-``repeats`` wall-clock seconds of one named workload.
 
-    ``engine`` overrides the legacy ``fast_path`` switch when given
-    (``"legacy"``/``"fast"``/``"compiled"``), exactly as in
+    ``engine`` is ``"compiled"`` or ``"legacy"``, exactly as in
     :meth:`Cluster.run`.  Also returns the run's completion count (a
-    cheap integrity check: all engines must do identical work) and the
-    memo/engine stats of the last repeat (cache efficacy; empty on the
-    legacy path's non-compiled layers).
+    cheap integrity check: both engines must do identical work) and the
+    memo/engine stats of the last repeat (cache efficacy; the reference
+    loop reports no engine counters).
     """
     runner = HOTPATH_WORKLOADS[workload]
     best = float("inf")
@@ -230,9 +221,7 @@ def measure(
     stats: dict[str, object] | None = None
     for _ in range(repeats):
         start = time.perf_counter()
-        metrics, stats = runner(
-            fast_path=fast_path, engine=engine, backend=backend
-        )
+        metrics, stats = runner(engine=engine)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
         completed = metrics.completed

@@ -1,27 +1,29 @@
-"""Per-run rate memo with an interned-type compiled fast path.
+"""Per-run rate memo: string-keyed rates plus interned-type entries.
 
-:class:`RunRateMemo` (hoisted out of the cluster event loop in PR 2,
-moved here and *compiled* in this PR) is the one per-run cache that
-serves every machine's stepping, every scheduler's candidate probing,
-and the dispatch layer.  It now has two modes:
+:class:`RunRateMemo` is the one per-run cache that serves every
+machine's stepping, every scheduler's candidate probing, and the
+dispatch layer.  Each engine reads its own layer of it:
 
-* **legacy mode** (``compiled=False``) — the PR-2 behavior, string
-  multisets in, string-keyed rate dicts out.  Kept verbatim so the
-  fast path can be property-tested bit-identical against it.
-* **compiled mode** (the default) — a :class:`~repro.microarch.codec.
-  TypeCodec` interns job-type names to dense int ids once per run;
-  coschedules become small sorted int tuples, and every lookup the
-  event loop or a scheduler performs resolves to one dict hit on an
-  int-tuple key returning *flat per-type arrays* (``rates_by_code``
-  lists indexed by type id) — zero per-event string sorting, zero
-  per-event ``Counter``/dict churn.
+* the **string layer** (:meth:`~RunRateMemo.type_rates`,
+  :meth:`~RunRateMemo.per_job_rates`) — string multisets in,
+  string-keyed rate dicts out.  The reference loop
+  (``engine="legacy"``) and every scheduler's string ``select`` read
+  only this layer.
+* the **interned layer** (:meth:`~RunRateMemo.compiled_entry`,
+  :meth:`~RunRateMemo.probe_filtered`) — a
+  :class:`~repro.microarch.codec.TypeCodec` interns job-type names to
+  dense int ids once per run; coschedules become small sorted int
+  tuples, and every lookup the compiled engine performs resolves to
+  one dict hit on an int-tuple key returning *flat per-type arrays*
+  (``rates_by_code`` lists indexed by type id) — zero per-event string
+  sorting, zero per-event ``Counter``/dict churn.
 
-Bit-identity is load-bearing: the compiled structures are *derived
-from* the legacy string path (same ``type_rates`` dicts, same division
-by multiplicity, same candidate enumeration order via
-:func:`repro.util.multiset.sub_multisets`), so every float the fast
-path hands out is the exact float the legacy path computes, and the 27
-golden traces in ``tests/golden/`` pass unchanged.
+Bit-identity is load-bearing: the interned structures are *derived
+from* the string layer (same ``type_rates`` dicts, same division by
+multiplicity, same candidate enumeration order via
+:func:`repro.util.multiset.sub_multisets`), so every float the compiled
+engine reads is the exact float the reference loop computes, and the
+golden traces in ``tests/golden/`` pass unchanged on both engines.
 
 The probe layer (:meth:`probe_candidates`) memoizes, per (present-jobs
 count vector, coschedule size), the full candidate multiset list with
@@ -40,15 +42,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
+import numpy as np
+
 from repro.microarch.codec import TypeCodec
 from repro.microarch.rate_cache import CacheStats
 from repro.microarch.rates import RateSource
 from repro.util.multiset import sub_multisets
-
-try:  # pragma: no cover - integer filtering only; python fallback below
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 __all__ = ["RunRateMemo", "ProbeCandidate", "CandidateSet"]
 
@@ -158,33 +157,21 @@ class CandidateSet:
         feasible: candidates with strictly positive per-job rates for
             every type (SRPT skips the rest, every time, because rates
             depend only on the multiset).
-        key_codes: the distinct type ids of the probe key this set was
-            built for, in key (ascending-id) order — the row order of
-            the compiled engine's per-decision prefix matrices.
-        srpt_np: lazily attached numpy scoring arrays for the compiled
-            engine's vectorized SRPT backend (``None`` until built by
-            :mod:`repro.queueing.compiled`; pure-tuple backends never
-            touch it).
         filter_np: lazily attached per-candidate count matrix (one row
-            per candidate, one column per ``key_codes`` entry) used by
-            :meth:`RunRateMemo.probe_filtered` to select the formable
-            candidates of a count vector in one vectorized comparison.
+            per candidate, one column per type of the probe key, in key
+            order) used by :meth:`RunRateMemo.probe_filtered` to select
+            the formable candidates of a count vector in one vectorized
+            comparison.
     """
 
     __slots__ = (
         "candidates",
         "max_it_group",
         "feasible",
-        "key_codes",
-        "srpt_np",
         "filter_np",
     )
 
-    def __init__(
-        self,
-        candidates: list[ProbeCandidate],
-        key_codes: tuple[int, ...] = (),
-    ) -> None:
+    def __init__(self, candidates: list[ProbeCandidate]) -> None:
         self.candidates = candidates
         best_it = max(c.it for c in candidates) if candidates else 0.0
         self.max_it_group = [c for c in candidates if c.it == best_it]
@@ -193,8 +180,6 @@ class CandidateSet:
             for c in candidates
             if all(rate > 0.0 for rate in c.per_job_rates)
         ]
-        self.key_codes = key_codes
-        self.srpt_np = None
         self.filter_np = None
 
 
@@ -213,10 +198,6 @@ class RunRateMemo:
 
     Args:
         source: the wrapped rate source.
-        compiled: enable the interned-type fast path (int-coded
-            coschedules + flat rate arrays).  ``False`` reproduces the
-            PR-2 string path exactly — used by the equivalence
-            property tests and the before/after profiler.
         codec: share another memo's :class:`TypeCodec` instead of
             creating a fresh one.  The estimated-rate path runs two
             memos per run (true rates for stepping, estimates for
@@ -228,11 +209,9 @@ class RunRateMemo:
         self,
         source: RateSource,
         *,
-        compiled: bool = True,
         codec: TypeCodec | None = None,
     ) -> None:
         self.source = source
-        self.compiled = compiled
         self.codec = codec if codec is not None else TypeCodec()
         self.stats = CacheStats(label="run-memo")
         self._type_rates: dict[tuple[str, ...], dict[str, float]] = {}
@@ -243,7 +222,7 @@ class RunRateMemo:
         ] = {}
 
     # ------------------------------------------------------------------
-    # Legacy string path (PR-2 behavior, byte for byte)
+    # String layer (the reference loop and every string ``select``)
     # ------------------------------------------------------------------
     def type_rates(self, coschedule: Sequence[str]) -> dict[str, float]:
         """Total WIPC per job type in ``coschedule`` (memoized)."""
@@ -266,14 +245,14 @@ class RunRateMemo:
         return entry
 
     # ------------------------------------------------------------------
-    # Compiled int path
+    # Interned layer (the compiled engine)
     # ------------------------------------------------------------------
     def compiled_entry(self, codes: tuple[int, ...]) -> _CompiledEntry:
         """The pre-flattened entry of a coded (sorted-int) coschedule.
 
-        Derived from the legacy path on first sight — the per-job
+        Derived from the string layer on first sight — the per-job
         dict's floats are flattened into ``rates_by_code`` unchanged,
-        so stepping arithmetic is bit-identical in both modes.
+        so stepping arithmetic is bit-identical on both engines.
         """
         entry = self._compiled.get(codes)
         if entry is None:
@@ -341,9 +320,7 @@ class RunRateMemo:
                         names, count_items, sum(entry.values()), per_job_rates
                     )
                 )
-            cached = CandidateSet(
-                candidates, tuple(code for code, _ in counts_key)
-            )
+            cached = CandidateSet(candidates)
             self._probes[key] = cached
         else:
             self.stats.hits += 1
@@ -381,39 +358,27 @@ class RunRateMemo:
             return self.probe_candidates(counts_key, size)
         universe = self.probe_candidates(cap_key, size)
         self.stats.misses += 1
-        if _np is not None:
-            # Vectorized formability test: one row of per-type counts
-            # per universe candidate (built once per universe, integer
-            # comparisons only — no float arithmetic to keep identical),
-            # masked against this key's availability vector.
-            matrix = universe.filter_np
-            if matrix is None:
-                matrix = _np.zeros(
-                    (len(universe.candidates), len(codes)), dtype=_np.int64
-                )
-                column = {code: i for i, code in enumerate(codes)}
-                for row, candidate in enumerate(universe.candidates):
-                    for code, count in candidate.count_items:
-                        matrix[row, column[code]] = count
-                universe.filter_np = matrix
-            avail_vec = _np.array(
-                [count for _, count in counts_key], dtype=_np.int64
+        # Vectorized formability test: one row of per-type counts per
+        # universe candidate (built once per universe, integer
+        # comparisons only — no float arithmetic to keep identical),
+        # masked against this key's availability vector.
+        matrix = universe.filter_np
+        if matrix is None:
+            matrix = np.zeros(
+                (len(universe.candidates), len(codes)), dtype=np.int64
             )
-            keep = _np.flatnonzero((matrix <= avail_vec).all(axis=1))
-            pool = universe.candidates
-            candidates = [pool[i] for i in keep]
-        else:
-            avail = dict(counts_key)
-            get = avail.get
-            candidates = [
-                candidate
-                for candidate in universe.candidates
-                if all(
-                    count <= get(code, 0)
-                    for code, count in candidate.count_items
-                )
-            ]
-        cached = CandidateSet(candidates, codes)
+            column = {code: i for i, code in enumerate(codes)}
+            for row, candidate in enumerate(universe.candidates):
+                for code, count in candidate.count_items:
+                    matrix[row, column[code]] = count
+            universe.filter_np = matrix
+        avail_vec = np.array(
+            [count for _, count in counts_key], dtype=np.int64
+        )
+        keep = np.flatnonzero((matrix <= avail_vec).all(axis=1))
+        pool = universe.candidates
+        candidates = [pool[i] for i in keep]
+        cached = CandidateSet(candidates)
         self._probes[key] = cached
         return cached
 

@@ -18,16 +18,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
-from heapq import nsmallest
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import SimulationError, WorkloadError
 from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload
-from repro.microarch.codec import TypeCodec
 from repro.microarch.rates import RateSource
 from repro.queueing.job import Job
-from repro.queueing.ratememo import RunRateMemo
 from repro.util.multiset import sub_multisets
 
 __all__ = [
@@ -60,94 +57,6 @@ def _candidate_multisets(
     """Distinct type-multisets of ``size`` constructible from ``jobs``."""
     present = tuple(sorted(job.job_type for job in jobs))
     return sorted(set(sub_multisets(present, size)))
-
-
-def _jobs_by_code(
-    jobs: Sequence[Job], codec: TypeCodec
-) -> dict[int, list[Job]]:
-    """Group jobs by interned type id.
-
-    Inside a cluster run the machine's
-    :class:`~repro.queueing.cluster.JobQueue` maintains this index
-    incrementally (:func:`_code_index` finds it attached to the
-    sequence), so this full pass runs only when that index is absent
-    or belongs to a different codec — a scheduler probed standalone,
-    or one probing its own counterfactual memo inside someone else's
-    run.  The grouping is purely local: it never writes
-    ``job.type_code`` (that field is owned by the event loop's codec,
-    and a scheduler probing a *different* memo must not clobber it).
-    """
-    by_code: dict[int, list[Job]] = {}
-    for job in jobs:
-        code = codec.encode(job.job_type)
-        pool = by_code.get(code)
-        if pool is None:
-            by_code[code] = [job]
-        else:
-            pool.append(job)
-    return by_code
-
-
-def _counts_key(
-    by_code: dict[int, list[Job]]
-) -> tuple[tuple[int, int], ...]:
-    """The probe-memo key of a queue state: per-type-code counts,
-    sorted by id.  Empty pools (a type whose jobs all completed) are
-    skipped — they must not distinguish otherwise-equal states."""
-    return tuple(
-        sorted((code, len(pool)) for code, pool in by_code.items() if pool)
-    )
-
-
-def _accumulate_age(
-    candidate, pool_jobs: Callable[[int], list[Job]]
-) -> float:
-    """Sum of ``arrival_time`` over the jobs a candidate would pick,
-    accumulated in exactly the legacy ``chosen`` order (count_items
-    order, oldest/shortest-first within a pool) so float ties break
-    identically on both paths."""
-    age = 0.0
-    for code, count in candidate.count_items:
-        for job in pool_jobs(code)[:count]:
-            age += job.arrival_time
-    return age
-
-
-def _code_index(
-    jobs: Sequence[Job], codec: TypeCodec
-) -> dict[int, list[Job]]:
-    """The per-type-code index of ``jobs``: the queue's incremental
-    one when it was built by *this* codec, a freshly built one
-    otherwise (the queue's ids are the run codec's — a scheduler
-    probing its own counterfactual memo must not decode them with an
-    unrelated codec).  Pools may be empty (a type whose jobs all
-    completed) — consumers skip those."""
-    if getattr(jobs, "index_codec", None) is codec:
-        index = jobs.by_code
-        if index is not None:
-            return index
-    return _jobs_by_code(jobs, codec)
-
-
-def _pool_cache(
-    by_code: dict[int, list[Job]], key: Callable[[Job], object]
-) -> Callable[[int], list[Job]]:
-    """Lazily sorted per-type pools for one probe.
-
-    MAXIT's ``(-it, age)`` key is lexicographic, so only the handful
-    of candidates tied on the maximal throughput ever need their jobs
-    ordered — sorting pools on demand skips the rest entirely.
-    """
-    pools: dict[int, list[Job]] = {}
-
-    def pool(code: int) -> list[Job]:
-        cached = pools.get(code)
-        if cached is None:
-            cached = sorted(by_code[code], key=key)
-            pools[code] = cached
-        return cached
-
-    return pool
 
 
 class Scheduler(ABC):
@@ -203,16 +112,6 @@ class Scheduler(ABC):
         to refresh; MAXTP re-solves its LP.
         """
 
-    def _run_memo(self) -> RunRateMemo | None:
-        """The bound compiled run memo, if probing should take the
-        interned-type fast path (``None`` → legacy string probing:
-        a scheduler deliberately probing a counterfactual table, or a
-        run with ``fast_path=False``)."""
-        rates = self.rates
-        if isinstance(rates, RunRateMemo) and rates.compiled:
-            return rates
-        return None
-
     def _pick_oldest(
         self, jobs: Sequence[Job], multiset: tuple[str, ...]
     ) -> list[Job]:
@@ -253,9 +152,6 @@ class MaxItScheduler(Scheduler):
     def select(self, jobs: Sequence[Job], clock: float) -> list[Job]:
         if not jobs:
             return []
-        memo = self._run_memo()
-        if memo is not None:
-            return self._select_coded(memo, jobs)
         size = min(self.contexts, len(jobs))
         best: list[Job] | None = None
         best_key: tuple[float, float] | None = None
@@ -269,42 +165,6 @@ class MaxItScheduler(Scheduler):
                 best = chosen
         assert best is not None
         return best
-
-    def _select_coded(
-        self, memo: RunRateMemo, jobs: Sequence[Job]
-    ) -> list[Job]:
-        """Interned-type probe, pinned pick-identical to the string
-        path by ``tests/property/test_fastpath_equivalence.py``.
-
-        The legacy key ``(-it, age)`` is lexicographic and ``it``
-        depends only on the multiset, so the memoized candidate set's
-        ``max_it_group`` (legacy enumeration order preserved) is the
-        only slice that ever needs ages — usually a single candidate,
-        which needs no age at all.  When ages are needed they
-        accumulate ``arrival_time`` in exactly the legacy ``chosen``
-        order, so float ties break the same way.
-        """
-        by_code = _code_index(jobs, memo.codec)
-        size = min(self.contexts, len(jobs))
-        probe = memo.probe_candidates(_counts_key(by_code), size)
-        pool = _pool_cache(by_code, _age_key)
-        group = probe.max_it_group
-        if len(group) == 1:
-            best = group[0]
-        else:
-            best = None
-            best_age: float | None = None
-            for candidate in group:
-                age = _accumulate_age(candidate, pool)
-                if best_age is None or age < best_age:
-                    best_age = age
-                    best = candidate
-            assert best is not None
-        chosen: list[Job] = []
-        for code, count in best.count_items:
-            chosen.extend(pool(code)[:count])
-        return chosen
-
 
 class SrptScheduler(Scheduler):
     """Shortest-remaining-processing-time, symbiosis-aware.
@@ -321,9 +181,6 @@ class SrptScheduler(Scheduler):
     def select(self, jobs: Sequence[Job], clock: float) -> list[Job]:
         if not jobs:
             return []
-        memo = self._run_memo()
-        if memo is not None:
-            return self._select_coded(memo, jobs)
         size = min(self.contexts, len(jobs))
         by_type = _jobs_by_type(jobs)
         for pool in by_type.values():
@@ -354,73 +211,6 @@ class SrptScheduler(Scheduler):
         if best is None:
             raise SimulationError("no feasible coschedule (zero rates?)")
         return best
-
-    def _select_coded(
-        self, memo: RunRateMemo, jobs: Sequence[Job]
-    ) -> list[Job]:
-        """Interned-type probe, pick-identical to the string path.
-
-        Candidates with a zero-rate type are infeasible for *every*
-        queue state (rates depend only on the multiset), so the
-        memoized candidate set prunes them once.  Per-pool prefix sums
-        replace the per-candidate slices: a running accumulator
-        performs the exact float additions of the legacy
-        ``sum(pool[:count])``, so every ``total_remaining`` is
-        bit-identical — and the legacy key ``(total_remaining, age)``
-        is lexicographic, so ages are computed only on exact
-        ``total_remaining`` ties.
-        """
-        by_code = _code_index(jobs, memo.codec)
-        size = min(self.contexts, len(jobs))
-        probe = memo.probe_candidates(_counts_key(by_code), size)
-        # pools[code] = (jobs sorted shortest-remaining-first,
-        #                prefix sums of their remaining work)
-        pools: dict[int, tuple[list[Job], list[float]]] = {}
-
-        def pool(code: int) -> tuple[list[Job], list[float]]:
-            entry = pools.get(code)
-            if entry is None:
-                ordered = sorted(
-                    by_code[code],
-                    key=lambda job: (job.remaining, job.job_id),
-                )
-                prefix = [0.0]
-                acc = 0.0
-                for job in ordered:
-                    acc += job.remaining
-                    prefix.append(acc)
-                entry = (ordered, prefix)
-                pools[code] = entry
-            return entry
-
-        def age_of(candidate) -> float:
-            return _accumulate_age(candidate, lambda code: pool(code)[0])
-
-        best = None
-        best_total: float | None = None
-        best_age: float | None = None
-        for candidate in probe.feasible:
-            total_remaining = 0.0
-            for code, count, rate in candidate.srpt_items:
-                total_remaining += pool(code)[1][count] / rate
-            if best_total is None or total_remaining < best_total:
-                best = candidate
-                best_total = total_remaining
-                best_age = None
-            elif total_remaining == best_total:
-                if best_age is None:
-                    best_age = age_of(best)
-                age = age_of(candidate)
-                if age < best_age:
-                    best = candidate
-                    best_age = age
-        if best is None:
-            raise SimulationError("no feasible coschedule (zero rates?)")
-        chosen: list[Job] = []
-        for code, count in best.count_items:
-            chosen.extend(pool(code)[0][:count])
-        return chosen
-
 
 class MaxTpScheduler(Scheduler):
     """Follow the LP-optimal coschedule fractions (the paper's MAXTP).
@@ -456,12 +246,6 @@ class MaxTpScheduler(Scheduler):
         }
         self.total_time = 0.0
         self._fallback = MaxItScheduler(rates, contexts)
-        # Per-run coded view of the optimal coschedules: (codec, list
-        # of (names, ((type_id, count), ...))).  Rebuilt whenever the
-        # bound run memo's codec changes (i.e. once per run).
-        self._coded_targets: tuple[
-            TypeCodec, list[tuple[tuple[str, ...], tuple[tuple[int, int], ...]]]
-        ] | None = None
 
     def observe(self, coschedule: tuple[str, ...], dt: float) -> None:
         """Track elapsed time globally and per optimal coschedule."""
@@ -511,7 +295,6 @@ class MaxTpScheduler(Scheduler):
         fractions = dict(schedule.fractions)
         self.time_in = {s: self.time_in.get(s, 0.0) for s in fractions}
         self.target_fractions = fractions
-        self._coded_targets = None
 
     def _deficit(self, coschedule: tuple[str, ...]) -> float:
         target = self.target_fractions[coschedule]
@@ -519,68 +302,10 @@ class MaxTpScheduler(Scheduler):
             return target
         return target - self.time_in[coschedule] / self.total_time
 
-    def _select_coded(
-        self, memo: RunRateMemo, jobs: Sequence[Job]
-    ) -> list[Job] | None:
-        """Interned-type twin of the string select (``None`` → fall
-        back to MAXIT, exactly when the string path would).
-
-        Same formable targets in the same ``target_fractions`` order,
-        the same deficit tie-break, and the same oldest-jobs
-        instantiation (``nsmallest(count, pool, key)`` is
-        ``sorted(pool, key)[:count]``, job keys are unique) — only the
-        containment arithmetic runs on interned ids and the queue's
-        per-type-code counts instead of string Counters over every
-        job.
-        """
-        codec = memo.codec
-        cached = self._coded_targets
-        if cached is None or cached[0] is not codec:
-            coded = [
-                (
-                    s,
-                    tuple(
-                        (codec.encode(t), c) for t, c in Counter(s).items()
-                    ),
-                )
-                for s in self.target_fractions
-            ]
-            self._coded_targets = cached = (codec, coded)
-        by_code = _code_index(jobs, codec)
-        counts = {
-            code: len(pool) for code, pool in by_code.items() if pool
-        }
-        get = counts.get
-        formable = [
-            (s, items)
-            for s, items in cached[1]
-            if all(get(code, 0) >= count for code, count in items)
-        ]
-        if not formable:
-            return None
-        _, best_items = max(
-            formable,
-            key=lambda pair: (
-                self._deficit(pair[0]),
-                self.target_fractions[pair[0]],
-                pair[0],
-            ),
-        )
-        chosen: list[Job] = []
-        for code, count in best_items:
-            chosen.extend(nsmallest(count, by_code[code], key=_age_key))
-        return chosen
-
     def select(self, jobs: Sequence[Job], clock: float) -> list[Job]:
         if not jobs:
             return []
         if len(jobs) >= self.contexts:
-            memo = self._run_memo()
-            if memo is not None:
-                chosen = self._select_coded(memo, jobs)
-                if chosen is not None:
-                    return chosen
-                return self._fallback.select(jobs, clock)
             counts = Counter(job.job_type for job in jobs)
             candidates = [
                 s

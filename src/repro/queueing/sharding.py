@@ -115,8 +115,7 @@ def run_sharded(
     stop_when_fewer_than: int | None = None,
     keep_in_system: int | None = None,
     max_events: int = 5_000_000,
-    engine: str | None = None,
-    backend: str | None = None,
+    engine: str = "compiled",
     pick_log: list | None = None,
     faults: FaultConfig | None = None,
     stall_events: int = DEFAULT_STALL_EVENTS,
@@ -174,7 +173,6 @@ def run_sharded(
             keep_in_system=keep_in_system,
             max_events=max_events,
             engine=engine,
-            backend=backend,
             pick_log=pick_log,
             faults=faults,
             stall_events=stall_events,

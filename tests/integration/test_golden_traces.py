@@ -13,9 +13,9 @@ it.  Two locks per pair:
   simulator must reproduce the committed metrics (any drift in the
   event loop, schedulers, or dispatch policies fails here, with a
   per-field diff naming exactly what moved).  The lock is parametrized
-  over engines: every committed trace replays through both the fast
-  path and the count-vector compiled engine (``engine="compiled"``)
-  against the *same* expectation file — bit-identity across engines is
+  over engines: every committed trace replays through both the
+  reference loop (``engine="legacy"``) and the production count-vector
+  engine (``engine="compiled"``) against the *same* expectation file — bit-identity across engines is
   part of the contract, not a separate suite.
 
 Two extra goldens (``hotpath_saturated_{maxit,srpt}.json``) pin the
@@ -95,7 +95,7 @@ PAIRS = [
 ]
 #: Engines the committed expectations are replayed through — every
 #: golden passes unchanged on both (bit-identity across engines).
-ENGINES = ("fast", "compiled")
+ENGINES = ("legacy", "compiled")
 
 
 def golden_path(scenario: str, dispatcher: str) -> Path:
@@ -128,7 +128,7 @@ def run_golden_trace(
     jobs: list[Job],
     scenario_name: str,
     dispatcher: str,
-    engine: str | None = None,
+    engine: str = "compiled",
 ) -> ClusterMetrics:
     """The frozen run configuration every golden file was made with."""
     scenario = get_scenario(scenario_name)
@@ -247,6 +247,7 @@ class TestGoldenTraces:
                     build_golden_stream(scenario, mean_rate),
                     scenario,
                     dispatcher,
+                    engine=ENGINES[0],
                 )
                 metrics = run_golden_trace(
                     build_golden_stream(scenario, mean_rate),
@@ -336,7 +337,7 @@ def run_estimated_golden(
     dispatcher: str,
     noise: float,
     noise_seed: int,
-    engine: str | None = None,
+    engine: str = "compiled",
 ) -> ClusterMetrics:
     """The frozen estimated-rate configuration of a golden cell."""
     from repro.queueing.estimation import EstimationConfig
@@ -395,6 +396,7 @@ class TestEstimatedGoldens:
                 reference = run_estimated_golden(
                     build_golden_stream(scenario, mean_rate),
                     scenario, dispatcher, noise, noise_seed,
+                    engine=ENGINES[0],
                 )
                 metrics = run_estimated_golden(
                     build_golden_stream(scenario, mean_rate),
@@ -534,7 +536,7 @@ def run_faulty_golden(
     scenario_name: str,
     dispatcher: str,
     faults: FaultConfig | None,
-    engine: str | None = None,
+    engine: str = "compiled",
 ) -> tuple[ClusterMetrics, dict | None]:
     """The frozen faulty configuration of a golden cell.
 
@@ -592,6 +594,7 @@ class TestFaultyGoldens:
                 ref_metrics, ref_stats = run_faulty_golden(
                     build_golden_stream(scenario, mean_rate),
                     scenario, dispatcher, faults,
+                    engine=ENGINES[0],
                 )
                 metrics, stats = run_faulty_golden(
                     build_golden_stream(scenario, mean_rate),
@@ -718,7 +721,7 @@ def build_hotpath_stream() -> list[Job]:
 def run_hotpath_golden(
     jobs: list[Job],
     scheduler: str,
-    engine: str | None = None,
+    engine: str = "compiled",
     faults: FaultConfig | None = None,
 ) -> ClusterMetrics:
     rates, names = synthetic_rates(contexts=HOTPATH_GOLDEN_CONTEXTS)
@@ -751,7 +754,7 @@ class TestHotpathGoldens:
         if update_golden:
             if engine != ENGINES[0]:
                 reference = run_hotpath_golden(
-                    build_hotpath_stream(), scheduler
+                    build_hotpath_stream(), scheduler, engine=ENGINES[0]
                 )
                 metrics = run_hotpath_golden(
                     build_hotpath_stream(), scheduler, engine=engine

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.workload import Workload
-from repro.errors import SimulationError
+from repro.errors import CheckpointError, SimulationError
 from repro.experiments.registry import to_jsonable
 from repro.microarch.rates import TableRates
 from repro.queueing.checkpoint import CHECKPOINT_FORMAT, load
@@ -77,7 +77,7 @@ def payload_of(metrics) -> list:
 
 
 class TestShardedEqualsMonolithic:
-    @pytest.mark.parametrize("engine", ["legacy", "fast", "compiled"])
+    @pytest.mark.parametrize("engine", ["legacy", "compiled"])
     @pytest.mark.parametrize("n_shards", [2, 7])
     def test_bit_identical_metrics_and_picks(self, engine, n_shards):
         mono_picks: list = []
@@ -102,7 +102,6 @@ class TestShardedEqualsMonolithic:
             build_stream,
             boundaries=plan_boundaries(4, N_JOBS / MEAN_RATE),
             checkpoint_dir=tmp_path,
-            engine="fast",
         )
         assert out.shards_run == 4
         assert not (tmp_path / CHECKPOINT_NAME).exists()
@@ -171,7 +170,7 @@ def driver_dir(tmp_path: Path) -> Path:
 
 
 class TestKillAndResume:
-    @pytest.mark.parametrize("engine", ["fast", "compiled"])
+    @pytest.mark.parametrize("engine", ["legacy", "compiled"])
     def test_killed_run_resumes_bit_identically(self, driver_dir, engine):
         """Hard-kill after shard 1's checkpoint (fresh process), resume
         in another fresh process: metrics match the monolithic run bit
@@ -210,7 +209,7 @@ class TestCheckpointValidation:
         from repro.queueing.checkpoint import capture, save
 
         boundaries = plan_boundaries(5, N_JOBS / MEAN_RATE)
-        handle = build_cluster().start(build_stream(), engine="fast")
+        handle = build_cluster().start(build_stream())
         assert not handle.advance(pause_at=boundaries[0])
         save(
             tmp_path / CHECKPOINT_NAME,
@@ -230,13 +229,12 @@ class TestCheckpointValidation:
                 build_stream,
                 boundaries=plan_boundaries(3, N_JOBS / MEAN_RATE),
                 checkpoint_dir=tmp_path,
-                engine="fast",
             )
 
     def test_capture_requires_a_paused_run(self):
         from repro.queueing.checkpoint import capture
 
-        handle = build_cluster().start(build_stream(), engine="fast")
+        handle = build_cluster().start(build_stream())
         with pytest.raises(SimulationError, match="paused run"):
             capture(handle)
         handle.close()
@@ -244,7 +242,7 @@ class TestCheckpointValidation:
     def test_restore_rejects_the_wrong_stream(self, tmp_path):
         from repro.queueing.checkpoint import capture, restore
 
-        handle = build_cluster().start(build_stream(), engine="fast")
+        handle = build_cluster().start(build_stream())
         assert not handle.advance(pause_at=20.0)
         payload = capture(handle)
         handle.close()
@@ -253,6 +251,44 @@ class TestCheckpointValidation:
         )
         with pytest.raises(SimulationError, match="stream"):
             restore(build_cluster(), wrong, payload)
+
+
+class TestCheckpointEngineCompatibility:
+    """Checkpoints name their engine; only the two live ones restore."""
+
+    def paused_payload(self, engine: str = "compiled") -> dict:
+        from repro.queueing.checkpoint import capture
+
+        handle = build_cluster().start(build_stream(), engine=engine)
+        assert not handle.advance(pause_at=20.0)
+        payload = capture(handle)
+        handle.close()
+        return json.loads(json.dumps(payload))
+
+    def test_new_payloads_carry_no_backend(self):
+        assert "backend" not in self.paused_payload()["run"]
+
+    def test_retired_backend_field_is_ignored(self):
+        from repro.queueing.checkpoint import restore
+
+        mono = build_cluster().run(build_stream())
+        payload = self.paused_payload()
+        payload["run"]["backend"] = "numpy"
+        handle = restore(build_cluster(), build_stream(), payload)
+        assert handle.advance()
+        assert payload_of(handle.result()) == payload_of(mono)
+
+    @pytest.mark.parametrize("engine", ["fast", "turbo"])
+    def test_unknown_engine_is_refused(self, engine):
+        from repro.queueing.checkpoint import restore
+
+        payload = self.paused_payload()
+        payload["run"]["engine"] = engine
+        with pytest.raises(CheckpointError) as err:
+            restore(build_cluster(), build_stream(), payload)
+        message = str(err.value)
+        assert repr(engine) in message
+        assert "compiled" in message and "legacy" in message
 
 
 class TestPlanBoundaries:
@@ -274,7 +310,6 @@ class TestPlanBoundaries:
                 build_cluster(),
                 build_stream,
                 boundaries=[50.0, 10.0],
-                engine="fast",
             )
 
 

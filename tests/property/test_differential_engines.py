@@ -1,12 +1,12 @@
-"""Three-way differential fuzz harness: legacy vs fast vs compiled.
+"""Differential fuzz harness: the compiled engine vs the reference.
 
 This is the equivalence contract that makes engine rewrites cheap to
 attempt and hard to get wrong: a seeded fuzzer draws random cluster
 configurations — scenario, dispatcher, scheduler, machine count,
 contexts, horizon/warmup/backlog knobs, and the arrival stream's seed
-— runs each through **all engine variants** (the legacy string path,
-the interned-type fast path, and the count-vector compiled engine on
-both scoring backends), and asserts
+— runs each through **both engines** (the reference string-keyed loop,
+``engine="legacy"``, and the production count-vector engine,
+``engine="compiled"``), and asserts
 
 * **bit-identical ClusterMetrics** — every float of every per-machine
   metric, compared through ``to_jsonable`` (exact equality, including
@@ -44,13 +44,8 @@ from repro.queueing.schedulers import make_scheduler
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_DIFF_FUZZ_EXAMPLES", "200"))
 
-#: engine variants under differential test: (label, engine, backend).
-ENGINE_VARIANTS = (
-    ("legacy", "legacy", None),
-    ("fast", "fast", None),
-    ("compiled-tuples", "compiled", "tuples"),
-    ("compiled-numpy", "compiled", "numpy"),
-)
+#: Engines under differential test; the first is the reference.
+ENGINES = ("legacy", "compiled")
 
 SCENARIOS = (
     "baseline_poisson",
@@ -109,11 +104,11 @@ configs = st.fixed_dictionaries(
         "seed": st.integers(min_value=0, max_value=2**16),
         # Rate-source axis: estimated mode (zero noise, warm oracle
         # prior, frequent re-optimization rounds) must stay
-        # bit-identical across every engine — the estimation layer's
+        # bit-identical across both engines — the estimation layer's
         # two-memo plumbing is part of the equivalence contract.
         "rate_source": st.sampled_from(("oracle", "estimated")),
         # Fault axis: failure/repair processes must not break the
-        # three-way equivalence — every engine calls the shared
+        # equivalence — both engines call the shared
         # FaultRuntime at the same iteration points, so crashes,
         # outages, degraded episodes, retries, and shedding land on
         # the same bits everywhere.
@@ -132,14 +127,17 @@ configs = st.fixed_dictionaries(
 )
 
 
-def run_config(config, engine, backend, rate_source=None, faults="axis"):
+def run_config(
+    config, engine, rate_source=None, faults="axis", estimation=None
+):
     """One full cluster run; returns (metrics payload, pick log,
-    fault stats).
+    fault stats, estimator stats).
 
     ``rate_source`` overrides the config's axis (defaulting to
-    "oracle" for configs without one).  Estimated runs use zero noise,
-    the warm oracle prior, and a small re-optimization interval, so
-    many re-optimization rounds fire even on short streams.
+    "oracle" for configs without one).  Estimated runs default to zero
+    noise, the warm oracle prior, and a small re-optimization interval,
+    so many re-optimization rounds fire even on short streams; pass
+    ``estimation`` to override.
     ``faults`` overrides the config's fault axis: pass a FaultConfig,
     ``None`` to force the fault-free loop, or leave the default to
     follow the draw's own axis.
@@ -174,25 +172,28 @@ def run_config(config, engine, backend, rate_source=None, faults="axis"):
     )
     if rate_source is None:
         rate_source = config.get("rate_source", "oracle")
-    estimation = (
-        EstimationConfig(noise=0.0, prior="oracle", reopt_observations=8)
-        if rate_source == "estimated"
-        else None
-    )
+    if rate_source == "estimated" and estimation is None:
+        estimation = EstimationConfig(
+            noise=0.0, prior="oracle", reopt_observations=8
+        )
     if faults == "axis":
         faults = fault_config_from(config)
     picks: list[tuple[int, tuple[int, ...]]] = []
     metrics = cluster.run(
         jobs,
         engine=engine,
-        backend=backend,
         pick_log=picks,
         rate_source=rate_source,
         estimation=estimation,
         faults=faults,
         **config["knobs"],
     )
-    return to_jsonable(metrics), picks, cluster.last_fault_stats
+    return (
+        to_jsonable(metrics),
+        picks,
+        cluster.last_fault_stats,
+        cluster.last_estimator_stats,
+    )
 
 
 class TestLargeClockStall:
@@ -205,8 +206,8 @@ class TestLargeClockStall:
     fusion used to swallow that positive exact span and spin forever
     (observed at ~950k jobs into a 64-machine run).  Shifting a small
     stream past the boundary reproduces it in milliseconds: with the
-    fix, every engine finishes within a normal event budget and all
-    stay bit-identical through the pathological completions.
+    fix, both engines finish within a normal event budget and stay
+    bit-identical through the pathological completions.
     """
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -224,7 +225,7 @@ class TestLargeClockStall:
         rates, names = synthetic_rates(n_types=3, contexts=2)
         workload = Workload.of(*names)
 
-        def run_engine(engine, backend):
+        def run_engine(engine):
             cluster = Cluster(
                 rates,
                 [
@@ -239,16 +240,15 @@ class TestLargeClockStall:
             metrics = cluster.run(
                 shifted_jobs(),
                 engine=engine,
-                backend=backend,
                 pick_log=picks,
                 max_events=12_000,
             )
             return to_jsonable(metrics), picks
 
-        reference = run_engine(*ENGINE_VARIANTS[0][1:])
-        for label, engine, backend in ENGINE_VARIANTS[1:]:
-            assert run_engine(engine, backend) == reference, (
-                f"{label} diverges past clock 2**14 (seed {seed})"
+        reference = run_engine(ENGINES[0])
+        for engine in ENGINES[1:]:
+            assert run_engine(engine) == reference, (
+                f"{engine} diverges past clock 2**14 (seed {seed})"
             )
 
 
@@ -256,22 +256,28 @@ class TestDifferentialEngines:
     @given(configs)
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_engines_bit_identical(self, config):
-        reference_label, engine, backend = ENGINE_VARIANTS[0]
-        reference_metrics, reference_picks, reference_stats = run_config(
-            config, engine, backend
-        )
-        for label, engine, backend in ENGINE_VARIANTS[1:]:
-            metrics, picks, stats = run_config(config, engine, backend)
+        reference = ENGINES[0]
+        (
+            reference_metrics,
+            reference_picks,
+            reference_stats,
+            reference_estimator,
+        ) = run_config(config, reference)
+        for engine in ENGINES[1:]:
+            metrics, picks, stats, estimator = run_config(config, engine)
             assert metrics == reference_metrics, (
-                f"{label} metrics diverge from {reference_label} "
-                f"on {config}"
+                f"{engine} metrics diverge from {reference} on {config}"
             )
             assert picks == reference_picks, (
-                f"{label} pick sequence diverges from {reference_label} "
+                f"{engine} pick sequence diverges from {reference} "
                 f"on {config}"
             )
             assert stats == reference_stats, (
-                f"{label} fault stats diverge from {reference_label} "
+                f"{engine} fault stats diverge from {reference} "
+                f"on {config}"
+            )
+            assert estimator == reference_estimator, (
+                f"{engine} estimator stats diverge from {reference} "
                 f"on {config}"
             )
 
@@ -289,22 +295,19 @@ class TestZeroFaultIdentityFuzz:
     @settings(max_examples=max(25, MAX_EXAMPLES // 4), deadline=None)
     def test_inactive_config_matches_fault_free(self, config):
         inert = FaultConfig(seed=config["seed"] + 1)
-        for label, engine, backend in (
-            ENGINE_VARIANTS[1],   # fast
-            ENGINE_VARIANTS[2],   # compiled-tuples
-        ):
-            bare_metrics, bare_picks, _ = run_config(
-                config, engine, backend, faults=None
+        for engine in ENGINES:
+            bare_metrics, bare_picks, _, _ = run_config(
+                config, engine, faults=None
             )
-            gated_metrics, gated_picks, stats = run_config(
-                config, engine, backend, faults=inert
+            gated_metrics, gated_picks, stats, _ = run_config(
+                config, engine, faults=inert
             )
             assert gated_metrics == bare_metrics, (
-                f"{label}: an inactive FaultConfig changed the metrics "
+                f"{engine}: an inactive FaultConfig changed the metrics "
                 f"on {config}"
             )
             assert gated_picks == bare_picks, (
-                f"{label}: an inactive FaultConfig changed the picks "
+                f"{engine}: an inactive FaultConfig changed the picks "
                 f"on {config}"
             )
             assert stats["crashes"] == 0 and stats["availability"] == 1.0
@@ -318,7 +321,7 @@ class TestEstimatedOracleIdentity:
     when ``est == true``), so a re-optimization round re-solves
     against the same numbers and every policy decision — pick
     sequence and ClusterMetrics alike — must be bit-identical to the
-    oracle run, on every engine variant.  This pins the whole
+    oracle run, on both engines.  This pins the whole
     estimated-mode plumbing (observation wiring, epoch publishing,
     the policy-memo indirection) as a pure pass-through at zero
     noise.
@@ -332,30 +335,62 @@ class TestEstimatedOracleIdentity:
     )
 
     @pytest.mark.parametrize("scheduler,dispatcher", POLICIES)
-    @pytest.mark.parametrize(
-        "label,engine,backend", ENGINE_VARIANTS,
-        ids=[v[0] for v in ENGINE_VARIANTS],
-    )
-    def test_estimated_matches_oracle(
-        self, scheduler, dispatcher, label, engine, backend
-    ):
-        config = {
-            "scenario": "skewed_types",
-            "scheduler": scheduler,
-            "dispatcher": dispatcher,
-            "n_machines": 2,
-            "contexts": 3,
-            "n_types": 4,
-            "n_jobs": 48,
-            "mean_rate": 3.0,
-            "seed": 1234,
-            "knobs": {},
-        }
-        oracle = run_config(config, engine, backend, rate_source="oracle")
-        estimated = run_config(
-            config, engine, backend, rate_source="estimated"
-        )
-        assert estimated == oracle, (
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_estimated_matches_oracle(self, scheduler, dispatcher, engine):
+        config = policy_config(scheduler, dispatcher)
+        oracle = run_config(config, engine, rate_source="oracle")
+        estimated = run_config(config, engine, rate_source="estimated")
+        # Metrics, picks and fault stats; only estimated runs report
+        # estimator stats.
+        assert estimated[:3] == oracle[:3], (
             f"zero-noise estimated {scheduler}/{dispatcher} diverges "
-            f"from oracle on {label}"
+            f"from oracle on {engine}"
         )
+
+
+class TestNoisyEstimatesAgree:
+    """Noisy estimates move decisions, identically on both engines.
+
+    The zero-noise control above cannot see stale estimates: every
+    epoch republishes the same numbers.  Here each epoch changes the
+    rates the policies probe, so the compiled engine must drop its
+    cached candidate sets and re-intern MAXTP's re-solved LP targets
+    at every publish — exactly when the reference loop's string
+    ``select`` starts reading the new epoch.
+    """
+
+    @pytest.mark.parametrize(
+        "scheduler,dispatcher", TestEstimatedOracleIdentity.POLICIES
+    )
+    @pytest.mark.parametrize("faults", [None, "chaos"])
+    def test_compiled_matches_reference(self, scheduler, dispatcher, faults):
+        config = dict(policy_config(scheduler, dispatcher), faults=faults)
+        noisy = EstimationConfig(
+            noise=0.3, prior="single_run", reopt_observations=8, seed=5
+        )
+        runs = [
+            run_config(
+                config, engine, rate_source="estimated", estimation=noisy
+            )
+            for engine in ENGINES
+        ]
+        assert runs[1] == runs[0], (
+            f"noisy estimated {scheduler}/{dispatcher} (faults={faults}) "
+            "diverges between engines"
+        )
+
+
+def policy_config(scheduler: str, dispatcher: str) -> dict:
+    """A fixed mid-size draw for the rate-source identity classes."""
+    return {
+        "scenario": "skewed_types",
+        "scheduler": scheduler,
+        "dispatcher": dispatcher,
+        "n_machines": 2,
+        "contexts": 3,
+        "n_types": 4,
+        "n_jobs": 48,
+        "mean_rate": 3.0,
+        "seed": 1234,
+        "knobs": {},
+    }

@@ -190,7 +190,7 @@ def _golden_run(engine, boundaries):
 
 @settings(max_examples=8, deadline=None)
 @given(
-    engine=st.sampled_from(["fast", "compiled"]),
+    engine=st.sampled_from(["legacy", "compiled"]),
     cuts=st.lists(
         st.floats(min_value=0.1, max_value=120.0, allow_nan=False),
         min_size=1,

@@ -267,7 +267,8 @@ class TestClusterMetrics:
 
 
 class TestMachineJobQueuePath:
-    """Regression: every engine routes completions through JobQueue's
+    """Regression: both engines keep machine queues as JobQueues, and
+    the reference loop routes completions through JobQueue's
     incremental ``remove_ids`` — the O(queue)-per-completion plain-list
     rebuild path is gone and must stay gone."""
 
@@ -296,12 +297,13 @@ class TestMachineJobQueuePath:
 
         monkeypatch.setattr(JobQueue, "remove_ids", spy)
         metrics = fcfs_cluster(unit_rates, 2).run(
-            jobs_at(("A", 0.0, 1.0), ("B", 0.0, 1.0), ("A", 0.5, 1.0))
+            jobs_at(("A", 0.0, 1.0), ("B", 0.0, 1.0), ("A", 0.5, 1.0)),
+            engine="legacy",
         )
         assert metrics.completed == 3
         assert sum(removed) == 3
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast", "compiled"])
+    @pytest.mark.parametrize("engine", ["legacy", "compiled"])
     def test_every_engine_keeps_the_queue_a_jobqueue(
         self, unit_rates, engine
     ):
@@ -320,3 +322,25 @@ class TestMachineJobQueuePath:
             assert handle.advance()
         finally:
             handle.close()
+
+
+class TestEngineSwitch:
+    """``engine=`` names the production loop or the reference, and
+    nothing else — the retired interned "fast" loop included."""
+
+    @pytest.mark.parametrize("engine", ["fast", "turbo"])
+    def test_unknown_engine_names_both_choices(self, unit_rates, engine):
+        with pytest.raises(SimulationError) as err:
+            fcfs_cluster(unit_rates, 2).run(
+                jobs_at(("A", 0.0, 1.0)), engine=engine
+            )
+        message = str(err.value)
+        assert repr(engine) in message
+        assert "compiled" in message and "legacy" in message
+
+    def test_compiled_is_the_default(self, unit_rates):
+        cluster = fcfs_cluster(unit_rates, 2)
+        handle = cluster.start(iter(jobs_at(("A", 0.0, 1.0))))
+        assert handle.engine == "compiled"
+        handle.advance()
+        assert cluster.last_engine_stats is not None

@@ -1,4 +1,4 @@
-"""Unit tests: TypeCodec interning and the compiled RunRateMemo."""
+"""Unit tests: TypeCodec interning and the RunRateMemo layers."""
 
 from __future__ import annotations
 
@@ -117,47 +117,18 @@ class TestCompiledMemo:
         assert payload["sizes"] == sizes
         assert payload["label"] == "run-memo"
 
-    def test_legacy_mode_has_no_compiled_state(self, pair_rates):
-        memo = RunRateMemo(pair_rates, compiled=False)
-        assert memo.compiled is False
-        assert memo.type_rates(("B", "A")) == pair_rates.type_rates(
-            ("A", "B")
-        )
-
     def test_delegates_unknown_attributes(self, pair_rates):
         memo = RunRateMemo(pair_rates)
         assert memo.coschedules() == pair_rates.coschedules()
 
 
-class TestStaleTypeCodes:
-    def test_standalone_probe_ignores_foreign_codes(self, pair_rates):
-        """A job carrying another run's type_code must be grouped by
-        the probing scheduler's own codec — and left untouched (the
-        field belongs to whichever event loop set it)."""
-        jobs = [
-            Job(job_id=0, job_type="A", size=1.0, arrival_time=0.0),
-            Job(job_id=1, job_type="B", size=1.0, arrival_time=1.0),
-        ]
-        # Simulate ids left behind by a previous run whose codec
-        # interned types in the opposite order (B=0, A=1).
-        jobs[0].type_code = 1
-        jobs[1].type_code = 0
-        scheduler = make_scheduler("maxit", pair_rates, 2)
-        memo = RunRateMemo(pair_rates)
-        scheduler.bind_rates(memo)
-        picked = scheduler.select(jobs, clock=0.0)
-        # ("A", "A") has it=1.6 > ("A", "B")'s 1.3, but only one A is
-        # present: the probe must still see {A: 1, B: 1} and pick the
-        # mixed pair, oldest-first order.
-        assert [job.job_id for job in picked] == [0, 1]
-        assert jobs[0].type_code == 1
-        assert jobs[1].type_code == 0
-
+class TestCounterfactualScheduler:
     def test_counterfactual_scheduler_inside_foreign_run(self, pair_rates):
-        """A scheduler probing its own compiled memo (a counterfactual
-        table) inside another run keeps working: the machine queue's
-        index is keyed by the run's codec and must not be decoded
-        with the scheduler's."""
+        """A scheduler probing its own memo (a counterfactual table)
+        inside another run's compiled engine falls back to its string
+        ``select`` on that table: the machine queue's index is keyed by
+        the run's codec and must never be decoded with the
+        scheduler's.  The pick sequence matches the reference loop."""
         from repro.queueing.cluster import run_cluster
         from repro.queueing.dispatch import RoundRobinDispatcher
         from repro.queueing.schedulers import SrptScheduler
@@ -172,20 +143,31 @@ class TestStaleTypeCodes:
             }
         )
         scheduler = SrptScheduler(RunRateMemo(counterfactual), 2)
-        jobs = [
-            Job(job_id=i, job_type=t, size=1.0, arrival_time=0.0)
-            # "B" first: the run codec and the scheduler's codec
-            # intern the types in different orders.
-            for i, t in enumerate(("B", "A", "B", "A"))
-        ]
-        metrics = run_cluster(
-            pair_rates, [scheduler], RoundRobinDispatcher(), jobs
-        )
-        assert metrics.completed == 4
+
+        def run(engine: str) -> list:
+            jobs = [
+                Job(job_id=i, job_type=t, size=1.0, arrival_time=0.0)
+                # "B" first: the run codec and the scheduler's codec
+                # intern the types in different orders.
+                for i, t in enumerate(("B", "A", "B", "A"))
+            ]
+            picks: list = []
+            metrics = run_cluster(
+                pair_rates, [scheduler], RoundRobinDispatcher(), jobs,
+                engine=engine, pick_log=picks,
+            )
+            assert metrics.completed == 4
+            return picks
+
+        picks = run("compiled")
+        # Counterfactual B runs twice as fast as A, so SRPT starts on
+        # the two B jobs first.
+        assert picks[0] == (0, (0, 2))
+        assert picks == run("legacy")
 
 
-class TestSrptZeroRateEquivalence:
-    def test_srpt_skips_zero_rate_candidates_on_both_paths(self):
+class TestSrptZeroRates:
+    def test_srpt_skips_zero_rate_candidates(self):
         rates = TableRates(
             {
                 ("A",): {"A": 1.0},
@@ -200,19 +182,11 @@ class TestSrptZeroRateEquivalence:
             Job(job_id=1, job_type="A", size=1.0, arrival_time=0.5),
             Job(job_id=2, job_type="A", size=2.0, arrival_time=1.0),
         ]
-        string_pick = make_scheduler("srpt", rates, 2).select(jobs, 0.0)
-        coded = make_scheduler("srpt", rates, 2)
-        coded.bind_rates(RunRateMemo(rates))
-        coded_pick = coded.select(jobs, 0.0)
-        assert [j.job_id for j in string_pick] == [1, 2]
-        assert [j.job_id for j in coded_pick] == [1, 2]
+        pick = make_scheduler("srpt", rates, 2).select(jobs, 0.0)
+        assert [j.job_id for j in pick] == [1, 2]
 
-    def test_srpt_raises_when_nothing_is_feasible_on_both_paths(self):
+    def test_srpt_raises_when_nothing_is_feasible(self):
         rates = TableRates({("B",): {"B": 0.0}, ("B", "B"): {"B": 0.0}})
         jobs = [Job(job_id=0, job_type="B", size=1.0, arrival_time=0.0)]
         with pytest.raises(SimulationError, match="no feasible"):
             make_scheduler("srpt", rates, 2).select(jobs, 0.0)
-        coded = make_scheduler("srpt", rates, 2)
-        coded.bind_rates(RunRateMemo(rates))
-        with pytest.raises(SimulationError, match="no feasible"):
-            coded.select(jobs, 0.0)

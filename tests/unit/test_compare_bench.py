@@ -27,7 +27,6 @@ def write_results(path: Path, workloads: dict[str, dict[str, float]]):
     for workload, modes in workloads.items():
         for mode, seconds in modes.items():
             prefix = {
-                "fast": "test_hotpath",
                 "legacy": "test_hotpath_legacy",
                 "compiled": "test_hotpath_compiled",
             }[mode]
@@ -49,7 +48,6 @@ BASELINE_POINT = {
     "benchmarks": {
         "saturated_demo": {
             "legacy_s": 1.0,
-            "fast_s": 0.25,
             "compiled_s": 0.1,
             "completed": 100,
         }
@@ -62,7 +60,7 @@ def test_matching_results_pass(tmp_path):
     baseline = tmp_path / "baseline.json"
     write_results(
         results,
-        {"saturated_demo": {"legacy": 1.0, "fast": 0.25, "compiled": 0.1}},
+        {"saturated_demo": {"legacy": 1.0, "compiled": 0.1}},
     )
     write_baseline(baseline, [BASELINE_POINT])
     assert compare_bench.main([str(results), str(baseline)]) == 0
@@ -72,7 +70,7 @@ def test_empty_trajectory_fails_with_clear_message(tmp_path):
     """An empty trajectory must exit with a diagnostic, not IndexError."""
     results = tmp_path / "results.json"
     baseline = tmp_path / "baseline.json"
-    write_results(results, {"saturated_demo": {"fast": 0.25}})
+    write_results(results, {"saturated_demo": {"compiled": 0.1}})
     write_baseline(baseline, [])
     with pytest.raises(SystemExit) as excinfo:
         compare_bench.main([str(results), str(baseline)])
@@ -83,7 +81,7 @@ def test_pointless_trajectory_fails_with_clear_message(tmp_path):
     """A trajectory point with no benchmarks must not KeyError."""
     results = tmp_path / "results.json"
     baseline = tmp_path / "baseline.json"
-    write_results(results, {"saturated_demo": {"fast": 0.25}})
+    write_results(results, {"saturated_demo": {"compiled": 0.1}})
     write_baseline(baseline, [{"point": 0}])
     with pytest.raises(SystemExit) as excinfo:
         compare_bench.main([str(results), str(baseline)])
@@ -98,8 +96,8 @@ def test_unknown_benchmark_name_fails_with_clear_message(tmp_path, capsys):
     write_results(
         results,
         {
-            "saturated_demo": {"legacy": 1.0, "fast": 0.25, "compiled": 0.1},
-            "brand_new_workload": {"fast": 0.5},
+            "saturated_demo": {"legacy": 1.0, "compiled": 0.1},
+            "brand_new_workload": {"compiled": 0.5},
         },
     )
     write_baseline(baseline, [BASELINE_POINT])
@@ -119,13 +117,13 @@ def test_workload_missing_from_results_fails(tmp_path, capsys):
 
 
 def test_compiled_regression_fails(tmp_path, capsys):
-    """Perf point 1 is gated: compiled time over tolerance x baseline
-    fails even when the fast path is healthy."""
+    """Compiled time over tolerance x baseline fails even when the
+    legacy/compiled speedup still clears its floor."""
     results = tmp_path / "results.json"
     baseline = tmp_path / "baseline.json"
     write_results(
         results,
-        {"saturated_demo": {"legacy": 1.0, "fast": 0.25, "compiled": 0.5}},
+        {"saturated_demo": {"legacy": 1.0, "compiled": 0.5}},
     )
     write_baseline(baseline, [BASELINE_POINT])
     assert (
@@ -138,28 +136,58 @@ def test_compiled_regression_fails(tmp_path, capsys):
 
 
 def test_missing_compiled_measurement_fails(tmp_path, capsys):
-    """A baseline with compiled_s requires a compiled measurement."""
+    """A legacy timing alone is only a calibration, never a pass."""
+    results = tmp_path / "results.json"
+    baseline = tmp_path / "baseline.json"
+    write_results(results, {"saturated_demo": {"legacy": 1.0}})
+    write_baseline(baseline, [BASELINE_POINT])
+    assert compare_bench.main([str(results), str(baseline)]) == 1
+    assert "missing from results" in capsys.readouterr().err
+
+
+def test_speedup_below_floor_fails(tmp_path, capsys):
+    """Within budget but no faster than the reference loop: the
+    same-machine speedup floor catches it."""
     results = tmp_path / "results.json"
     baseline = tmp_path / "baseline.json"
     write_results(
-        results, {"saturated_demo": {"legacy": 1.0, "fast": 0.25}}
+        results, {"saturated_demo": {"legacy": 0.1, "compiled": 0.1}}
     )
     write_baseline(baseline, [BASELINE_POINT])
     assert compare_bench.main([str(results), str(baseline)]) == 1
-    out = capsys.readouterr().out
-    assert "compiled MISSING from results" in out
+    assert "REGRESSED" in capsys.readouterr().out
 
 
-def test_baseline_entry_without_fast_s_fails(tmp_path, capsys):
+def test_baseline_entry_without_compiled_s_fails(tmp_path, capsys):
     results = tmp_path / "results.json"
     baseline = tmp_path / "baseline.json"
-    write_results(results, {"saturated_demo": {"fast": 0.25}})
+    write_results(results, {"saturated_demo": {"compiled": 0.1}})
     write_baseline(
         baseline,
         [{"point": 0, "benchmarks": {"saturated_demo": {"completed": 1}}}],
     )
     assert compare_bench.main([str(results), str(baseline)]) == 1
-    assert "no fast_s" in capsys.readouterr().err
+    assert "no compiled_s" in capsys.readouterr().err
+
+
+def test_historical_fast_entries_stay_readable(tmp_path):
+    """Points recorded with the retired fast loop (``fast_s`` in the
+    baseline, ``test_hotpath[...]`` in old results) are ignored, not
+    rejected."""
+    results = tmp_path / "results.json"
+    baseline = tmp_path / "baseline.json"
+    write_results(
+        results, {"saturated_demo": {"legacy": 1.0, "compiled": 0.1}}
+    )
+    payload = json.loads(results.read_text())
+    payload["benchmarks"].append(
+        {"name": "test_hotpath[saturated_demo]", "stats": {"min": 0.25}}
+    )
+    results.write_text(json.dumps(payload))
+    point = json.loads(json.dumps(BASELINE_POINT))
+    point["benchmarks"]["saturated_demo"]["fast_s"] = 0.25
+    write_baseline(baseline, [point])
+    assert compare_bench.main([str(results), str(baseline)]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +244,7 @@ def test_scale_gate_composes_with_perf_gate(tmp_path):
     scale = tmp_path / "scale.json"
     write_results(
         results,
-        {"saturated_demo": {"legacy": 1.0, "fast": 0.25, "compiled": 0.1}},
+        {"saturated_demo": {"legacy": 1.0, "compiled": 0.1}},
     )
     write_baseline(baseline, [SCALE_POINT])
     write_scale(scale, [scale_case(100_000)])
@@ -660,7 +688,7 @@ def test_faults_composes_with_perf_gate(tmp_path):
     faults = tmp_path / "faults.json"
     write_results(
         results,
-        {"saturated_demo": {"legacy": 1.0, "fast": 0.25, "compiled": 0.1}},
+        {"saturated_demo": {"legacy": 1.0, "compiled": 0.1}},
     )
     write_baseline(baseline, [BASELINE_POINT])
     write_faults(faults, healthy_fault_rows())
@@ -675,7 +703,7 @@ def test_tournament_composes_with_perf_gate(tmp_path):
     tournament = tmp_path / "tournament.json"
     write_results(
         results,
-        {"saturated_demo": {"legacy": 1.0, "fast": 0.25, "compiled": 0.1}},
+        {"saturated_demo": {"legacy": 1.0, "compiled": 0.1}},
     )
     write_baseline(baseline, [BASELINE_POINT])
     write_tournament(tournament, healthy_cells())

@@ -345,3 +345,59 @@ class TestRunIntegration:
         from repro.experiments.registry import to_jsonable
 
         assert to_jsonable(again) == to_jsonable(oracle_metrics)
+
+
+#: Runs one noisy estimated MAXTP run and prints its metrics digest.
+_HASH_SEED_SCRIPT = """
+import hashlib, json
+from repro.core.workload import Workload
+from repro.queueing.cluster import Cluster
+from repro.queueing.dispatch import make_dispatcher
+from repro.queueing.estimation import EstimationConfig
+from repro.queueing.hotpath import synthetic_rates
+from repro.queueing.scenarios import get_scenario
+from repro.queueing.schedulers import make_scheduler
+
+rates, names = synthetic_rates(n_types=4, contexts=3)
+workload = Workload.of(*names)
+cluster = Cluster(
+    rates,
+    [make_scheduler("maxtp", rates, 3, workload=workload) for _ in range(2)],
+    make_dispatcher("affinity", rates=rates, workload=workload, contexts=3),
+)
+jobs = get_scenario("bursty_mmpp").build_jobs(
+    names, mean_rate=3.0, seed=3, n_jobs=300
+)
+metrics = cluster.run(
+    jobs,
+    rate_source="estimated",
+    estimation=EstimationConfig(
+        noise=0.2, prior="single_run", reopt_observations=16, seed=4
+    ),
+)
+state = json.dumps(metrics.to_state(), sort_keys=True)
+print(hashlib.sha256(state.encode()).hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    def test_noisy_estimated_run_ignores_pythonhashseed(self):
+        """String hashing must never reach the noise draws: the same
+        seeded estimated run gives the same metrics under any
+        ``PYTHONHASHSEED`` (each run in a fresh interpreter)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        digests = set()
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            out = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, digests

@@ -7,9 +7,9 @@ Three contracts under test:
   ``faults=None`` on metrics *and* pick sequences: the runtime draws
   nothing and gates nothing when quiescent.
 * **Engine agreement under faults** — crashes, outages, degraded
-  episodes, retries, and shedding produce the same bits on the legacy,
-  fast, and compiled engines (both probe backends): fault events fire
-  at the same iteration points in every loop.
+  episodes, retries, and shedding produce the same bits on the
+  reference and compiled engines: fault events fire at the same
+  iteration points in both loops.
 * **Recovery semantics** — retry budgets, backoff, abandonment, the
   restart/resume-fraction progress-loss policies, the shed valve, the
   livelock guard, and kill+resume checkpointing straight through a
@@ -121,14 +121,12 @@ def run_once(
     *,
     faults: FaultConfig | None,
     engine: str,
-    backend: str | None = None,
     **kwargs,
 ) -> tuple[object, list, dict | None]:
     picks: list = []
     metrics = cluster.run(
         stream(),
         engine=engine,
-        backend=backend,
         pick_log=picks,
         faults=faults,
         **kwargs,
@@ -198,7 +196,7 @@ class TestFaultConfig:
 class TestZeroFaultIdentity:
     """An inactive FaultConfig must not move a single bit."""
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast", "compiled"])
+    @pytest.mark.parametrize("engine", ["legacy", "compiled"])
     def test_inactive_config_is_bit_identical(self, pair_rates, engine):
         reference = run_once(
             make_cluster(pair_rates, 2), faults=None, engine=engine
@@ -219,7 +217,7 @@ class TestZeroFaultIdentity:
 
 
 class TestEngineAgreement:
-    """The same chaos on every engine produces the same bits."""
+    """The same chaos on both engines produces the same bits."""
 
     @pytest.mark.parametrize("dispatcher", ["round_robin", "jsq", "affinity"])
     def test_engines_agree_under_chaos(self, pair_rates, dispatcher):
@@ -228,26 +226,20 @@ class TestEngineAgreement:
             faults=CHAOS,
             engine="legacy",
         )
-        for engine, backend in (
-            ("fast", None),
-            ("compiled", "tuples"),
-            ("compiled", "numpy"),
-        ):
-            metrics, picks, stats = run_once(
-                make_cluster(pair_rates, 3, dispatcher),
-                faults=CHAOS,
-                engine=engine,
-                backend=backend,
-            )
-            label = f"{engine}/{backend or '-'} + {dispatcher}"
-            assert metrics == reference[0], f"{label}: metrics diverge"
-            assert picks == reference[1], f"{label}: picks diverge"
-            assert stats == reference[2], f"{label}: fault stats diverge"
+        metrics, picks, stats = run_once(
+            make_cluster(pair_rates, 3, dispatcher),
+            faults=CHAOS,
+            engine="compiled",
+        )
+        label = f"compiled + {dispatcher}"
+        assert metrics == reference[0], f"{label}: metrics diverge"
+        assert picks == reference[1], f"{label}: picks diverge"
+        assert stats == reference[2], f"{label}: fault stats diverge"
 
     def test_chaos_actually_happened(self, pair_rates):
         """Guard against the agreement test passing vacuously."""
         _, _, stats = run_once(
-            make_cluster(pair_rates, 3), faults=CHAOS, engine="fast"
+            make_cluster(pair_rates, 3), faults=CHAOS, engine="compiled"
         )
         assert stats["crashes"] > 0
         assert stats["retried"] > 0
@@ -264,12 +256,12 @@ class TestEngineAgreement:
 
     def test_different_seeds_diverge(self, pair_rates):
         base = run_once(
-            make_cluster(pair_rates, 2), faults=CHAOS, engine="fast"
+            make_cluster(pair_rates, 2), faults=CHAOS, engine="compiled"
         )
         other = run_once(
             make_cluster(pair_rates, 2),
             faults=FaultConfig(**{**CHAOS.to_jsonable(), "seed": 8}),
-            engine="fast",
+            engine="compiled",
         )
         assert base[2] != other[2]
 
@@ -288,7 +280,7 @@ class TestRecoverySemantics:
     def test_zero_budget_abandons_every_kill(self, pair_rates):
         config = FaultConfig(seed=3, mtbf=4.0, mttr=1.0, retry_budget=0)
         _, stats = run_metrics(
-            make_cluster(pair_rates, 2), faults=config, engine="fast"
+            make_cluster(pair_rates, 2), faults=config, engine="compiled"
         )
         assert stats["jobs_killed"] > 0
         assert stats["retried"] == 0
@@ -319,10 +311,10 @@ class TestRecoverySemantics:
             }
         )
         _, restart_stats = run_metrics(
-            make_cluster(pair_rates, 2), faults=restart, engine="fast"
+            make_cluster(pair_rates, 2), faults=restart, engine="compiled"
         )
         _, resume_stats = run_metrics(
-            make_cluster(pair_rates, 2), faults=resume, engine="fast"
+            make_cluster(pair_rates, 2), faults=resume, engine="compiled"
         )
         assert restart_stats["crashes"] > 0
         assert restart_stats["lost_work"] > resume_stats["lost_work"]
@@ -348,10 +340,10 @@ class TestRecoverySemantics:
             degraded_factor=0.25,
         )
         clean, _ = run_metrics(
-            make_cluster(pair_rates, 2), faults=None, engine="fast"
+            make_cluster(pair_rates, 2), faults=None, engine="compiled"
         )
         slowed, _ = run_metrics(
-            make_cluster(pair_rates, 2), faults=config, engine="fast"
+            make_cluster(pair_rates, 2), faults=config, engine="compiled"
         )
         assert slowed.mean_turnaround > clean.mean_turnaround
 
@@ -376,7 +368,7 @@ class TestRecoverySemantics:
             drain_grace=0.5, mttr=1.0,
         )
         _, stats = run_metrics(
-            make_cluster(pair_rates, 3), faults=config, engine="fast"
+            make_cluster(pair_rates, 3), faults=config, engine="compiled"
         )
         assert stats["outages"] > 0
         assert stats["drains"] > 0
@@ -397,7 +389,7 @@ class TestStallGuard:
             for i in range(4)
         ]
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast", "compiled"])
+    @pytest.mark.parametrize("engine", ["legacy", "compiled"])
     def test_simultaneous_completions_trip_a_tiny_budget(
         self, pair_rates, engine
     ):
@@ -411,7 +403,7 @@ class TestStallGuard:
 
     def test_default_budget_tolerates_coincidences(self, pair_rates):
         metrics = make_cluster(pair_rates, 4, "round_robin").run(
-            self.burst(), engine="fast"
+            self.burst(), engine="compiled"
         )
         assert metrics.completed == 4
 
@@ -420,22 +412,15 @@ class TestKillResumeThroughFailure:
     """Checkpoint mid-run — with failure events on both sides of the
     boundary — and resume bit-identically."""
 
-    @pytest.mark.parametrize(
-        "engine,backend",
-        [("legacy", None), ("fast", None), ("compiled", "tuples")],
-    )
-    def test_round_trip_is_bit_identical(
-        self, pair_rates, tmp_path, engine, backend
-    ):
+    @pytest.mark.parametrize("engine", ["legacy", "compiled"])
+    def test_round_trip_is_bit_identical(self, pair_rates, tmp_path, engine):
         reference = run_once(
-            make_cluster(pair_rates, 2), faults=CHAOS, engine=engine,
-            backend=backend,
+            make_cluster(pair_rates, 2), faults=CHAOS, engine=engine
         )
 
         picks: list = []
         handle = make_cluster(pair_rates, 2).start(
-            stream(), engine=engine, backend=backend, pick_log=picks,
-            faults=CHAOS,
+            stream(), engine=engine, pick_log=picks, faults=CHAOS,
         )
         finished = handle.advance(pause_at=12.0)
         assert not finished, "pause must land mid-run for a real test"
@@ -474,7 +459,7 @@ class TestKillResumeThroughFailure:
         # Completed runs clean up; fabricate an interrupted one by
         # re-running with a kill switch via a mid-plan checkpoint.
         handle = make_cluster(pair_rates, 2).start(
-            stream(), engine="fast", faults=CHAOS
+            stream(), engine="compiled", faults=CHAOS
         )
         handle.advance(pause_at=10.0)
         payload = checkpoint.capture(
@@ -504,7 +489,7 @@ class TestCheckpointCorruption:
 
     def make_payload(self, pair_rates, tmp_path):
         handle = make_cluster(pair_rates, 1).start(
-            stream(20), engine="fast"
+            stream(20), engine="compiled"
         )
         handle.advance(pause_at=2.0)
         payload = checkpoint.capture(handle)
@@ -562,7 +547,7 @@ class TestCheckpointCorruption:
         """A payload declaring a fault config but stripped of its
         runtime state is refused, not silently re-seeded."""
         handle = make_cluster(pair_rates, 1).start(
-            stream(60), engine="fast", faults=CHAOS
+            stream(60), engine="compiled", faults=CHAOS
         )
         handle.advance(pause_at=5.0)
         payload = checkpoint.capture(handle)
@@ -586,7 +571,7 @@ class TestJobQueueRemoveIds:
         queue = JobQueue()
         codec = TypeCodec()
         if indexed:
-            queue.enable_index(codec)
+            queue.enable_index()
         for i, job_type in enumerate("AABBA"):
             job = Job(
                 job_id=i, job_type=job_type, size=1.0, arrival_time=0.0
@@ -634,7 +619,7 @@ class TestJobQueueRemoveIds:
 
     def test_enable_index_seeds_existing_jobs(self):
         queue, codec = self.make_queue(indexed=False)
-        queue.enable_index(codec)
+        queue.enable_index()
         a = codec.encode("A")
         assert [job.job_id for job in queue.by_code[a]] == [0, 1, 4]
 

@@ -3,31 +3,31 @@
 
 Reads a pytest-benchmark ``--benchmark-json`` results file (from
 ``benchmarks/bench_hotpath.py``) and the committed ``BENCH_CORE.json``
-trajectory, and applies three checks per workload:
+trajectory, and applies two checks per workload to the production
+engine (``engine="compiled"``), calibrated by the reference loop
+(``engine="legacy"``) timed in the same run:
 
-* **speedup** — the fresh, same-machine legacy-path vs fast-path ratio
-  (both measured in this run) must stay above ``--min-speedup``.  This
-  is hardware-independent: a slow CI runner is slow on both paths.
-* **absolute** — the fast-path time must stay under ``--tolerance``
-  times its committed ``fast_s`` baseline, *scaled by the machine
+* **speedup** — the fresh, same-machine legacy vs compiled ratio (both
+  measured in this run) must stay above ``--min-speedup``.  This is
+  hardware-independent: a slow CI runner is slow on both engines.
+* **absolute** — the compiled time must stay under ``--tolerance``
+  times its committed ``compiled_s`` baseline, *scaled by the machine
   factor* (observed legacy time over committed ``legacy_s``, floored
   at 1 and capped at ``--max-machine-factor``), so a runner that is
   uniformly slower than the baseline machine does not fail spuriously
-  while a genuine fast-path regression still does.
-* **compiled** (perf point 1) — when the baseline records a
-  ``compiled_s`` for the workload, the fresh compiled-engine time must
-  stay under the same ``--tolerance`` times that baseline, scaled by
-  the same machine factor.
+  while a genuine compiled-engine regression still does.
 
 The factor cap bounds the gate's blind spot for regressions to
-*shared* event-core code (which slow both paths and inflate the
+*shared* event-core code (which slow both engines and inflate the
 factor with them): legacy drift beyond ``tolerance`` prints a loud
 warning, and drift beyond ``tolerance * max_machine_factor`` is a
 hard failure.  Without pinned CI hardware the window between those
 two is irreducible — absolute timing cannot distinguish "uniformly
-slower machine" from "uniformly slower code" — but path-specific
-regressions are caught at any machine speed by the budget checks and
-the speedup floor.
+slower machine" from "uniformly slower code" — but engine-specific
+regressions are caught at any machine speed by the budget check and
+the speedup floor.  Trajectory points recorded before the interned
+"fast" loop was removed keep their ``fast_s`` entries; the gate
+reads them no more.
 
 Both tolerances are deliberately generous: only a wholesale regression
 — the kind the engine rewrites exist to prevent — should trip them.
@@ -110,8 +110,8 @@ from pathlib import Path
 
 
 def parse_results(path: Path) -> dict[str, dict[str, float]]:
-    """``{workload: {"fast"|"legacy"|"compiled": min_s}}`` from the
-    pytest-benchmark JSON (legacy/compiled entries optional)."""
+    """``{workload: {"legacy"|"compiled": min_s}}`` from the
+    pytest-benchmark JSON (either engine's entry may be absent)."""
     out: dict[str, dict[str, float]] = {}
     for bench in json.loads(path.read_text()).get("benchmarks", []):
         name = bench.get("name", "")
@@ -119,13 +119,9 @@ def parse_results(path: Path) -> dict[str, dict[str, float]]:
             continue
         workload = name[name.index("[") + 1 : -1]
         prefix = name.split("[")[0]
-        if "legacy" in prefix:
-            mode = "legacy"
-        elif "compiled" in prefix:
-            mode = "compiled"
-        else:
-            mode = "fast"
-        out.setdefault(workload, {})[mode] = bench["stats"]["min"]
+        for mode in ("legacy", "compiled"):
+            if mode in prefix:
+                out.setdefault(workload, {})[mode] = bench["stats"]["min"]
     return out
 
 
@@ -577,21 +573,21 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     compared = 0
     for workload, baseline in sorted(committed.items()):
-        if "fast_s" not in baseline:
+        if "compiled_s" not in baseline:
             print(
-                f"{workload:34s} baseline entry has no fast_s — "
+                f"{workload:34s} baseline entry has no compiled_s — "
                 f"refresh {args.baseline}",
                 file=sys.stderr,
             )
             failures.append(workload)
             continue
         modes = measured.get(workload)
-        if modes is None or "fast" not in modes:
+        if modes is None or "compiled" not in modes:
             print(f"{workload:34s} missing from results", file=sys.stderr)
             failures.append(workload)
             continue
         compared += 1
-        fast = modes["fast"]
+        compiled = modes["compiled"]
         legacy = modes.get("legacy")
 
         factor = 1.0
@@ -602,43 +598,24 @@ def main(argv: list[str] | None = None) -> int:
             if drift > args.tolerance * args.max_machine_factor:
                 drift_ok = False
                 print(
-                    f"FAIL: {workload} legacy path ran {drift:.2f}x its "
+                    f"FAIL: {workload} legacy engine ran {drift:.2f}x its "
                     f"committed {baseline['legacy_s']:.4f}s — beyond any "
                     "plausible machine difference; shared event-core "
                     "code has regressed"
                 )
             elif drift > args.tolerance:
                 print(
-                    f"WARNING: {workload} legacy path ran {drift:.2f}x "
+                    f"WARNING: {workload} legacy engine ran {drift:.2f}x "
                     f"its committed {baseline['legacy_s']:.4f}s — slow "
                     "machine, or a regression to shared event-core code"
                 )
-        budget = baseline["fast_s"] * args.tolerance * factor
-        absolute_ok = fast <= budget and drift_ok
+        budget = baseline["compiled_s"] * args.tolerance * factor
+        absolute_ok = compiled <= budget and drift_ok
 
-        speedup = legacy / fast if legacy is not None else None
+        speedup = legacy / compiled if legacy is not None else None
         speedup_ok = speedup is None or speedup >= args.min_speedup
 
-        # Perf point 1: the compiled engine has its own committed
-        # budget, gated with the same tolerance and machine factor.
-        compiled = modes.get("compiled")
-        compiled_ok = True
-        compiled_text = "compiled n/a"
-        if baseline.get("compiled_s"):
-            if compiled is None:
-                compiled_ok = False
-                compiled_text = "compiled MISSING from results"
-            else:
-                compiled_budget = (
-                    baseline["compiled_s"] * args.tolerance * factor
-                )
-                compiled_ok = compiled <= compiled_budget
-                compiled_text = (
-                    f"compiled {compiled:.4f}s (budget "
-                    f"{compiled_budget:.4f}s)"
-                )
-
-        ok = absolute_ok and speedup_ok and compiled_ok
+        ok = absolute_ok and speedup_ok
         verdict = "ok" if ok else "REGRESSED"
         speedup_text = (
             f"speedup {speedup:5.2f}x (floor {args.min_speedup}x)"
@@ -646,10 +623,10 @@ def main(argv: list[str] | None = None) -> int:
             else "speedup n/a"
         )
         print(
-            f"{workload:34s} fast {fast:8.4f}s   budget {budget:8.4f}s "
-            f"({args.tolerance}x of {baseline['fast_s']:.4f}s, machine "
-            f"factor {factor:.2f})   {speedup_text}   {compiled_text}   "
-            f"{verdict}"
+            f"{workload:34s} compiled {compiled:8.4f}s   budget "
+            f"{budget:8.4f}s ({args.tolerance}x of "
+            f"{baseline['compiled_s']:.4f}s, machine factor "
+            f"{factor:.2f})   {speedup_text}   {verdict}"
         )
         if not ok:
             failures.append(workload)

@@ -1,17 +1,15 @@
 #!/usr/bin/env python
-"""Profile the event-core hot paths across the three engines.
+"""Profile the event-core hot paths on both engines.
 
 For each workload in :data:`repro.queueing.hotpath.HOTPATH_WORKLOADS`
-this tool times (and optionally cProfiles) the engine modes —
+this tool times (and cProfiles) the two engines —
 
-* **legacy** (``engine="legacy"``): the pre-interning string path,
+* **legacy** (``engine="legacy"``): the string-keyed reference loop,
   kept bit-identical in-tree, so "before" stays measurable on today's
   hardware instead of living only in an old commit;
-* **fast** (``engine="fast"``): int-coded coschedules, flat rate
-  arrays, memoized probe candidate sets (perf point 0);
-* **compiled** (``engine="compiled"``): count-vector state, event
-  fusion, machine batching, and vectorized/filtered probe resolution
-  (perf point 1) —
+* **compiled** (``engine="compiled"``): the production engine —
+  count-vector state, event fusion, machine batching, and filtered,
+  memoized probe resolution —
 
 and prints the top stacks of each (so you can *see* the sort/dict
 churn leave the profile) plus a speedup table.  ``--json`` writes the
@@ -23,8 +21,7 @@ the committed baseline with::
 Usage::
 
     PYTHONPATH=src python tools/profile_hotpaths.py [--workload NAME]
-        [--top N] [--repeats N] [--backend NAME] [--json PATH]
-        [--note TEXT]
+        [--top N] [--repeats N] [--json PATH] [--note TEXT]
 """
 
 from __future__ import annotations
@@ -41,20 +38,16 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.queueing.compiled import BACKENDS  # noqa: E402
+from repro.queueing.cluster import ENGINES  # noqa: E402
 from repro.queueing.hotpath import HOTPATH_WORKLOADS, measure  # noqa: E402
 
-ENGINES = ("legacy", "fast", "compiled")
 
-
-def top_stacks(
-    workload: str, *, engine: str, backend: str | None, top: int
-) -> str:
-    """Top-``top`` functions by internal time for one engine mode."""
+def top_stacks(workload: str, *, engine: str, top: int) -> str:
+    """Top-``top`` functions by internal time for one engine."""
     runner = HOTPATH_WORKLOADS[workload]
     profiler = cProfile.Profile()
     profiler.enable()
-    runner(engine=engine, backend=backend)
+    runner(engine=engine)
     profiler.disable()
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
@@ -78,13 +71,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--top", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="compiled-engine scoring backend (default: the benchmarked"
-        " winner, see repro.queueing.compiled.default_backend)",
-    )
-    parser.add_argument(
         "--json",
         type=Path,
         help="write a BENCH_CORE.json-format trajectory to this path",
@@ -101,12 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     results: dict[str, dict[str, object]] = {}
     for workload in workloads:
         timed = {
-            engine: measure(
-                workload,
-                engine=engine,
-                backend=args.backend if engine == "compiled" else None,
-                repeats=args.repeats,
-            )
+            engine: measure(workload, engine=engine, repeats=args.repeats)
             for engine in ENGINES
         }
         completions = {
@@ -118,53 +99,37 @@ def main(argv: list[str] | None = None) -> int:
                 f"({completions}) — the engines diverged; run the "
                 "differential property tests"
             )
-        legacy, fast, compiled = (
-            timed["legacy"],
-            timed["fast"],
-            timed["compiled"],
-        )
-        speedup = legacy["seconds"] / fast["seconds"]
-        compiled_speedup = fast["seconds"] / compiled["seconds"]
-        compiled_stats = compiled["memo_stats"] or {}
+        legacy, compiled = timed["legacy"], timed["compiled"]
+        speedup = legacy["seconds"] / compiled["seconds"]
+        stats = dict(compiled["memo_stats"] or {})
+        engine_stats = stats.pop("engine", None)
         results[workload] = {
             "legacy_s": round(legacy["seconds"], 4),
-            "fast_s": round(fast["seconds"], 4),
             "compiled_s": round(compiled["seconds"], 4),
             "speedup": round(speedup, 2),
-            "compiled_speedup": round(compiled_speedup, 2),
-            "completed": fast["completed"],
-            "memo_stats": fast["memo_stats"],
-            "engine_stats": compiled_stats.get("engine"),
+            "completed": compiled["completed"],
+            "memo_stats": stats,
+            "engine_stats": engine_stats,
         }
 
         print(f"== {workload} ==")
         print(
-            f"legacy {legacy['seconds']:.4f}s   fast "
-            f"{fast['seconds']:.4f}s ({speedup:.2f}x)   compiled "
-            f"{compiled['seconds']:.4f}s ({compiled_speedup:.2f}x over "
-            f"fast)   ({fast['completed']} completions)"
+            f"legacy {legacy['seconds']:.4f}s   compiled "
+            f"{compiled['seconds']:.4f}s ({speedup:.2f}x)   "
+            f"({compiled['completed']} completions)"
         )
-        print(f"memo stats (fast): {fast['memo_stats']}")
-        print(f"engine stats (compiled): {compiled_stats.get('engine')}")
+        print(f"memo stats (compiled): {stats}")
+        print(f"engine stats (compiled): {engine_stats}")
         for engine in ENGINES:
             print(f"\n-- top stacks, {engine} engine --")
-            print(
-                top_stacks(
-                    workload,
-                    engine=engine,
-                    backend=args.backend if engine == "compiled" else None,
-                    top=args.top,
-                )
-            )
+            print(top_stacks(workload, engine=engine, top=args.top))
         print()
 
     print("== summary ==")
     for workload, entry in results.items():
         print(
             f"{workload:34s} {entry['legacy_s']:>8.4f}s -> "
-            f"{entry['fast_s']:>8.4f}s ({entry['speedup']:.2f}x) -> "
-            f"{entry['compiled_s']:>8.4f}s "
-            f"({entry['compiled_speedup']:.2f}x over fast)"
+            f"{entry['compiled_s']:>8.4f}s ({entry['speedup']:.2f}x)"
         )
 
     if args.json:
