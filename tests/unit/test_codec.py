@@ -122,6 +122,31 @@ class TestCompiledMemo:
         assert memo.coschedules() == pair_rates.coschedules()
 
 
+class TestStaleTypeCodes:
+    def test_standalone_probe_ignores_foreign_codes(self, pair_rates):
+        """A job carrying another run's type_code must be grouped by
+        its job_type when probed outside a run — and left untouched
+        (the field belongs to whichever event loop set it)."""
+        jobs = [
+            Job(job_id=0, job_type="A", size=1.0, arrival_time=0.0),
+            Job(job_id=1, job_type="B", size=1.0, arrival_time=1.0),
+        ]
+        # Simulate ids left behind by a previous run whose codec
+        # interned types in the opposite order (B=0, A=1).
+        jobs[0].type_code = 1
+        jobs[1].type_code = 0
+        scheduler = make_scheduler("maxit", pair_rates, 2)
+        memo = RunRateMemo(pair_rates)
+        scheduler.bind_rates(memo)
+        picked = scheduler.select(jobs, clock=0.0)
+        # ("A", "A") has it=1.6 > ("A", "B")'s 1.3, but only one A is
+        # present: the probe must still see {A: 1, B: 1} and pick the
+        # mixed pair, oldest-first order.
+        assert [job.job_id for job in picked] == [0, 1]
+        assert jobs[0].type_code == 1
+        assert jobs[1].type_code == 0
+
+
 class TestCounterfactualScheduler:
     def test_counterfactual_scheduler_inside_foreign_run(self, pair_rates):
         """A scheduler probing its own memo (a counterfactual table)
