@@ -4,7 +4,7 @@ Times the fixed synthetic-rate workloads of
 :mod:`repro.queueing.hotpath` — the saturated MAXIT/SRPT probing
 clusters (narrow and wide) and the bursty MAXTP + affinity scenario
 run — on the production count-vector engine (``engine="compiled"``)
-and the reference loop (``engine="legacy"``, the machine-speed
+and the reference engine (``engine="legacy"``, the machine-speed
 calibration), and checks them against the committed
 ``BENCH_CORE.json`` perf trajectory with a generous tolerance (CI
 hardware varies; only a wholesale regression fails).  A correctness
@@ -51,7 +51,7 @@ def committed_baseline() -> dict[str, dict]:
 
 @pytest.mark.parametrize("workload", sorted(HOTPATH_WORKLOADS))
 def test_hotpath_legacy(benchmark, workload):
-    """The reference loop, timed on *this* machine.
+    """The reference engine, timed on *this* machine.
 
     Not a gate by itself: it calibrates the absolute comparison in
     ``tools/compare_bench.py`` (a slow CI runner is slow on both

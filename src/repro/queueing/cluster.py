@@ -8,9 +8,9 @@ to an M-machine cluster while *removing* the per-event full rescan:
   :class:`~repro.queueing.schedulers.Scheduler`), admitted jobs,
   current running set and rates, and its own
   :class:`~repro.queueing.system.SystemMetrics`.
-* :class:`Cluster` — the event loop.  An indexed min-heap (lazy
-  deletion keyed by a per-machine epoch) orders the machines'
-  next-completion times; each event touches only the machine it
+* :class:`Cluster` and :func:`run_loop` — the event loop.  An indexed
+  min-heap (lazy deletion keyed by a per-machine epoch) orders the
+  machines' next-completion times; each event touches only the machine it
   belongs to.  Untouched machines stay *lazy*: their running sets,
   rates, and metrics intervals are brought up to date only when one of
   their own events (or the final flush) arrives, so an event costs
@@ -27,19 +27,23 @@ to an M-machine cluster while *removing* the per-event full rescan:
   source object* the run uses — a scheduler probing a different source
   (a counterfactual table, say) keeps doing exactly that.
 
-Two event loops advance a run, and they are bit-identical:
+One event loop advances a run — :func:`run_loop`: admission, routing,
+the completion heap, ``dt``, pauses, faults and the stall guard are
+defined once.  An *engine* is the set of per-machine operations the
+loop calls (:class:`MachineOps`: sync, admit, retire, reschedule, and
+the fault-event effects), and the two engines are bit-identical:
 
-* ``engine="compiled"`` (the default, the production loop) —
-  :func:`repro.queueing.compiled.run_compiled`: a per-run
+* ``engine="compiled"`` (the default, the production engine) —
+  :func:`repro.queueing.compiled.compiled_ops`: a per-run
   :class:`~repro.microarch.codec.TypeCodec` interns type names to dense
   int ids, machines keep per-type count vectors, and each policy's
   decision runs as the engine's own ``pick_*`` over memoized candidate
   sets.
-* ``engine="legacy"`` (the reference) — :meth:`Cluster._event_loop`
-  below: string-keyed coschedules and every scheduler's own
-  ``select``.  It is the shared definition the differential harness
-  (``tests/property/test_differential_engines.py``) holds the compiled
-  loop to.
+* ``engine="legacy"`` (the reference) — :func:`reference_ops`: thin
+  adapters over :class:`Machine`'s string-keyed coschedules and every
+  scheduler's own ``select``.  They are the shared definition the
+  differential harness (``tests/property/test_differential_engines.py``)
+  holds the compiled operations to.
 
 Single-machine runs are the M=1 special case:
 :func:`repro.queueing.engine.run_system` is now a thin wrapper over
@@ -67,7 +71,6 @@ from repro.queueing.dispatch import Dispatcher
 from repro.queueing.estimation import EstimationConfig, ThroughputEstimator
 from repro.queueing.faults import (
     DEFAULT_STALL_EVENTS,
-    EngineOps,
     FaultConfig,
     FaultRuntime,
 )
@@ -84,6 +87,9 @@ __all__ = [
     "Cluster",
     "ClusterRunHandle",
     "LoopState",
+    "MachineOps",
+    "reference_ops",
+    "run_loop",
     "run_cluster",
     "ENGINES",
 ]
@@ -110,8 +116,8 @@ def _encoded_stream(stream: Iterator[Job], codec: TypeCodec) -> Iterator[Job]:
 
 
 def _uncoded_stream(stream: Iterator[Job]) -> Iterator[Job]:
-    """Reference-loop twin of :func:`_encoded_stream`: clear stale ids
-    so every downstream consumer takes its string path."""
+    """Reference-engine counterpart of :func:`_encoded_stream`: clear
+    stale ids so every downstream consumer takes its string path."""
     for job in stream:
         job.type_code = None
         yield job
@@ -150,7 +156,7 @@ class LoopState:
     run.  ``pending`` is the pulled-but-unadmitted head of the arrival
     stream; ``routed`` its already-made dispatch decision (if any);
     ``age_ok`` the compiled engine's per-machine queue-order flags
-    (``None`` on the reference loop).
+    (``None`` on the reference engine).
     """
 
     clock: float
@@ -171,7 +177,7 @@ class JobQueue(list):
     the grouping is maintained as a delta per admission/completion
     instead: ``by_code[type_id]`` lists the queued jobs of that type in
     admission order (pools may be left empty when a type drains —
-    consumers skip those).  The reference loop leaves ``by_code`` as
+    consumers skip those).  The reference engine leaves ``by_code`` as
     ``None``.
     """
 
@@ -240,7 +246,7 @@ class Machine:
     coschedule: tuple[str, ...] = ()
     job_rates: dict[str, float] = field(default_factory=dict)
     #: Compiled-engine rate array (per-job rate indexed by type id);
-    #: ``None`` on the reference loop.
+    #: ``None`` on the reference engine.
     rates_by_code: list[float] | None = None
     next_completion: float = _INF
     last_sync: float = 0.0
@@ -273,7 +279,7 @@ class Machine:
     def reschedule(self, memo: RunRateMemo, clock: float) -> None:
         """Re-select the running set and its rates (one machine only).
 
-        The reference loop's decision step: the scheduler's own string
+        The reference engine's decision step: the scheduler's own string
         ``select``, validated, then the coschedule's string-keyed rates.
         """
         scheduler = self.scheduler
@@ -471,7 +477,7 @@ def _stall_error(
     machines: Sequence[Machine],
     faults: "FaultRuntime | None",
 ) -> EngineStallError:
-    """Livelock diagnostics shared by both event loops."""
+    """Livelock diagnostics of :func:`run_loop`."""
     head = (
         f"job {pending.job_id} @ {pending.arrival_time!r}"
         if pending is not None
@@ -502,6 +508,504 @@ def _stall_error(
             f"retries={len(faults.retries)} stats={faults.stats.as_dict()}"
         )
     return EngineStallError("\n".join(lines))
+
+
+class MachineOps:
+    """One engine: the per-machine operations :func:`run_loop` calls.
+
+    The loop owns everything that does not depend on the engine;
+    an engine only says how one machine changes.  Every operation
+    takes machine indices:
+
+    * ``sync(mid, new_clock, span=None)`` — progress the machine's
+      running jobs and observe its metrics up to ``new_clock``.
+      ``span`` is the exact event step of a machine already current at
+      the clock (the M=1 bit-identity path); ``None`` catches a lazy
+      machine up over its whole pending interval.
+    * ``admit(mid, job)`` — queue an arriving job.
+    * ``retire(mid, when)`` — retire the finished running jobs and
+      fold their turnarounds; returns how many finished.
+    * ``reschedule(dirty_ids, clock)`` — re-select the running set and
+      rates of every dirty machine, in order, appending each decision
+      to the run's pick log.
+    * ``clear_queue(mid)`` — drop a crashed machine's jobs.
+    * ``speed_changed(mid)`` — a degrade edge changed the machine's
+      ``speed``.
+    * ``age_ok()`` — per-machine flags a pause must carry across a
+      checkpoint (``None`` when the engine has none).
+
+    ``admit`` and ``retire`` leave the machine on the ``dirty`` list
+    (see :meth:`mark_dirty`).  The fault runtime applies its events
+    through this same object.  ``stats`` is the engine's counter
+    object, if it keeps one; the loop adds its event count there.
+    """
+
+    __slots__ = (
+        "machines",
+        "dirty",
+        "sync",
+        "admit",
+        "retire",
+        "reschedule",
+        "clear_queue",
+        "speed_changed",
+        "age_ok",
+        "stats",
+    )
+
+    def __init__(
+        self,
+        machines: Sequence[Machine],
+        dirty: list[int],
+        *,
+        sync: Callable[..., None],
+        admit: Callable[[int, Job], None],
+        retire: Callable[[int, float], int],
+        reschedule: Callable[[list[int], float], None],
+        clear_queue: Callable[[int], None],
+        speed_changed: Callable[[int], None],
+        age_ok: Callable[[], tuple[bool, ...]] | None = None,
+        stats=None,
+    ) -> None:
+        self.machines = machines
+        self.dirty = dirty
+        self.sync = sync
+        self.admit = admit
+        self.retire = retire
+        self.reschedule = reschedule
+        self.clear_queue = clear_queue
+        self.speed_changed = speed_changed
+        self.age_ok = age_ok
+        self.stats = stats
+
+    def mark_dirty(self, mid: int) -> None:
+        """Queue a machine for re-selection before the next event."""
+        machine = self.machines[mid]
+        if not machine.dirty:
+            machine.dirty = True
+            self.dirty.append(mid)
+
+
+def reference_ops(
+    machines: Sequence[Machine],
+    memo: RunRateMemo,
+    *,
+    warmup_time: float,
+    pick_log: list | None = None,
+) -> MachineOps:
+    """The reference engine (``engine="legacy"``): thin adapters over
+    :class:`Machine`, whose ``reschedule`` is the scheduler's own
+    string ``select``.  These are the semantics the compiled engine is
+    held to."""
+
+    def sync(mid: int, new_clock: float, span: float | None = None) -> None:
+        machines[mid].sync(new_clock, span=span, warmup=warmup_time)
+
+    def admit(mid: int, job: Job) -> None:
+        machines[mid].admit(job)
+        ops.mark_dirty(mid)
+
+    def retire(mid: int, when: float) -> int:
+        finished = machines[mid].complete_finished(when, warmup_time)
+        # The machine's event always triggers re-selection (the seed
+        # engine re-selected after every event, and MAXTP's deficits
+        # and SRPT's remaining-time ordering shift even without
+        # arrivals).
+        ops.mark_dirty(mid)
+        return finished
+
+    def reschedule(dirty_ids: list[int], clock: float) -> None:
+        for mid in dirty_ids:
+            machine = machines[mid]
+            machine.reschedule(memo, clock)
+            if pick_log is not None:
+                pick_log.append(
+                    (
+                        machine.machine_id,
+                        tuple(job.job_id for job in machine.running),
+                    )
+                )
+
+    def clear_queue(mid: int) -> None:
+        del machines[mid].jobs[:]
+
+    def speed_changed(mid: int) -> None:
+        # Machine.reschedule re-reads the memo entry every time, so
+        # there is no cached scaled rate to invalidate.
+        pass
+
+    ops = MachineOps(
+        machines,
+        [],
+        sync=sync,
+        admit=admit,
+        retire=retire,
+        reschedule=reschedule,
+        clear_queue=clear_queue,
+        speed_changed=speed_changed,
+    )
+    return ops
+
+
+def run_loop(
+    ops: MachineOps,
+    stream: Iterator[Job],
+    dispatcher: Dispatcher,
+    *,
+    horizon: float | None,
+    stop_when_fewer_than: int | None,
+    keep_in_system: int | None,
+    max_events: int,
+    pause_at: float | None = None,
+    resume: LoopState | None = None,
+    faults: FaultRuntime | None = None,
+    stall_events: int = DEFAULT_STALL_EVENTS,
+) -> LoopState | None:
+    """The event loop: advance a run through ``ops.machines``.
+
+    Owns admission (due retries first, then due arrivals, and
+    shedding), validated routing, the stop conditions, the dirty flush,
+    the completion heap, the choice of ``dt``, pauses, the stall guard,
+    and the completion/arrival/fault/horizon events; ``ops`` is the
+    engine.  With ``pause_at`` set the loop stops between events once
+    the next event would fall past it and returns the
+    :class:`LoopState` to resume from (``resume=``); ``None`` means the
+    run completed.
+    """
+    machines = ops.machines
+    sync = ops.sync
+    admit = ops.admit
+    retire = ops.retire
+    dirty = ops.dirty
+    n_machines = len(machines)
+    all_ids = list(range(n_machines))
+    heappush, heappop = heapq.heappush, heapq.heappop
+    if resume is None:
+        pending: Job | None = next(stream, None)
+        clock = 0.0
+        last_arrival = -1.0
+        # Dispatch decision made at an arrival event, consumed by the
+        # admission at the top of the next iteration (so the event and
+        # the admission agree on the target, and round-robin's cursor
+        # advances exactly once per job).
+        routed: int | None = None
+        # Incrementally maintained cluster state, so an event costs
+        # O(log M + rescheduling one machine) instead of O(M) scans:
+        # jobs currently admitted, and machines at their admission cap.
+        in_system = 0
+        full_machines = 0
+    else:
+        pending = resume.pending
+        clock = resume.clock
+        last_arrival = resume.last_arrival
+        routed = resume.routed
+        in_system = resume.in_system
+        full_machines = resume.full_machines
+    # Indexed min-heap of absolute next-completion times; entries are
+    # invalidated by bumping the machine's epoch (lazy deletion).
+    # Seeded from machines that already hold a valid selection (a no-op
+    # on a fresh run, where every machine is dirty); dirty machines are
+    # re-selected — and pushed — by the flush below, so a paused run
+    # resumes with the same heap top.
+    heap: list[tuple[float, int, int]] = []
+    dirty.clear()
+    for mid, machine in enumerate(machines):
+        if machine.dirty:
+            dirty.append(mid)
+        elif machine.running:
+            heappush(
+                heap,
+                (
+                    machine.last_sync + machine.next_completion,
+                    mid,
+                    machine.epoch,
+                ),
+            )
+    # Stale lazy-deletion entries accumulate one per reschedule; compact
+    # once they dominate so heap memory stays O(machines) over
+    # arbitrarily long runs.  Rebuilding never changes pop order:
+    # ordering depends only on entry values.
+    compact_floor = max(64, 4 * n_machines)
+
+    def usable(mid: int) -> bool:
+        """Whether a dispatch target can take a job now: it has room
+        and, with faults, it is UP or DEGRADED."""
+        return (
+            keep_in_system is None
+            or len(machines[mid].jobs) < keep_in_system
+        ) and (faults is None or faults.routable(mid))
+
+    def route(job: Job, clock: float) -> int:
+        """Validated dispatch decision among machines with room (with
+        faults: UP machines, DEGRADED ones as fallback)."""
+        if faults is not None:
+            eligible = faults.dispatch_eligible()
+        elif keep_in_system is None:
+            eligible = all_ids
+        else:
+            eligible = [
+                mid
+                for mid in all_ids
+                if len(machines[mid].jobs) < keep_in_system
+            ]
+        target = dispatcher.route(job, machines, eligible, clock)
+        if not 0 <= target < n_machines or not usable(target):
+            raise SimulationError(
+                f"{dispatcher.name} routed to invalid machine {target}"
+            )
+        return target
+
+    stalled = 0
+    events = 0
+    try:
+        for _ in range(max_events):
+            events += 1
+            # Fault-mode retries whose backoff elapsed re-enter ahead of
+            # new arrivals at the same instant, through the same
+            # dispatch layer (skipping DOWN/DRAINING machines).
+            if faults is not None:
+                while True:
+                    retry_job = faults.due_retry(clock)
+                    if retry_job is None or not faults.any_dispatchable():
+                        break
+                    target = route(retry_job, clock)
+                    faults.pop_retry()
+                    sync(target, clock)
+                    admit(target, retry_job)
+                    in_system += 1
+                    if (
+                        keep_in_system is not None
+                        and len(machines[target].jobs) >= keep_in_system
+                    ):
+                        full_machines += 1
+            # Admit every arrival due now (handles batched time-zero
+            # jobs).  The target machine catches up to the clock before
+            # its queue changes, so its pending interval is observed
+            # with the pre-arrival job count.
+            while (
+                pending is not None
+                and pending.arrival_time <= clock + _EPSILON
+            ):
+                if routed is not None and usable(routed):
+                    target = routed
+                elif faults is not None:
+                    if faults.any_dispatchable():
+                        target = route(pending, clock)
+                    elif faults.should_shed(pending, clock):
+                        # Admission-control valve: no machine can take
+                        # the job and it has waited out its shed
+                        # deadline — drop it and move on.
+                        faults.record_shed(pending)
+                        routed = None
+                        pending = next(stream, None)
+                        continue
+                    else:
+                        break
+                elif full_machines < n_machines:
+                    target = route(pending, clock)
+                else:
+                    break
+                routed = None
+                if pending.arrival_time < last_arrival - _EPSILON:
+                    raise SimulationError("arrivals out of order")
+                last_arrival = pending.arrival_time
+                sync(target, clock)
+                admit(target, pending)
+                in_system += 1
+                if (
+                    keep_in_system is not None
+                    and len(machines[target].jobs) >= keep_in_system
+                ):
+                    full_machines += 1
+                pending = next(stream, None)
+
+            if stop_when_fewer_than is not None and pending is None:
+                in_flight = in_system + (
+                    faults.retry_pending() if faults is not None else 0
+                )
+                if in_flight < stop_when_fewer_than:
+                    break
+            if (
+                in_system == 0
+                and pending is None
+                and (faults is None or faults.idle())
+            ):
+                break
+            if horizon is not None and clock >= horizon:
+                break
+
+            if dirty:
+                ops.reschedule(dirty, clock)
+                for mid in dirty:
+                    machine = machines[mid]
+                    if machine.running:
+                        heappush(
+                            heap,
+                            (
+                                machine.last_sync + machine.next_completion,
+                                mid,
+                                machine.epoch,
+                            ),
+                        )
+                dirty.clear()
+
+            if len(heap) > compact_floor:
+                heap = [
+                    entry
+                    for entry in heap
+                    if machines[entry[1]].epoch == entry[2]
+                    and machines[entry[1]].running
+                ]
+                heapq.heapify(heap)
+
+            # Earliest completion across machines (heap top, pruning
+            # stale entries), expressed relative to the clock so the
+            # M=1 path compares the exact quantities the seed did.
+            next_mid: int | None = None
+            next_completion = _INF
+            while heap:
+                _, mid, epoch = heap[0]
+                machine = machines[mid]
+                if epoch != machine.epoch or not machine.running:
+                    heappop(heap)
+                    continue
+                next_mid = mid
+                next_completion = machine.next_completion + (
+                    machine.last_sync - clock
+                )
+                break
+
+            # A due-but-not-admitted arrival (bounded backlog at
+            # capacity) must not produce zero-length steps: the next
+            # admission can only happen at a completion, so ignore it
+            # for time stepping.
+            if faults is None:
+                can_admit = pending is not None and full_machines < n_machines
+                fault_dt = _INF
+            else:
+                # Fault mode swaps the full_machines gate for a state-
+                # aware one (DOWN/DRAINING machines are not targets) and
+                # adds the fault layer's own instants: the next fault
+                # event, a retry whose backoff elapsed (only while
+                # someone could accept it), or a blocked arrival's shed
+                # deadline.
+                eligible_exists = faults.any_dispatchable()
+                can_admit = pending is not None and eligible_exists
+                fault_dt = faults.next_wake(clock, eligible_exists, pending)
+            next_arrival = pending.arrival_time - clock if can_admit else _INF
+            dt = (
+                next_completion
+                if next_completion < next_arrival
+                else next_arrival
+            )
+            if fault_dt < dt:
+                dt = fault_dt
+            if horizon is not None:
+                clamp = horizon - clock
+                if clamp < dt:
+                    dt = clamp
+            if dt == _INF:
+                raise SimulationError(
+                    "no progress possible: idle with no arrivals"
+                )
+            if dt < 0.0:
+                dt = 0.0
+            new_clock = clock + dt
+
+            # Shard boundary: the next event falls past the pause time,
+            # so stop *between* events — the clock stays at the last
+            # processed event, no machine syncs, and the tail interval
+            # is observed (identically) by the next segment.  Placed
+            # after the no-progress check so a stuck run raises here
+            # exactly as it would unpaused.
+            if pause_at is not None and new_clock > pause_at:
+                return LoopState(
+                    clock=clock,
+                    last_arrival=last_arrival,
+                    in_system=in_system,
+                    full_machines=full_machines,
+                    routed=routed,
+                    pending=pending,
+                    age_ok=None if ops.age_ok is None else ops.age_ok(),
+                )
+
+            # Livelock guard: many same-instant events in a row means the
+            # loop is spinning, not simulating (the class of bug a
+            # swallowed residual completion causes) — fail loudly with
+            # diagnostics instead of burning the max_events budget.
+            if dt > 0.0:
+                stalled = 0
+            else:
+                stalled += 1
+                if stalled >= stall_events:
+                    raise _stall_error(
+                        clock, stalled, in_system, pending, machines, faults
+                    )
+
+            if next_mid is not None and next_completion <= dt:
+                # Completion event: only its machine advances eagerly.
+                touched = (next_mid,)
+            elif can_admit and next_arrival <= dt:
+                # Arrival event: route now (once per job) and advance
+                # the target to the arrival instant; the admission
+                # happens at the top of the next iteration, as in the
+                # seed loop.
+                if routed is None or not usable(routed):
+                    routed = route(pending, clock)
+                touched = (routed,)
+            elif faults is not None and fault_dt <= dt:
+                # Fault event: the runtime applies (at most) one due
+                # event — crash, repair, drain, degrade edge, outage
+                # fan-out — through the engine's ops.  Retry/shed
+                # instants need no event here: the next iteration's
+                # admission phase handles them at the advanced clock.
+                clock = new_clock
+                removed = faults.on_wake(clock, ops)
+                if removed:
+                    in_system -= removed
+                    if keep_in_system is not None:
+                        full_machines = sum(
+                            1
+                            for m in machines
+                            if len(m.jobs) >= keep_in_system
+                        )
+                continue
+            else:
+                # Horizon clamp: one final step for every machine (the
+                # loop exits at the top of the next iteration).
+                touched = all_ids
+            # A machine already current at the clock steps by the exact
+            # dt (the M=1 bit-identity path); a lazy one catches up
+            # over its whole pending interval.
+            for mid in touched:
+                sync(
+                    mid,
+                    new_clock,
+                    dt if machines[mid].last_sync == clock else None,
+                )
+            clock = new_clock
+            for mid in touched:
+                finished = retire(mid, clock)
+                if finished:
+                    in_system -= finished
+                    if keep_in_system is not None:
+                        left = len(machines[mid].jobs)
+                        if left < keep_in_system <= left + finished:
+                            full_machines -= 1
+        else:
+            raise SimulationError(
+                f"simulation exceeded {max_events} events without "
+                "terminating"
+            )
+    finally:
+        if ops.stats is not None:
+            ops.stats.events += events
+
+    # Flush: lazy machines observe their tail interval (idle machines'
+    # empty time included) up to the final clock.
+    for mid in all_ids:
+        sync(mid, clock)
+    return None
 
 
 class Cluster:
@@ -580,17 +1084,18 @@ class Cluster:
                 until its dispatch target has room; if every machine is
                 full, the stream stalls until a completion.
             max_events: safety bound on processed events.
-            engine: which event loop advances the run — the two are
-                bit-identical (pinned by the differential fuzz harness
-                in ``tests/property/test_differential_engines.py``):
+            engine: which per-machine operations the event loop runs
+                — the two are bit-identical (pinned by the differential
+                fuzz harness in
+                ``tests/property/test_differential_engines.py``):
 
                 * ``"compiled"`` (the default) — the production
                   count-vector engine (:mod:`repro.queueing.compiled`):
                   dense per-machine type counts, memoized candidate
                   sets, event fusion, and machine batching;
-                * ``"legacy"`` — the interpreted string-keyed loop,
-                  kept as the reference the compiled engine is tested
-                  against.
+                * ``"legacy"`` — the string-keyed reference operations
+                  (:func:`reference_ops`), kept as the definition the
+                  compiled engine is tested against.
             engine_options: compiled-engine debug knobs (``{"fuse":
                 False}`` / ``{"batch": False}``) used by the isolation
                 property tests; either knob off must not change a bit
@@ -685,415 +1190,6 @@ class Cluster:
             stall_events=stall_events,
         )
 
-    def _event_loop(
-        self,
-        memo: RunRateMemo,
-        machines: list[Machine],
-        stream: Iterator[Job],
-        *,
-        warmup_time: float,
-        horizon: float | None,
-        stop_when_fewer_than: int | None,
-        keep_in_system: int | None,
-        max_events: int,
-        pick_log: list | None = None,
-        pause_at: float | None = None,
-        resume: LoopState | None = None,
-        faults: FaultRuntime | None = None,
-        stall_events: int = DEFAULT_STALL_EVENTS,
-    ) -> LoopState | None:
-        dispatcher = self.dispatcher
-        if resume is None:
-            pending: Job | None = next(stream, None)
-            clock = 0.0
-            last_arrival = -1.0
-            # Dispatch decision made at an arrival event, consumed by
-            # the admission at the top of the next iteration (so the
-            # event and the admission agree on the target, and
-            # round-robin's cursor advances exactly once per job).
-            routed: int | None = None
-            # Incrementally maintained cluster state, so an event costs
-            # O(log M + rescheduling one machine) instead of O(M)
-            # scans: jobs currently admitted, machines at their
-            # admission cap, and the machines needing re-selection
-            # before the next event.
-            in_system = 0
-            full_machines = 0
-        else:
-            pending = resume.pending
-            clock = resume.clock
-            last_arrival = resume.last_arrival
-            routed = resume.routed
-            in_system = resume.in_system
-            full_machines = resume.full_machines
-        # Indexed min-heap of absolute next-completion times; entries
-        # are invalidated by bumping the machine's epoch (lazy
-        # deletion).  Seeded from machines that already hold a valid
-        # selection (a no-op on a fresh run, where every machine is
-        # dirty); dirty machines are re-selected — and pushed — by the
-        # flush below, so a paused run resumes with the same heap top.
-        heap: list[tuple[float, int, int]] = []
-        dirty_list: list[Machine] = []
-        for machine in machines:
-            if machine.dirty:
-                dirty_list.append(machine)
-            elif machine.running:
-                heapq.heappush(
-                    heap,
-                    (
-                        machine.last_sync + machine.next_completion,
-                        machine.machine_id,
-                        machine.epoch,
-                    ),
-                )
-        # Stale lazy-deletion entries accumulate one per reschedule;
-        # compact once they dominate so heap memory stays O(machines)
-        # over arbitrarily long runs.  Rebuilding never changes pop
-        # order: ordering depends only on entry values.
-        compact_floor = max(64, 4 * len(machines))
-
-        def has_room(machine: Machine) -> bool:
-            return (
-                keep_in_system is None
-                or len(machine.jobs) < keep_in_system
-            )
-
-        def mark_dirty(machine: Machine) -> None:
-            if not machine.dirty:
-                machine.dirty = True
-                dirty_list.append(machine)
-
-        def route(job: Job) -> int:
-            """Validated dispatch decision among machines with room."""
-            eligible = [m.machine_id for m in machines if has_room(m)]
-            target = dispatcher.route(job, machines, eligible, clock)
-            if not 0 <= target < len(machines) or not has_room(
-                machines[target]
-            ):
-                raise SimulationError(
-                    f"{dispatcher.name} routed to invalid machine {target}"
-                )
-            return target
-
-        def retire(machine: Machine, when: float) -> None:
-            """Completion bookkeeping shared by every event branch."""
-            nonlocal in_system, full_machines
-            was_full = not has_room(machine)
-            finished = machine.complete_finished(when, warmup_time)
-            in_system -= finished
-            if was_full and has_room(machine):
-                full_machines -= 1
-            # The machine's event always triggers re-selection (the
-            # seed engine re-selected after every event, and MAXTP's
-            # deficits and SRPT's remaining-time ordering shift even
-            # without arrivals).
-            mark_dirty(machine)
-
-        fault_ops: EngineOps | None = None
-        if faults is not None:
-            # Engine-specific effects of a fault event, run through
-            # this loop's own closures (the compiled loop builds its
-            # twin from *its* closures — the runtime itself is shared).
-            def _fault_sync(mid: int, at: float) -> None:
-                machines[mid].sync(at, warmup=warmup_time)
-
-            def _fault_dirty(mid: int) -> None:
-                mark_dirty(machines[mid])
-
-            def _fault_clear(mid: int) -> None:
-                queue = machines[mid].jobs
-                del queue[:]
-                if queue.by_code is not None:
-                    queue.by_code = {}
-
-            def _fault_speed(mid: int) -> None:
-                # The interpreted reschedule re-reads the memo entry
-                # every time, so there is no cached scaled rate array
-                # to invalidate here.
-                pass
-
-            fault_ops = EngineOps(
-                _fault_sync, _fault_dirty, _fault_clear, _fault_speed
-            )
-
-            def fault_route(job: Job) -> int:
-                """Dispatch among UP (and, as fallback, DEGRADED)
-                machines with room — the fault-aware twin of route()."""
-                eligible = faults.dispatch_eligible()
-                target = dispatcher.route(job, machines, eligible, clock)
-                if (
-                    not 0 <= target < len(machines)
-                    or not has_room(machines[target])
-                    or not faults.routable(target)
-                ):
-                    raise SimulationError(
-                        f"{dispatcher.name} routed to invalid machine "
-                        f"{target}"
-                    )
-                return target
-
-        stalled = 0
-        for _ in range(max_events):
-            # Fault-mode retries whose backoff elapsed re-enter ahead
-            # of new arrivals at the same instant, through the same
-            # dispatch layer (skipping DOWN/DRAINING machines).
-            if faults is not None:
-                while True:
-                    retry_job = faults.due_retry(clock)
-                    if retry_job is None or not faults.any_dispatchable():
-                        break
-                    target = fault_route(retry_job)
-                    faults.pop_retry()
-                    machine = machines[target]
-                    machine.sync(clock, warmup=warmup_time)
-                    machine.admit(retry_job)
-                    in_system += 1
-                    if not has_room(machine):
-                        full_machines += 1
-                    mark_dirty(machine)
-            # Admit every arrival due now (handles batched time-zero
-            # jobs).  The target machine catches up to the clock before
-            # its queue changes, so its pending interval is observed
-            # with the pre-arrival job count.
-            while (
-                pending is not None
-                and pending.arrival_time <= clock + _EPSILON
-            ):
-                if (
-                    routed is not None
-                    and has_room(machines[routed])
-                    and (faults is None or faults.routable(routed))
-                ):
-                    target = routed
-                elif faults is not None:
-                    if faults.any_dispatchable():
-                        target = fault_route(pending)
-                    elif faults.should_shed(pending, clock):
-                        # Admission-control valve: no machine can take
-                        # the job and it has waited out its shed
-                        # deadline — drop it and move on.
-                        faults.record_shed(pending)
-                        routed = None
-                        pending = next(stream, None)
-                        continue
-                    else:
-                        break
-                elif full_machines < len(machines):
-                    target = route(pending)
-                else:
-                    break
-                routed = None
-                if pending.arrival_time < last_arrival - _EPSILON:
-                    raise SimulationError("arrivals out of order")
-                last_arrival = pending.arrival_time
-                machine = machines[target]
-                machine.sync(clock, warmup=warmup_time)
-                machine.admit(pending)
-                in_system += 1
-                if not has_room(machine):
-                    full_machines += 1
-                mark_dirty(machine)
-                pending = next(stream, None)
-
-            if stop_when_fewer_than is not None and pending is None:
-                in_flight = in_system + (
-                    faults.retry_pending() if faults is not None else 0
-                )
-                if in_flight < stop_when_fewer_than:
-                    break
-            if (
-                in_system == 0
-                and pending is None
-                and (faults is None or faults.idle())
-            ):
-                break
-            if horizon is not None and clock >= horizon:
-                break
-
-            if dirty_list:
-                for machine in dirty_list:
-                    machine.reschedule(memo, clock)
-                    if pick_log is not None:
-                        pick_log.append(
-                            (
-                                machine.machine_id,
-                                tuple(
-                                    job.job_id for job in machine.running
-                                ),
-                            )
-                        )
-                    if machine.running:
-                        heapq.heappush(
-                            heap,
-                            (
-                                machine.last_sync + machine.next_completion,
-                                machine.machine_id,
-                                machine.epoch,
-                            ),
-                        )
-                dirty_list.clear()
-
-            if len(heap) > compact_floor:
-                heap = [
-                    entry
-                    for entry in heap
-                    if machines[entry[1]].epoch == entry[2]
-                    and machines[entry[1]].running
-                ]
-                heapq.heapify(heap)
-
-            # Earliest completion across machines (heap top, pruning
-            # stale entries), expressed relative to the clock so the
-            # M=1 path compares the exact quantities the seed did.
-            next_machine: Machine | None = None
-            next_completion = _INF
-            while heap:
-                _, machine_id, epoch = heap[0]
-                machine = machines[machine_id]
-                if epoch != machine.epoch or not machine.running:
-                    heapq.heappop(heap)
-                    continue
-                next_machine = machine
-                next_completion = machine.next_completion + (
-                    machine.last_sync - clock
-                )
-                break
-
-            # A due-but-not-admitted arrival (bounded backlog at
-            # capacity) must not produce zero-length steps: the next
-            # admission can only happen at a completion, so ignore it
-            # for time stepping.
-            if faults is None:
-                can_admit = pending is not None and full_machines < len(
-                    machines
-                )
-                fault_dt = _INF
-            else:
-                # Fault mode swaps the full_machines gate for a state-
-                # aware one (DOWN/DRAINING machines are not targets)
-                # and adds the fault layer's own instants: the next
-                # fault event, a retry whose backoff elapsed (only
-                # while someone could accept it), or a blocked
-                # arrival's shed deadline.
-                eligible_exists = faults.any_dispatchable()
-                can_admit = pending is not None and eligible_exists
-                fault_dt = faults.next_wake(clock, eligible_exists, pending)
-            next_arrival = (
-                pending.arrival_time - clock if can_admit else _INF
-            )
-            dt = min(next_completion, next_arrival, fault_dt)
-            if horizon is not None:
-                dt = min(dt, horizon - clock)
-            if dt == _INF:
-                raise SimulationError(
-                    "no progress possible: idle with no arrivals"
-                )
-            dt = max(dt, 0.0)
-            new_clock = clock + dt
-
-            # Shard boundary: the next event falls past the pause time,
-            # so stop *between* events — the clock stays at the last
-            # processed event, no machine syncs, and the tail interval
-            # is observed (identically) by the next segment.  Placed
-            # after the no-progress check so a stuck run raises here
-            # exactly as it would unpaused.
-            if pause_at is not None and new_clock > pause_at:
-                return LoopState(
-                    clock=clock,
-                    last_arrival=last_arrival,
-                    in_system=in_system,
-                    full_machines=full_machines,
-                    routed=routed,
-                    pending=pending,
-                )
-
-            # Livelock guard: many same-instant events in a row means
-            # the loop is spinning, not simulating (the class of bug a
-            # swallowed residual completion causes) — fail loudly with
-            # diagnostics instead of burning the max_events budget.
-            if dt > 0.0:
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled >= stall_events:
-                    raise _stall_error(
-                        clock, stalled, in_system, pending, machines,
-                        faults,
-                    )
-
-            if next_machine is not None and next_completion <= dt:
-                # Completion event: only its machine advances eagerly.
-                # A machine already current at the clock steps by the
-                # exact dt (the M=1 bit-identity path); a lazy one
-                # catches up over its whole pending interval.
-                next_machine.sync(
-                    new_clock,
-                    span=dt if next_machine.last_sync == clock else None,
-                    warmup=warmup_time,
-                )
-                clock = new_clock
-                retire(next_machine, clock)
-            elif can_admit and next_arrival <= dt:
-                # Arrival event: route now (once per job), advance the
-                # target to the arrival instant; the admission happens
-                # at the top of the next iteration, as in the seed loop.
-                if faults is not None:
-                    if (
-                        routed is None
-                        or not has_room(machines[routed])
-                        or not faults.routable(routed)
-                    ):
-                        routed = fault_route(pending)
-                elif routed is None or not has_room(machines[routed]):
-                    routed = route(pending)
-                target_machine = machines[routed]
-                target_machine.sync(
-                    new_clock,
-                    span=dt if target_machine.last_sync == clock else None,
-                    warmup=warmup_time,
-                )
-                clock = new_clock
-                retire(target_machine, clock)
-            elif faults is not None and fault_dt <= dt:
-                # Fault event: the runtime applies (at most) one due
-                # event — crash, repair, drain, degrade edge, outage
-                # fan-out — through this loop's own ops.  Retry/shed
-                # instants need no event here: the next iteration's
-                # admission phase handles them at the advanced clock.
-                clock = new_clock
-                removed = faults.on_wake(clock, fault_ops)
-                if removed:
-                    in_system -= removed
-                    if keep_in_system is not None:
-                        full_machines = sum(
-                            1
-                            for m in machines
-                            if len(m.jobs) >= keep_in_system
-                        )
-            else:
-                # Horizon clamp: one final step for every machine (the
-                # loop exits at the top of the next iteration).
-                for machine in machines:
-                    machine.sync(
-                        new_clock,
-                        span=dt if machine.last_sync == clock else None,
-                        warmup=warmup_time,
-                    )
-                clock = new_clock
-                for machine in machines:
-                    retire(machine, clock)
-        else:
-            raise SimulationError(
-                f"simulation exceeded {max_events} events without "
-                "terminating"
-            )
-
-        # Flush: lazy machines observe their tail interval (idle
-        # machines' empty time included) up to the final clock.
-        for machine in machines:
-            machine.sync(clock, warmup=warmup_time)
-        return None
-
 
 class ClusterRunHandle:
     """One pausable run of a :class:`Cluster` (see :meth:`Cluster.start`).
@@ -1146,6 +1242,13 @@ class ClusterRunHandle:
         self.engine = engine
         self.rate_source = rate_source
         compiled = engine == "compiled"
+        dispatcher = cluster.dispatcher
+        #: The dispatcher's table re-solve, when it consumes rates.
+        self._rebuild = (
+            getattr(dispatcher, "rebuild", None)
+            if dispatcher.uses_rates
+            else None
+        )
         self.memo = RunRateMemo(cluster.rates)
         #: Estimated-rate state: the estimator (fed by every machine's
         #: sync) and the policy-side memo over its published estimates.
@@ -1169,11 +1272,9 @@ class ClusterRunHandle:
                     "different source and would silently keep reading "
                     "oracle rates"
                 )
-            if cluster.dispatcher.uses_rates and not callable(
-                getattr(cluster.dispatcher, "rebuild", None)
-            ):
+            if dispatcher.uses_rates and not callable(self._rebuild):
                 raise EstimationError(
-                    f"dispatcher {cluster.dispatcher.name!r} consumes "
+                    f"dispatcher {dispatcher.name!r} consumes "
                     "rates but has no rebuild() hook: its oracle-built "
                     "tables would never refresh from observations.  "
                     "Implement rebuild(rates) or run with "
@@ -1210,6 +1311,10 @@ class ClusterRunHandle:
         self.state: LoopState | None = None
         self.finished = False
         self._closed = False
+        #: The engine's per-machine operations, built at the first
+        #: :meth:`advance` (after any checkpoint restore) and kept
+        #: across segments.
+        self._ops: MachineOps | None = None
         #: Compiled-engine per-machine count-vector states, kept across
         #: segments (their queue-order flags must survive a pause).
         self._cstates: list | None = None
@@ -1245,22 +1350,11 @@ class ClusterRunHandle:
         # start every offline-solved policy from the estimator's priors
         # (estimated runs must not inherit oracle-built tables), and
         # register the re-optimization round fired at each publish.
-        self._dispatcher_rebuild = None
         if self.estimator is not None:
             for machine in self.machines:
                 machine.rate_observer = self.estimator.observe_interval
             policy_memo = self.policy_memo
-            rebound = self._rebound
-            rebuild = (
-                cluster.dispatcher.rebuild
-                if cluster.dispatcher.uses_rates
-                else None
-            )
-            self._dispatcher_rebuild = rebuild
-            for scheduler in rebound:
-                scheduler.reoptimize(policy_memo)
-            if rebuild is not None:
-                rebuild(policy_memo)
+            self._resolve(policy_memo)
 
             def _reoptimize(_estimator: ThroughputEstimator) -> None:
                 # New epoch published: every memoized estimate is
@@ -1274,15 +1368,11 @@ class ClusterRunHandle:
                     from repro.queueing.compiled import forget_probes
 
                     forget_probes(self._cstates)
-                for scheduler in rebound:
-                    scheduler.reoptimize(policy_memo)
-                if rebuild is not None:
-                    rebuild(policy_memo)
+                self._resolve(policy_memo)
 
             self.estimator.add_listener(_reoptimize)
-        #: Fault layer: one runtime per run, shared verbatim by both
-        #: engines (the loops call the same methods at the same points —
-        #: that is what makes faulty runs bit-identical across engines).
+        #: Fault layer: one runtime per run, driven by the one event
+        #: loop whichever engine's operations it applies events through.
         self.fault_config = faults
         self.stall_events = stall_events
         self.fault_rt: FaultRuntime | None = None
@@ -1290,26 +1380,51 @@ class ClusterRunHandle:
             self.fault_rt = FaultRuntime(
                 faults, self.machines, keep_in_system=keep_in_system
             )
-            # Topology churn re-plans through the PR-8 hooks: on any
-            # membership change (machine down or repaired) the offline
-            # policies re-solve over the run's probe source.  With
-            # oracle rates the re-solve is value-neutral (same table,
-            # same solution) but it exercises the same code path the
-            # estimated mode uses, identically in both engines.
-            rebound = self._rebound
-            rebuild = (
-                getattr(cluster.dispatcher, "rebuild", None)
-                if cluster.dispatcher.uses_rates
-                else None
+            # Topology churn re-plans through the estimation layer's
+            # hooks: on any membership change (machine down or
+            # repaired) the offline policies re-solve over the run's
+            # probe source.  With oracle rates the re-solve is
+            # value-neutral (same table, same solution) but it
+            # exercises the same code path the estimated mode uses.
+            self.fault_rt.membership_hook = lambda: self._resolve(
+                probe_source
             )
 
-            def _membership_changed() -> None:
-                for scheduler in rebound:
-                    scheduler.reoptimize(probe_source)
-                if rebuild is not None:
-                    rebuild(probe_source)
+    def _resolve(self, rates: RateSource) -> None:
+        """Re-solve the offline policies against ``rates``: every
+        rebound scheduler re-optimizes, then a rate-consuming
+        dispatcher rebuilds its tables."""
+        for scheduler in self._rebound:
+            scheduler.reoptimize(rates)
+        if self._rebuild is not None:
+            self._rebuild(rates)
 
-            self.fault_rt.membership_hook = _membership_changed
+    def _build_ops(self) -> MachineOps:
+        """The engine's per-machine operations over this run's state."""
+        if self.engine == "legacy":
+            return reference_ops(
+                self.machines,
+                self.memo,
+                warmup_time=self.warmup_time,
+                pick_log=self.pick_log,
+            )
+        from repro.queueing.compiled import _prepare_state, compiled_ops
+
+        self._cstates = _prepare_state(
+            self.machines,
+            self.probe_memo,
+            self.state.age_ok if self.state is not None else None,
+        )
+        return compiled_ops(
+            self.memo,
+            self.probe_memo,
+            self._cstates,
+            warmup_time=self.warmup_time,
+            stats=self.engine_stats,
+            fuse=self._engine_options.get("fuse", True),
+            batch=self._engine_options.get("batch", True),
+            pick_log=self.pick_log,
+        )
 
     @property
     def jobs_pulled(self) -> int:
@@ -1330,53 +1445,21 @@ class ClusterRunHandle:
         if self._closed:
             raise SimulationError("cluster run handle already closed")
         try:
-            if self.engine == "compiled":
-                from repro.queueing.compiled import (
-                    _prepare_state,
-                    run_compiled,
-                )
-
-                if self._cstates is None:
-                    self._cstates = _prepare_state(
-                        self.machines, self.probe_memo
-                    )
-                state = run_compiled(
-                    self.memo,
-                    self.probe_memo,
-                    self.machines,
-                    self.stream,
-                    warmup_time=self.warmup_time,
-                    horizon=self.horizon,
-                    stop_when_fewer_than=self.stop_when_fewer_than,
-                    keep_in_system=self.keep_in_system,
-                    max_events=self.max_events,
-                    stats=self.engine_stats,
-                    dispatcher=self.cluster.dispatcher,
-                    fuse=self._engine_options.get("fuse", True),
-                    batch=self._engine_options.get("batch", True),
-                    pick_log=self.pick_log,
-                    pause_at=pause_at,
-                    resume=self.state,
-                    states=self._cstates,
-                    faults=self.fault_rt,
-                    stall_events=self.stall_events,
-                )
-            else:
-                state = self.cluster._event_loop(
-                    self.memo,
-                    self.machines,
-                    self.stream,
-                    warmup_time=self.warmup_time,
-                    horizon=self.horizon,
-                    stop_when_fewer_than=self.stop_when_fewer_than,
-                    keep_in_system=self.keep_in_system,
-                    max_events=self.max_events,
-                    pick_log=self.pick_log,
-                    pause_at=pause_at,
-                    resume=self.state,
-                    faults=self.fault_rt,
-                    stall_events=self.stall_events,
-                )
+            if self._ops is None:
+                self._ops = self._build_ops()
+            state = run_loop(
+                self._ops,
+                self.stream,
+                self.cluster.dispatcher,
+                horizon=self.horizon,
+                stop_when_fewer_than=self.stop_when_fewer_than,
+                keep_in_system=self.keep_in_system,
+                max_events=self.max_events,
+                pause_at=pause_at,
+                resume=self.state,
+                faults=self.fault_rt,
+                stall_events=self.stall_events,
+            )
         except BaseException:
             self.close()
             raise
@@ -1416,30 +1499,15 @@ class ClusterRunHandle:
         if self._bind_codec is not None:
             self._bind_codec(None)
         if self.estimator is not None:
-            # Restore the oracle-built policy state (schedulers and
-            # dispatchers outlive runs): the re-solves are
-            # deterministic in the true rates, so this reproduces the
-            # constructed tables bit for bit.
             for machine in self.machines:
                 machine.rate_observer = None
-            for scheduler in self._rebound:
-                scheduler.reoptimize(self.cluster.rates)
-            if self._dispatcher_rebuild is not None:
-                self._dispatcher_rebuild(self.cluster.rates)
-        elif self.fault_rt is not None:
-            # Oracle + faults: the membership hook re-solved policies
-            # mid-run over the run memo; restore the tables built on
-            # the cluster's own rate source (deterministic re-solve,
-            # reproduces them bit for bit).
-            for scheduler in self._rebound:
-                scheduler.reoptimize(self.cluster.rates)
-            rebuild = (
-                getattr(self.cluster.dispatcher, "rebuild", None)
-                if self.cluster.dispatcher.uses_rates
-                else None
-            )
-            if rebuild is not None:
-                rebuild(self.cluster.rates)
+        if self.estimator is not None or self.fault_rt is not None:
+            # Restore the oracle-built policy state (schedulers and
+            # dispatchers outlive runs), which the estimator's epochs or
+            # the membership hook re-solved mid-run: the re-solves are
+            # deterministic in the true rates, so this reproduces the
+            # constructed tables bit for bit.
+            self._resolve(self.cluster.rates)
         # Recorded even when a segment raises: a diagnostic path
         # catching the error should see this run's counters, not the
         # previous run's.

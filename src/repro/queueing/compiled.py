@@ -1,14 +1,15 @@
-"""Count-vector compiled engine: the production event loop.
+"""Count-vector compiled engine: the production per-machine operations.
 
-The reference loop (``engine="legacy"``,
-:meth:`~repro.queueing.cluster.Cluster._event_loop`) advances the
-cluster one Python event at a time through the generic
+Both engines run the one event loop,
+:func:`~repro.queueing.cluster.run_loop`; an engine is the set of
+per-machine operations the loop calls (sync, admit, retire,
+reschedule, and the fault-event effects).  The reference set
+(``engine="legacy"``) adapts the generic
 :class:`~repro.queueing.cluster.Machine` / ``Scheduler.select`` stack.
-This module re-expresses per-machine state as **dense type-count
-vectors** keyed by the run's
-:class:`~repro.microarch.codec.TypeCodec` and drives the run through a
-specialized event loop (``engine="compiled"``, the default of
-:meth:`~repro.queueing.cluster.Cluster.run`):
+This module builds the production set (``engine="compiled"``, the
+default of :meth:`~repro.queueing.cluster.Cluster.run`), which
+re-expresses per-machine state as **dense type-count vectors** keyed by
+the run's :class:`~repro.microarch.codec.TypeCodec`:
 
 * **count vectors** — each machine maintains ``counts[type_id]``
   incrementally at admission/completion, so the probe key of a
@@ -36,7 +37,7 @@ specialized event loop (``engine="compiled"``, the default of
 
 **Bit-identity is the contract.**  Every float written to a job, a
 metric, or a scheduler observation is produced by the same operation,
-on the same operands, in the same order as the reference loop;
+on the same operands, in the same order as the reference operations;
 anything that cannot be made exactly identical (e.g. summing a queue's
 affinity by count×weight instead of per job) is deliberately *not*
 done.  ``tests/property/test_differential_engines.py`` fuzzes random
@@ -54,18 +55,12 @@ restriction.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import SimulationError
-from repro.queueing.cluster import LoopState, _stall_error
-from repro.queueing.faults import (
-    DEFAULT_STALL_EVENTS,
-    EngineOps,
-    FaultRuntime,
-)
+from repro.queueing.cluster import MachineOps
 from repro.queueing.job import Job
 from repro.queueing.ratememo import CandidateSet, ProbeCandidate, RunRateMemo
 from repro.queueing.schedulers import (
@@ -79,11 +74,10 @@ from repro.queueing.schedulers import (
 
 __all__ = [
     "CompiledEngineStats",
+    "compiled_ops",
     "forget_probes",
-    "run_compiled",
 ]
 
-_EPSILON = 1e-9
 _INF = float("inf")
 
 
@@ -220,9 +214,16 @@ def forget_probes(states: Sequence[_MState]) -> None:
 
 
 def _prepare_state(
-    machines: Sequence, probe_memo: RunRateMemo
+    machines: Sequence,
+    probe_memo: RunRateMemo,
+    age_ok: tuple[bool, ...] | None = None,
 ) -> list[_MState]:
-    """Classify every machine's scheduler and build its state."""
+    """Classify every machine's scheduler and build its state.
+
+    ``age_ok`` re-applies the queue-order flags of a checkpointed
+    pause (they are monotone True -> False within a run, except that a
+    crash empties a queue and resets its flag).
+    """
     codec = probe_memo.codec
     states = []
     for machine in machines:
@@ -258,6 +259,9 @@ def _prepare_state(
                 _intern_targets(ms, codec)
                 ms.deficit = scheduler._deficit
         states.append(ms)
+    if age_ok is not None:
+        for ms, ok in zip(states, age_ok):
+            ms.age_ok = ok
     return states
 
 
@@ -271,50 +275,30 @@ def _sorted_pool(pools: dict, by_code: dict, code: int) -> list[Job]:
     return pool
 
 
-def run_compiled(
+def compiled_ops(
     memo: RunRateMemo,
     probe_memo: RunRateMemo,
-    machines: Sequence,
-    stream: Iterator[Job],
+    states: list[_MState],
     *,
     warmup_time: float,
-    horizon: float | None,
-    stop_when_fewer_than: int | None,
-    keep_in_system: int | None,
-    max_events: int,
     stats: CompiledEngineStats,
-    dispatcher,
     fuse: bool = True,
     batch: bool = True,
     pick_log: list | None = None,
-    pause_at: float | None = None,
-    resume: LoopState | None = None,
-    states: list[_MState] | None = None,
-    faults: FaultRuntime | None = None,
-    stall_events: int = DEFAULT_STALL_EVENTS,
-) -> LoopState | None:
-    """The compiled event loop (semantics of ``Cluster._event_loop``).
+) -> MachineOps:
+    """The compiled engine's per-machine operations for ``run_loop``.
 
     ``memo`` holds the true rates every machine steps with;
     ``probe_memo`` is the memo the policies decide on (the same object
-    on oracle runs, the estimates on estimated-rate runs).  Mutates the
-    machines' metrics in place, exactly as the reference loop does;
-    ``stats`` is filled in as the run progresses (so a raising
-    run still reports its counters).  ``fuse`` and ``batch`` are debug
-    knobs for the isolation property tests — disabling them must not
-    change a single bit of any output.
-
-    Segmentation mirrors ``Cluster._event_loop``: with ``pause_at``
-    set, the loop stops between events once the next event would fall
-    past it and returns the :class:`LoopState` to resume from
-    (``resume=``); ``None`` means the run completed.  ``states`` lets a
-    run handle keep the per-machine compiled states (count vectors,
-    queue-order flags) alive across segments.
+    on oracle runs, the estimates on estimated-rate runs).  ``states``
+    (from :func:`_prepare_state`) outlive a pause, so the count vectors
+    and queue-order flags carry over between segments.  ``stats`` is
+    filled in as the run progresses (so a raising run still reports
+    its counters).  ``fuse`` and ``batch`` are debug knobs for the
+    isolation property tests — disabling them must not change a single
+    bit of any output.
     """
-    if states is None:
-        states = _prepare_state(machines, probe_memo)
-    n_machines = len(machines)
-    all_ids = list(range(n_machines))
+    machines = [ms.machine for ms in states]
     codec = memo.codec
     probe_cached = probe_memo.probe_cached
     # Filtering a shared full-cap universe looks up coschedules no
@@ -328,53 +312,11 @@ def run_compiled(
         else probe_memo.probe_candidates
     )
     compiled_entry = memo.compiled_entry
-    heappush, heappop = heapq.heappush, heapq.heappop
+    dirty: list[int] = []
 
-    if resume is None:
-        pending: Job | None = next(stream, None)
-        clock = 0.0
-        last_arrival = -1.0
-        routed: int | None = None
-        in_system = 0
-        full_machines = 0
-    else:
-        pending = resume.pending
-        clock = resume.clock
-        last_arrival = resume.last_arrival
-        routed = resume.routed
-        in_system = resume.in_system
-        full_machines = resume.full_machines
-        if resume.age_ok is not None:
-            # Queue-order flags are monotone (True -> False) within a
-            # run; a cross-process restore re-applies them here.
-            for ms, ok in zip(states, resume.age_ok):
-                ms.age_ok = ok
-    # Heap seeded from machines holding a valid selection — a no-op on
-    # a fresh run, where every machine starts dirty and gets pushed by
-    # the flush below.
-    heap: list[tuple[float, int, int]] = []
-    dirty_list: list[_MState] = []
-    for ms in states:
-        if ms.machine.dirty:
-            dirty_list.append(ms)
-        elif ms.machine.running:
-            heappush(
-                heap,
-                (
-                    ms.machine.last_sync + ms.machine.next_completion,
-                    ms.machine.machine_id,
-                    ms.machine.epoch,
-                ),
-            )
-    # Stale lazy-deletion entries are compacted once they dominate, so
-    # heap memory stays O(machines) over arbitrarily long runs (pop
-    # order depends only on entry values, never on layout).
-    compact_floor = max(64, 4 * n_machines)
-
-    # ------------------------------------------------------------------
-    # Inner helpers (closures: locals beat attribute lookups here).
-    # ------------------------------------------------------------------
-    def sync(ms: _MState, new_clock: float, span: float | None) -> None:
+    # Closures, not methods: locals beat attribute lookups here.
+    def sync(mid: int, new_clock: float, span: float | None = None) -> None:
+        ms = states[mid]
         machine = ms.machine
         last = machine.last_sync
         if fuse and new_clock == last and not span:
@@ -383,7 +325,7 @@ def run_compiled(
             # accumulators only ever hold non-negative values).  Fusing
             # is only valid when the span truly is zero: past clock 2^14
             # an event's exact dt can round below ulp(clock), so
-            # new_clock == last with span > 0 — the interpreted loop
+            # new_clock == last with span > 0 — the reference sync
             # still progresses the running jobs by rate * dt there, and
             # skipping it would re-fire the completion forever.
             if not ms.zero_obs_safe:
@@ -619,7 +561,7 @@ def run_compiled(
                 return chosen, best[2]
         return pick_maxit(ms, n_jobs, flush_cache)
 
-    def reschedule(
+    def decide(
         ms: _MState, clock: float, flush_cache: dict | None
     ) -> None:
         machine = ms.machine
@@ -675,8 +617,8 @@ def run_compiled(
             # Refill fusion: the departure was replaced by the same
             # type multiset, so the coschedule entry (names, per-job
             # rates, flat rate array) is unchanged — skip the memo.
-            # Degrade edges invalidate ``last_codes_key`` (see the
-            # fault ops below), so a fused reuse never carries a stale
+            # Degrade edges invalidate ``last_codes_key`` (see
+            # ``speed_changed``), so a fused reuse never carries a stale
             # speed scaling.
             stats.fused_entries += 1
             rates_by_code = machine.rates_by_code
@@ -684,8 +626,8 @@ def run_compiled(
             entry = compiled_entry(codes_key)
             machine.coschedule = entry.names
             # DEGRADED machines step at a scaled rate; decisions keep
-            # probing the memo's nominal rates (same split as the
-            # reference loop).  Fresh copies — memo entries are
+            # probing the memo's nominal rates (same split as
+            # ``Machine.reschedule``).  Fresh copies — memo entries are
             # shared and must never be mutated.
             speed = machine.speed
             if speed == 1.0:
@@ -721,17 +663,24 @@ def run_compiled(
                 )
             )
 
-    def retire(ms: _MState, when: float) -> None:
-        nonlocal in_system, full_machines
+    def reschedule(dirty_ids: list[int], clock: float) -> None:
+        flush_cache = None
+        if len(dirty_ids) > 1:
+            stats.batch_rounds += 1
+            if len(dirty_ids) > stats.max_batch:
+                stats.max_batch = len(dirty_ids)
+            if batch:
+                flush_cache = {}
+        for mid in dirty_ids:
+            decide(states[mid], clock, flush_cache)
+
+    def retire(mid: int, when: float) -> int:
+        ms = states[mid]
         machine = ms.machine
         finished = [
             job for job in machine.running if job.remaining <= 1e-12
         ]
         if finished:
-            was_full = (
-                keep_in_system is not None
-                and len(machine.jobs) >= keep_in_system
-            )
             metrics = machine.metrics
             counts = ms.counts
             contexts = machine.contexts
@@ -766,15 +715,13 @@ def run_compiled(
                 jobs.remove_ids(
                     done_ids, {job.type_code for job in finished}
                 )
-            in_system -= len(finished)
-            if was_full and len(machine.jobs) < keep_in_system:
-                full_machines -= 1
         if not machine.dirty:
             machine.dirty = True
-            dirty_list.append(ms)
+            dirty.append(mid)
+        return len(finished)
 
-    def admit(ms: _MState, job: Job) -> None:
-        nonlocal in_system, full_machines
+    def admit(mid: int, job: Job) -> None:
+        ms = states[mid]
         machine = ms.machine
         jobs = machine.jobs
         if ms.age_ok and jobs:
@@ -794,310 +741,41 @@ def run_compiled(
         if grown_count <= machine.contexts:
             # The capped count for this type grew — stale probe key.
             ms.probe_cache = None
-        in_system += 1
-        if keep_in_system is not None and len(jobs) >= keep_in_system:
-            full_machines += 1
         if not machine.dirty:
             machine.dirty = True
-            dirty_list.append(ms)
+            dirty.append(mid)
 
-    def route(job: Job) -> int:
-        """Validated dispatch decision among machines with room."""
-        if keep_in_system is None:
-            eligible = all_ids
-        else:
-            eligible = [
-                i
-                for i in all_ids
-                if len(machines[i].jobs) < keep_in_system
-            ]
-        target = dispatcher.route(job, machines, eligible, clock)
-        if not 0 <= target < n_machines or (
-            keep_in_system is not None
-            and len(machines[target].jobs) >= keep_in_system
-        ):
-            raise SimulationError(
-                f"{dispatcher.name} routed to invalid machine {target}"
-            )
-        return target
+    def clear_queue(mid: int) -> None:
+        ms = states[mid]
+        queue = ms.machine.jobs
+        del queue[:]
+        queue.by_code = {}
+        counts = ms.counts
+        for i in range(len(counts)):
+            counts[i] = 0
+        # An empty queue is trivially age-sorted again; the probe key
+        # and the refill-fusion anchor are both stale.
+        ms.age_ok = True
+        ms.probe_cache = None
+        ms.last_codes_key = None
 
-    def has_room(index: int) -> bool:
-        return (
-            keep_in_system is None
-            or len(machines[index].jobs) < keep_in_system
-        )
+    def speed_changed(mid: int) -> None:
+        # Invalidate refill fusion: the machine's cached rate array
+        # carries the old speed scaling.
+        states[mid].last_codes_key = None
 
-    fault_ops: EngineOps | None = None
-    if faults is not None:
-        # The runtime is engine-agnostic; these ops are the compiled
-        # loop's twin of the interpreted loop's closures.  Same events,
-        # same order, same RNG stream — only the bookkeeping differs.
-        def _fault_sync(mid: int, at: float) -> None:
-            sync(states[mid], at, None)
+    def age_ok() -> tuple[bool, ...]:
+        return tuple(ms.age_ok for ms in states)
 
-        def _fault_dirty(mid: int) -> None:
-            machine = machines[mid]
-            if not machine.dirty:
-                machine.dirty = True
-                dirty_list.append(states[mid])
-
-        def _fault_clear(mid: int) -> None:
-            ms = states[mid]
-            queue = ms.machine.jobs
-            del queue[:]
-            if queue.by_code is not None:
-                queue.by_code = {}
-            counts = ms.counts
-            for i in range(len(counts)):
-                counts[i] = 0
-            # An empty queue is trivially age-sorted again; the probe
-            # key and the refill-fusion anchor are both stale.
-            ms.age_ok = True
-            ms.probe_cache = None
-            ms.last_codes_key = None
-
-        def _fault_speed(mid: int) -> None:
-            # Invalidate refill fusion: the machine's cached rate
-            # array carries the old speed scaling.
-            states[mid].last_codes_key = None
-
-        fault_ops = EngineOps(
-            _fault_sync, _fault_dirty, _fault_clear, _fault_speed
-        )
-
-        def fault_route(job: Job) -> int:
-            eligible = faults.dispatch_eligible()
-            target = dispatcher.route(job, machines, eligible, clock)
-            if (
-                not 0 <= target < n_machines
-                or not has_room(target)
-                or not faults.routable(target)
-            ):
-                raise SimulationError(
-                    f"{dispatcher.name} routed to invalid machine "
-                    f"{target}"
-                )
-            return target
-
-    # ------------------------------------------------------------------
-    # The event loop proper (same event order as the reference loop).
-    # ------------------------------------------------------------------
-    stalled = 0
-    for _ in range(max_events):
-        stats.events += 1
-        if faults is not None:
-            while True:
-                retry_job = faults.due_retry(clock)
-                if retry_job is None or not faults.any_dispatchable():
-                    break
-                target = fault_route(retry_job)
-                faults.pop_retry()
-                ms = states[target]
-                sync(ms, clock, None)
-                admit(ms, retry_job)
-        while (
-            pending is not None
-            and pending.arrival_time <= clock + _EPSILON
-        ):
-            if (
-                routed is not None
-                and has_room(routed)
-                and (faults is None or faults.routable(routed))
-            ):
-                target = routed
-            elif faults is not None:
-                if faults.any_dispatchable():
-                    target = fault_route(pending)
-                elif faults.should_shed(pending, clock):
-                    faults.record_shed(pending)
-                    routed = None
-                    pending = next(stream, None)
-                    continue
-                else:
-                    break
-            elif full_machines < n_machines:
-                target = route(pending)
-            else:
-                break
-            routed = None
-            if pending.arrival_time < last_arrival - _EPSILON:
-                raise SimulationError("arrivals out of order")
-            last_arrival = pending.arrival_time
-            ms = states[target]
-            sync(ms, clock, None)
-            admit(ms, pending)
-            pending = next(stream, None)
-
-        if stop_when_fewer_than is not None and pending is None:
-            in_flight = in_system + (
-                faults.retry_pending() if faults is not None else 0
-            )
-            if in_flight < stop_when_fewer_than:
-                break
-        if (
-            in_system == 0
-            and pending is None
-            and (faults is None or faults.idle())
-        ):
-            break
-        if horizon is not None and clock >= horizon:
-            break
-
-        if dirty_list:
-            flush_cache = (
-                {} if batch and len(dirty_list) > 1 else None
-            )
-            if len(dirty_list) > 1:
-                stats.batch_rounds += 1
-                if len(dirty_list) > stats.max_batch:
-                    stats.max_batch = len(dirty_list)
-            for ms in dirty_list:
-                reschedule(ms, clock, flush_cache)
-                machine = ms.machine
-                if machine.running:
-                    heappush(
-                        heap,
-                        (
-                            machine.last_sync + machine.next_completion,
-                            machine.machine_id,
-                            machine.epoch,
-                        ),
-                    )
-            dirty_list = []
-
-        if len(heap) > compact_floor:
-            heap = [
-                entry
-                for entry in heap
-                if machines[entry[1]].epoch == entry[2]
-                and machines[entry[1]].running
-            ]
-            heapq.heapify(heap)
-
-        next_state: _MState | None = None
-        next_completion = _INF
-        while heap:
-            _, machine_id, epoch = heap[0]
-            machine = machines[machine_id]
-            if epoch != machine.epoch or not machine.running:
-                heappop(heap)
-                continue
-            next_state = states[machine_id]
-            next_completion = machine.next_completion + (
-                machine.last_sync - clock
-            )
-            break
-
-        if faults is None:
-            can_admit = pending is not None and full_machines < n_machines
-            fault_dt = _INF
-        else:
-            eligible_exists = faults.any_dispatchable()
-            can_admit = pending is not None and eligible_exists
-            fault_dt = faults.next_wake(clock, eligible_exists, pending)
-        next_arrival = (
-            pending.arrival_time - clock if can_admit else _INF
-        )
-        dt = (
-            next_completion
-            if next_completion < next_arrival
-            else next_arrival
-        )
-        if fault_dt < dt:
-            dt = fault_dt
-        if horizon is not None:
-            clamp = horizon - clock
-            if clamp < dt:
-                dt = clamp
-        if dt == _INF:
-            raise SimulationError(
-                "no progress possible: idle with no arrivals"
-            )
-        if dt < 0.0:
-            dt = 0.0
-        new_clock = clock + dt
-
-        # Shard boundary: stop between events (see the interpreted
-        # loop's twin check) — after the no-progress guard, so a stuck
-        # run raises exactly as it would unpaused.
-        if pause_at is not None and new_clock > pause_at:
-            return LoopState(
-                clock=clock,
-                last_arrival=last_arrival,
-                in_system=in_system,
-                full_machines=full_machines,
-                routed=routed,
-                pending=pending,
-                age_ok=tuple(ms.age_ok for ms in states),
-            )
-
-        # Livelock guard (twin of the interpreted loop's).
-        if dt > 0.0:
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= stall_events:
-                raise _stall_error(
-                    clock, stalled, in_system, pending, machines, faults
-                )
-
-        if next_state is not None and next_completion <= dt:
-            machine = next_state.machine
-            sync(
-                next_state,
-                new_clock,
-                dt if machine.last_sync == clock else None,
-            )
-            clock = new_clock
-            retire(next_state, clock)
-        elif can_admit and next_arrival <= dt:
-            if faults is not None:
-                if (
-                    routed is None
-                    or not has_room(routed)
-                    or not faults.routable(routed)
-                ):
-                    routed = fault_route(pending)
-            elif routed is None or not has_room(routed):
-                routed = route(pending)
-            target_state = states[routed]
-            machine = target_state.machine
-            sync(
-                target_state,
-                new_clock,
-                dt if machine.last_sync == clock else None,
-            )
-            clock = new_clock
-            retire(target_state, clock)
-        elif faults is not None and fault_dt <= dt:
-            # Fault event: the shared runtime applies (at most) one due
-            # event through this loop's ops; see the interpreted twin.
-            clock = new_clock
-            removed = faults.on_wake(clock, fault_ops)
-            if removed:
-                in_system -= removed
-                if keep_in_system is not None:
-                    full_machines = sum(
-                        1
-                        for m in machines
-                        if len(m.jobs) >= keep_in_system
-                    )
-        else:
-            for ms in states:
-                sync(
-                    ms,
-                    new_clock,
-                    dt if ms.machine.last_sync == clock else None,
-                )
-            clock = new_clock
-            for ms in states:
-                retire(ms, clock)
-    else:
-        raise SimulationError(
-            f"simulation exceeded {max_events} events without "
-            "terminating"
-        )
-
-    for ms in states:
-        sync(ms, clock, None)
-    return None
+    return MachineOps(
+        machines,
+        dirty,
+        sync=sync,
+        admit=admit,
+        retire=retire,
+        reschedule=reschedule,
+        clear_queue=clear_queue,
+        speed_changed=speed_changed,
+        age_ok=age_ok,
+        stats=stats,
+    )

@@ -1,4 +1,4 @@
-"""Fault layer: machine failure/repair processes shared by both engines.
+"""Fault layer: machine failure/repair processes, for either engine.
 
 Deployed schedulers treat node failure and job retry as first-class;
 this module gives the cluster simulator the same vocabulary while
@@ -17,16 +17,16 @@ keeping the determinism contract of the rest of the codebase:
   (UP / DEGRADED / DOWN / DRAINING), the fault event heap, the retry
   heap, the per-job attempt counts, and the availability accounting.
 
-**Bit-identity across engines is structural.**  Both event loops
-(the production :func:`~repro.queueing.compiled.run_compiled` and the
-reference :meth:`~repro.queueing.cluster.Cluster._event_loop`) call *the same runtime
-methods at the same points of the iteration*, handing over their
-engine-specific effects through a tiny :class:`EngineOps` adapter
-(sync one machine, mark it dirty, clear its queue, note a speed
-change).  Every random draw happens inside the application of a fault
-event — never inside an engine — on a dedicated
-``derive_rng(seed, "fault-events")`` stream, so the draw sequence is a
-pure function of the fault schedule, identical on both engines.
+**Bit-identity across engines is structural.**  There is one event
+loop (:func:`~repro.queueing.cluster.run_loop`); it calls the runtime
+at fixed points of the iteration whichever engine runs, and the
+runtime applies each event through that engine's
+:class:`~repro.queueing.cluster.MachineOps` (sync one machine, mark it
+dirty, clear its queue, note a speed change).  Every random draw
+happens inside the application of a fault event — never inside an
+engine — on a dedicated ``derive_rng(seed, "fault-events")`` stream, so
+the draw sequence is a pure function of the fault schedule, identical
+on both engines.
 
 Lifecycle semantics:
 
@@ -64,11 +64,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.queueing.job import Job
 from repro.util.rng import derive_rng
+
+if TYPE_CHECKING:
+    from repro.queueing.cluster import MachineOps
 
 __all__ = [
     "MACHINE_UP",
@@ -77,7 +80,6 @@ __all__ = [
     "MACHINE_DRAINING",
     "FaultConfig",
     "FaultStats",
-    "EngineOps",
     "FaultRuntime",
 ]
 
@@ -245,32 +247,8 @@ class FaultStats:
         return asdict(self)
 
 
-class EngineOps:
-    """Engine-specific effects a fault event needs to apply.
-
-    Each event loop builds one per segment from its own closures, so
-    the runtime stays engine-agnostic while the effects (lazy sync,
-    dirty marking, queue/count clearing, rate-cache invalidation on a
-    speed change) run through the exact code paths of that engine.
-    """
-
-    __slots__ = ("sync", "mark_dirty", "clear_queue", "speed_changed")
-
-    def __init__(
-        self,
-        sync: Callable[[int, float], None],
-        mark_dirty: Callable[[int], None],
-        clear_queue: Callable[[int], None],
-        speed_changed: Callable[[int], None],
-    ) -> None:
-        self.sync = sync
-        self.mark_dirty = mark_dirty
-        self.clear_queue = clear_queue
-        self.speed_changed = speed_changed
-
-
 class FaultRuntime:
-    """Mutable fault state of one cluster run (both engines share it).
+    """Mutable fault state of one cluster run (engine-agnostic).
 
     Fault events live in a ``(time, seq, kind, machine_id, tag)`` heap;
     ``tag`` is a lifecycle epoch (crash/repair/planned-down events) or
@@ -279,8 +257,8 @@ class FaultRuntime:
     Retries live in a ``(ready_time, seq, job)`` heap and re-enter
     through the loop's admission phase.  Both ``seq`` tie-breakers and
     every RNG draw are driven purely by the event application order,
-    which the loops replicate exactly, so the runtime evolves
-    identically under both engines.
+    which the one event loop fixes, so the runtime evolves identically
+    under both engines.
     """
 
     def __init__(
@@ -346,7 +324,7 @@ class FaultRuntime:
         heapq.heappush(self.events, (time, self._seq, kind, mid, tag))
 
     # ------------------------------------------------------------------
-    # Queries the event loops make every iteration
+    # Queries the event loop makes every iteration
     # ------------------------------------------------------------------
     def routable(self, mid: int) -> bool:
         """Whether a previously made dispatch decision is still valid."""
@@ -448,10 +426,10 @@ class FaultRuntime:
     # ------------------------------------------------------------------
     # Event application (the only place the RNG is drawn)
     # ------------------------------------------------------------------
-    def on_wake(self, clock: float, ops: EngineOps) -> int:
+    def on_wake(self, clock: float, ops: MachineOps) -> int:
         """Apply the earliest due fault event, if any.
 
-        Called by the loops when the fault layer won the ``dt`` race.
+        Called by the loop when the fault layer won the ``dt`` race.
         At most one event is applied per call (one loop iteration), so
         same-instant cascades — a correlated outage downing several
         machines — process machine by machine in heap order on every
@@ -483,7 +461,7 @@ class FaultRuntime:
         raise SimulationError(f"unknown fault event kind {kind!r}")
 
     def _apply_down(
-        self, mid: int, tag: int, clock: float, ops: EngineOps
+        self, mid: int, tag: int, clock: float, ops: MachineOps
     ) -> int:
         if self.life_epoch[mid] != tag or self.state[mid] == MACHINE_DOWN:
             return 0
@@ -579,7 +557,7 @@ class FaultRuntime:
         self.stats.drains += 1
 
     def _apply_deg_on(
-        self, mid: int, clock: float, ops: EngineOps
+        self, mid: int, clock: float, ops: MachineOps
     ) -> None:
         config = self.config
         if self.state[mid] == MACHINE_UP:
@@ -610,7 +588,7 @@ class FaultRuntime:
         )
 
     def _apply_deg_off(
-        self, mid: int, tag: int, clock: float, ops: EngineOps
+        self, mid: int, tag: int, clock: float, ops: MachineOps
     ) -> None:
         if (
             self.state[mid] != MACHINE_DEGRADED
@@ -735,7 +713,7 @@ class FaultRuntime:
 
         ``encode`` is the run codec's interning function on the
         compiled engine (retry-heap jobs get their type ids back),
-        ``None`` on the reference loop.
+        ``None`` on the reference engine.
         """
         self.state = [str(s) for s in payload["state"]]
         self.life_epoch = [int(e) for e in payload["life_epoch"]]

@@ -6,7 +6,7 @@ dispatch layer.  Each engine reads its own layer of it:
 
 * the **string layer** (:meth:`~RunRateMemo.type_rates`,
   :meth:`~RunRateMemo.per_job_rates`) — string multisets in,
-  string-keyed rate dicts out.  The reference loop
+  string-keyed rate dicts out.  The reference engine
   (``engine="legacy"``) and every scheduler's string ``select`` read
   only this layer.
 * the **interned layer** (:meth:`~RunRateMemo.compiled_entry`,
@@ -22,7 +22,7 @@ Bit-identity is load-bearing: the interned structures are *derived
 from* the string layer (same ``type_rates`` dicts, same division by
 multiplicity, same candidate enumeration order via
 :func:`repro.util.multiset.sub_multisets`), so every float the compiled
-engine reads is the exact float the reference loop computes, and the
+engine reads is the exact float the reference engine computes, and the
 golden traces in ``tests/golden/`` pass unchanged on both engines.
 
 The probe layer (:meth:`probe_candidates`) memoizes, per (present-jobs
@@ -222,7 +222,7 @@ class RunRateMemo:
         ] = {}
 
     # ------------------------------------------------------------------
-    # String layer (the reference loop and every string ``select``)
+    # String layer (the reference engine and every string ``select``)
     # ------------------------------------------------------------------
     def type_rates(self, coschedule: Sequence[str]) -> dict[str, float]:
         """Total WIPC per job type in ``coschedule`` (memoized)."""

@@ -14,9 +14,10 @@ it.  Two locks per pair:
   event loop, schedulers, or dispatch policies fails here, with a
   per-field diff naming exactly what moved).  The lock is parametrized
   over engines: every committed trace replays through both the
-  reference loop (``engine="legacy"``) and the production count-vector
-  engine (``engine="compiled"``) against the *same* expectation file — bit-identity across engines is
-  part of the contract, not a separate suite.
+  reference engine (``engine="legacy"``) and the production
+  count-vector engine (``engine="compiled"``) against the *same*
+  expectation file — bit-identity across engines is part of the
+  contract, not a separate suite.
 
 Two extra goldens (``hotpath_saturated_{maxit,srpt}.json``) pin the
 saturated hotpath benchmark workloads at reduced size on their own
@@ -34,9 +35,11 @@ Refreshing after an intentional engine change::
         --update-golden -q
 
 then commit the rewritten ``tests/golden/*.json`` and explain the
-drift in the PR description.  The ``--update-golden`` run still
-executes every pair (regenerate + simulate), so a crash-level
-regression cannot silently produce fresh goldens.
+drift in the PR description.  A refresh rewrites only the files whose
+payload moved beyond the engine lock's ``REL_TOL``, so on an unchanged
+engine it is a no-op (CI checks exactly that).  The ``--update-golden``
+run still executes every pair (regenerate + simulate), so a
+crash-level regression cannot silently produce fresh goldens.
 """
 
 from __future__ import annotations
@@ -194,6 +197,19 @@ def diff_payload(
     return lines
 
 
+def write_golden(path: Path, payload: dict[str, object]) -> None:
+    """Write a refreshed golden, leaving it untouched when the committed
+    file already matches within ``REL_TOL`` — so a refresh on an
+    unchanged engine never churns files over last-ulp libm noise."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path.exists() and not diff_payload(
+        json.loads(path.read_text()), json.loads(text)
+    ):
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def regenerate(scenario: str, dispatcher: str) -> dict[str, object]:
     mean_rate = golden_mean_rate(scenario)
     jobs = build_golden_stream(scenario, mean_rate)
@@ -257,11 +273,7 @@ class TestGoldenTraces:
                 )
                 assert to_jsonable(metrics) == to_jsonable(reference)
                 return
-            payload = regenerate(scenario, dispatcher)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("w") as fp:
-                json.dump(payload, fp, indent=2, sort_keys=True)
-                fp.write("\n")
+            write_golden(path, regenerate(scenario, dispatcher))
             return
         if not path.exists():
             pytest.fail(
@@ -434,10 +446,7 @@ class TestEstimatedGoldens:
                 "trace": trace,
                 "expected": to_jsonable(metrics),
             }
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("w") as fp:
-                json.dump(payload, fp, indent=2, sort_keys=True)
-                fp.write("\n")
+            write_golden(path, payload)
             return
         if not path.exists():
             pytest.fail(
@@ -641,10 +650,7 @@ class TestFaultyGoldens:
                 "expected": to_jsonable(metrics),
                 "fault_stats": stats,
             }
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("w") as fp:
-                json.dump(payload, fp, indent=2, sort_keys=True)
-                fp.write("\n")
+            write_golden(path, payload)
             return
         if not path.exists():
             pytest.fail(
@@ -781,10 +787,7 @@ class TestHotpathGoldens:
                 "trace": trace,
                 "expected": to_jsonable(metrics),
             }
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("w") as fp:
-                json.dump(payload, fp, indent=2, sort_keys=True)
-                fp.write("\n")
+            write_golden(path, payload)
             return
         if not path.exists():
             pytest.fail(
@@ -896,3 +899,26 @@ class TestHarnessSensitivity:
 
     def test_diff_tolerates_float_noise(self):
         assert not diff_payload({"x": 1.0}, {"x": 1.0 + 1e-12})
+
+
+class TestWriteGolden:
+    """A refresh rewrites only goldens whose payload moved beyond
+    ``REL_TOL``, so refreshing an unchanged engine churns no file."""
+
+    def test_creates_missing_file(self, tmp_path):
+        path = tmp_path / "sub" / "new.json"
+        write_golden(path, {"x": 1.0})
+        assert json.loads(path.read_text()) == {"x": 1.0}
+
+    def test_leaves_matching_file_untouched(self, tmp_path):
+        path = tmp_path / "golden.json"
+        committed = '{"x": 1.0, "y": [2.0]}'
+        path.write_text(committed)
+        write_golden(path, {"x": 1.0 + 1e-12, "y": [2.0]})
+        assert path.read_text() == committed
+
+    def test_rewrites_moved_payload(self, tmp_path):
+        path = tmp_path / "golden.json"
+        path.write_text('{"x": 1.0, "y": [2.0]}')
+        write_golden(path, {"x": 1.0, "y": [2.5]})
+        assert json.loads(path.read_text()) == {"x": 1.0, "y": [2.5]}

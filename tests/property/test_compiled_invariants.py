@@ -17,7 +17,7 @@ differential failure localizes to a layer:
   exactly.
 
 Both toggles are debug knobs on :func:`repro.queueing.compiled.
-run_compiled` that exist precisely for these tests.
+compiled_ops` that exist precisely for these tests.
 """
 
 from __future__ import annotations

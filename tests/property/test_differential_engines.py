@@ -4,8 +4,8 @@ This is the equivalence contract that makes engine rewrites cheap to
 attempt and hard to get wrong: a seeded fuzzer draws random cluster
 configurations — scenario, dispatcher, scheduler, machine count,
 contexts, horizon/warmup/backlog knobs, and the arrival stream's seed
-— runs each through **both engines** (the reference string-keyed loop,
-``engine="legacy"``, and the production count-vector engine,
+— runs each through **both engines** (the reference string-keyed
+engine, ``engine="legacy"``, and the production count-vector engine,
 ``engine="compiled"``), and asserts
 
 * **bit-identical ClusterMetrics** — every float of every per-machine
@@ -108,7 +108,7 @@ configs = st.fixed_dictionaries(
         # two-memo plumbing is part of the equivalence contract.
         "rate_source": st.sampled_from(("oracle", "estimated")),
         # Fault axis: failure/repair processes must not break the
-        # equivalence — both engines call the shared
+        # equivalence — the one event loop calls the shared
         # FaultRuntime at the same iteration points, so crashes,
         # outages, degraded episodes, retries, and shedding land on
         # the same bits everywhere.
@@ -263,6 +263,23 @@ class TestDifferentialEngines:
             reference_stats,
             reference_estimator,
         ) = run_config(config, reference)
+        if not config["knobs"]:
+            # Job conservation, independent of the engines agreeing
+            # (both run the one event loop, so a loop bug would be
+            # shared): with no warmup, horizon or early stop, every
+            # job ends exactly one of completed, abandoned, or shed.
+            completed = sum(
+                m["completed"] for m in reference_metrics["per_machine"]
+            )
+            lost = (
+                reference_stats["abandoned"] + reference_stats["shed"]
+                if reference_stats is not None
+                else 0
+            )
+            assert completed + lost == config["n_jobs"], (
+                f"{reference} lost track of jobs on {config}: "
+                f"{completed} completed + {lost} abandoned/shed"
+            )
         for engine in ENGINES[1:]:
             metrics, picks, stats, estimator = run_config(config, engine)
             assert metrics == reference_metrics, (
@@ -355,7 +372,7 @@ class TestNoisyEstimatesAgree:
     epoch republishes the same numbers.  Here each epoch changes the
     rates the policies probe, so the compiled engine must drop its
     cached candidate sets and re-intern MAXTP's re-solved LP targets
-    at every publish — exactly when the reference loop's string
+    at every publish — exactly when the reference engine's string
     ``select`` starts reading the new epoch.
     """
 

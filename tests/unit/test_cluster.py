@@ -268,7 +268,7 @@ class TestClusterMetrics:
 
 class TestMachineJobQueuePath:
     """Regression: both engines keep machine queues as JobQueues, and
-    the reference loop routes completions through JobQueue's
+    the reference engine routes completions through JobQueue's
     incremental ``remove_ids`` — the O(queue)-per-completion plain-list
     rebuild path is gone and must stay gone."""
 
@@ -344,3 +344,121 @@ class TestEngineSwitch:
         assert handle.engine == "compiled"
         handle.advance()
         assert cluster.last_engine_stats is not None
+
+
+class TestOneLoop:
+    """The one event loop drives an engine only through its
+    :class:`MachineOps`, built once per run, and every offline-policy
+    re-solve goes through one helper."""
+
+    def test_mark_dirty_queues_each_machine_once(self, unit_rates):
+        from repro.queueing.cluster import Machine, reference_ops
+
+        machines = [
+            Machine(machine_id=i, scheduler=FcfsScheduler(unit_rates, 2))
+            for i in range(3)
+        ]
+        for machine in machines:
+            machine.dirty = False
+        ops = reference_ops(
+            machines, RunRateMemo(unit_rates), warmup_time=0.0
+        )
+        ops.mark_dirty(2)
+        ops.mark_dirty(0)
+        ops.mark_dirty(2)
+        assert ops.dirty == [2, 0]
+        assert [m.dirty for m in machines] == [True, False, True]
+
+    def test_reference_ops_admit_marks_dirty_and_logs_picks(
+        self, unit_rates
+    ):
+        from repro.queueing.cluster import Machine, reference_ops
+
+        machines = [
+            Machine(machine_id=i, scheduler=FcfsScheduler(unit_rates, 2))
+            for i in range(2)
+        ]
+        for machine in machines:
+            machine.dirty = False
+        pick_log: list = []
+        ops = reference_ops(
+            machines,
+            RunRateMemo(unit_rates),
+            warmup_time=0.0,
+            pick_log=pick_log,
+        )
+        for job in jobs_at(("A", 0.0, 1.0), ("B", 0.0, 1.0)):
+            ops.admit(1, job)
+        assert ops.dirty == [1]
+        ops.reschedule(ops.dirty, 0.0)
+        assert pick_log == [(1, (0, 1))]
+        assert machines[1].coschedule == ("A", "B")
+
+    @pytest.mark.parametrize("engine", ["legacy", "compiled"])
+    def test_ops_built_once_across_segments(
+        self, unit_rates, engine, monkeypatch
+    ):
+        from repro.queueing.cluster import ClusterRunHandle
+
+        built: list[str] = []
+        original = ClusterRunHandle._build_ops
+
+        def spy(self):
+            built.append(self.engine)
+            return original(self)
+
+        monkeypatch.setattr(ClusterRunHandle, "_build_ops", spy)
+        stream = jobs_at(
+            ("A", 0.0, 1.0), ("B", 0.3, 1.0), ("A", 0.6, 1.0),
+            ("B", 0.9, 1.0), ("A", 1.2, 1.0),
+        )
+        handle = fcfs_cluster(unit_rates, 2).start(
+            iter(stream), engine=engine
+        )
+        assert not handle.advance(pause_at=0.5)
+        assert not handle.advance(pause_at=1.0)
+        assert handle.advance()
+        assert built == [engine]
+        assert handle.result().completed == len(stream)
+
+    def test_fault_run_resolves_schedulers_then_dispatcher(
+        self, unit_rates
+    ):
+        from repro.queueing.faults import FaultConfig
+
+        calls: list[tuple[str, object]] = []
+
+        class CountingScheduler(FcfsScheduler):
+            def reoptimize(self, rates):
+                calls.append(("scheduler", rates))
+
+        class RebuildingDispatcher(RoundRobinDispatcher):
+            uses_rates = True
+
+            def rebuild(self, rates):
+                calls.append(("dispatcher", rates))
+
+        cluster = Cluster(
+            unit_rates,
+            [CountingScheduler(unit_rates, 2) for _ in range(2)],
+            RebuildingDispatcher(),
+        )
+        stream = [
+            Job(job_id=i, job_type="AB"[i % 2], size=1.0,
+                arrival_time=0.5 * i)
+            for i in range(40)
+        ]
+        fault_free = cluster.run(iter(stream))
+        assert fault_free.completed == len(stream)
+        assert calls == []
+        cluster.run(iter(stream), faults=FaultConfig(seed=3, mtbf=2.0))
+        assert cluster.last_fault_stats["crashes"] > 0
+        # Every re-solve re-optimizes both schedulers, then rebuilds the
+        # dispatcher, against one source; the close() restore is last
+        # and solves against the cluster's own rates.
+        assert calls and len(calls) % 3 == 0
+        for i in range(0, len(calls), 3):
+            kinds = [kind for kind, _ in calls[i:i + 3]]
+            assert kinds == ["scheduler", "scheduler", "dispatcher"]
+            assert len({id(src) for _, src in calls[i:i + 3]}) == 1
+        assert calls[-1] == ("dispatcher", unit_rates)

@@ -153,7 +153,7 @@ class TestCounterfactualScheduler:
         inside another run's compiled engine falls back to its string
         ``select`` on that table: the machine queue's index is keyed by
         the run's codec and must never be decoded with the
-        scheduler's.  The pick sequence matches the reference loop."""
+        scheduler's.  The pick sequence matches the reference engine."""
         from repro.queueing.cluster import run_cluster
         from repro.queueing.dispatch import RoundRobinDispatcher
         from repro.queueing.schedulers import SrptScheduler

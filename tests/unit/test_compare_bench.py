@@ -146,7 +146,7 @@ def test_missing_compiled_measurement_fails(tmp_path, capsys):
 
 
 def test_speedup_below_floor_fails(tmp_path, capsys):
-    """Within budget but no faster than the reference loop: the
+    """Within budget but no faster than the reference engine: the
     same-machine speedup floor catches it."""
     results = tmp_path / "results.json"
     baseline = tmp_path / "baseline.json"

@@ -8,8 +8,9 @@ Three contracts under test:
   nothing and gates nothing when quiescent.
 * **Engine agreement under faults** — crashes, outages, degraded
   episodes, retries, and shedding produce the same bits on the
-  reference and compiled engines: fault events fire at the same
-  iteration points in both loops.
+  reference and compiled engines: the one event loop fires fault
+  events at the same iteration points whichever engine's operations
+  it runs.
 * **Recovery semantics** — retry budgets, backoff, abandonment, the
   restart/resume-fraction progress-loss policies, the shed valve, the
   livelock guard, and kill+resume checkpointing straight through a

@@ -4,7 +4,7 @@
 Reads a pytest-benchmark ``--benchmark-json`` results file (from
 ``benchmarks/bench_hotpath.py``) and the committed ``BENCH_CORE.json``
 trajectory, and applies two checks per workload to the production
-engine (``engine="compiled"``), calibrated by the reference loop
+engine (``engine="compiled"``), calibrated by the reference engine
 (``engine="legacy"``) timed in the same run:
 
 * **speedup** — the fresh, same-machine legacy vs compiled ratio (both

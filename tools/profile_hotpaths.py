@@ -4,7 +4,7 @@
 For each workload in :data:`repro.queueing.hotpath.HOTPATH_WORKLOADS`
 this tool times (and cProfiles) the two engines —
 
-* **legacy** (``engine="legacy"``): the string-keyed reference loop,
+* **legacy** (``engine="legacy"``): the string-keyed reference engine,
   kept bit-identical in-tree, so "before" stays measurable on today's
   hardware instead of living only in an old commit;
 * **compiled** (``engine="compiled"``): the production engine —
