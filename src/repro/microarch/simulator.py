@@ -23,7 +23,11 @@ from repro.util.fixedpoint import solve_fixed_point
 # Under-relaxation ladder: most coschedules converge fast at 0.4; heavily
 # bus-saturated ones (e.g. four streaming jobs) sit where the queueing
 # delay's derivative is large and need smaller steps to avoid limit
-# cycles.
+# cycles.  solve_fixed_point abandons a rung whose residual has stopped
+# contracting long before its budget runs out.  That is exact for a rung
+# that would have exhausted its budget anyway: every rung restarts from
+# the same start vector, so the next rung returns what it would have
+# returned after the full budget, only sooner.
 _DAMPING_LADDER: tuple[float, ...] = (0.4, 0.12, 0.04)
 
 __all__ = ["SimulationResult", "simulate_coschedule"]
@@ -89,8 +93,9 @@ def simulate_coschedule(
 
     Raises:
         WorkloadError: on unknown names or bad multiset sizes.
-        ConvergenceError: if the contention fixed point diverges (should
-            not happen for physical parameter values).
+        ConvergenceError: if the contention fixed point fails at every
+            damping in the ladder (should not happen for physical
+            parameter values); the message says why each rung ended.
     """
     if not names:
         raise WorkloadError("a coschedule needs at least one job")
@@ -115,7 +120,7 @@ def simulate_coschedule(
     )
     start = [1.0] * n + [machine.llc_mb / n] * n
     fixed_point = None
-    last_error: ConvergenceError | None = None
+    failures: list[str] = []
     for damping in _DAMPING_LADDER:
         try:
             fixed_point = solve_fixed_point(
@@ -127,11 +132,11 @@ def simulate_coschedule(
             )
             break
         except ConvergenceError as error:
-            last_error = error
+            failures.append(f"damping {damping}: {error}")
     if fixed_point is None:
         raise ConvergenceError(
             f"coschedule {canonical} on {machine.name} did not converge at "
-            f"any damping in {_DAMPING_LADDER}: {last_error}"
+            f"any damping in {_DAMPING_LADDER}: " + "; ".join(failures)
         )
     ipcs = fixed_point.value[:n]
     shares = fixed_point.value[n:]

@@ -33,6 +33,29 @@ class TestSimulatorFailures:
         message = str(excinfo.value)
         assert "bzip2" in message and "mcf" in message
         assert "smt4" in message
+        for damping in simulator_module._DAMPING_LADDER:
+            assert f"damping {damping}: injected divergence" in message
+
+    def test_convergence_failure_diagnoses_every_rung(self, monkeypatch):
+        """A map gone non-finite fails each damping rung at its first
+        iteration, and the error says so rung by rung."""
+
+        def poisoned_iteration(machine, jobs):
+            return lambda x: [float("nan")] * len(x)
+
+        monkeypatch.setattr(
+            simulator_module, "smt_iteration", poisoned_iteration
+        )
+        with pytest.raises(ConvergenceError) as excinfo:
+            simulate_coschedule(
+                smt_machine(), default_roster(), ("bzip2", "mcf")
+            )
+        message = str(excinfo.value)
+        for damping in simulator_module._DAMPING_LADDER:
+            assert (
+                f"damping {damping}: non-finite iterate at iteration 1"
+                in message
+            )
 
 
 class _OverbookingScheduler(Scheduler):

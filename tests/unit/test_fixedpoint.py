@@ -7,7 +7,19 @@ import math
 import pytest
 
 from repro.errors import ConvergenceError
+from repro.util import fixedpoint
 from repro.util.fixedpoint import solve_fixed_point
+
+
+def counting(func):
+    """Wrap a map so the test can read how often the solver called it."""
+
+    def counted(x):
+        counted.calls += 1
+        return func(x)
+
+    counted.calls = 0
+    return counted
 
 
 class TestSolveFixedPoint:
@@ -34,7 +46,7 @@ class TestSolveFixedPoint:
         assert result.value[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_divergence_raises(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="budget exhausted"):
             solve_fixed_point(
                 lambda x: [2.0 * x[0] + 1.0], [1.0], max_iterations=50
             )
@@ -61,3 +73,36 @@ class TestSolveFixedPoint:
     def test_dimension_change_rejected(self):
         with pytest.raises(ValueError):
             solve_fixed_point(lambda x: [1.0, 2.0], [1.0])
+
+
+class TestGivingUpEarly:
+    def test_undamped_limit_cycle_is_abandoned(self):
+        # x -> 2 - x undamped alternates 0, 2, 0, ... forever.
+        cycle = counting(lambda x: [2.0 - x[0]])
+        with pytest.raises(ConvergenceError, match="stalled at iteration"):
+            solve_fixed_point(cycle, [0.0], damping=1.0, max_iterations=5000)
+        assert cycle.calls <= 300
+
+    def test_slow_contraction_still_converges(self, monkeypatch):
+        # Contracts by 0.995 per step: ~3,000 iterations, many windows.
+        def slow(x):
+            return [0.995 * x[0]]
+
+        checked = solve_fixed_point(
+            slow, [1.0], damping=1.0, max_iterations=5000
+        )
+        assert checked.iterations > 2 * fixedpoint._STALL_WINDOW
+        monkeypatch.setattr(fixedpoint, "_STALL_WINDOW", 5001)
+        unchecked = solve_fixed_point(
+            slow, [1.0], damping=1.0, max_iterations=5000
+        )
+        assert checked == unchecked
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_iterate_raises_at_once(self, bad):
+        poisoned = counting(lambda x: [bad, 1.0])
+        with pytest.raises(
+            ConvergenceError, match="non-finite iterate at iteration 1"
+        ):
+            solve_fixed_point(poisoned, [1.0, 1.0], max_iterations=5000)
+        assert poisoned.calls == 1
