@@ -1393,7 +1393,9 @@ class ClusterRunHandle:
     def _resolve(self, rates: RateSource) -> None:
         """Re-solve the offline policies against ``rates``: every
         rebound scheduler re-optimizes, then a rate-consuming
-        dispatcher rebuilds its tables."""
+        dispatcher rebuilds its tables.  Every hook fires; on a run
+        memo the hooks asking for one LP share its solve
+        (:meth:`RunRateMemo.optimal`)."""
         for scheduler in self._rebound:
             scheduler.reoptimize(rates)
         if self._rebuild is not None:

@@ -34,12 +34,12 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload
 from repro.errors import WorkloadError
 from repro.microarch.codec import TypeCodec
 from repro.microarch.rates import RateSource
 from repro.queueing.job import Job
+from repro.queueing.ratememo import optimal_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports us)
     from repro.queueing.cluster import Machine
@@ -218,11 +218,12 @@ class SymbiosisAffinityDispatcher(Dispatcher):
         every re-optimization round with the current estimates (then
         once more with the true source when the run ends, restoring
         the constructed state — the solve is deterministic in its
-        inputs).  A bound run codec re-flattens immediately.
+        inputs).  On a run memo the LP solve is shared with the round's
+        schedulers (:func:`~repro.queueing.ratememo.optimal_schedule`).
+        A bound run codec re-flattens immediately.
         """
-        schedule = optimal_throughput(
-            rates, self.workload, contexts=self._contexts,
-            backend=self._backend,
+        schedule = optimal_schedule(
+            rates, self.workload, self._contexts, self._backend
         )
         self.fractions: dict[tuple[str, ...], float] = dict(schedule.fractions)
         affinity: dict[tuple[str, str], float] = {}

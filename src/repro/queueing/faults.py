@@ -40,7 +40,9 @@ Lifecycle semantics:
   drawn with mean ``mttr``; repairs re-arm the individual crash
   process.  Down/up transitions fire the membership hook (MAXTP
   re-solves its LP via ``reoptimize``, the affinity dispatcher
-  rebuilds its tables via ``rebuild``).
+  rebuilds its tables via ``rebuild``).  The hooks fire per consumer,
+  but the LP is solved once per estimate epoch and LP: a re-solve
+  between publishes reuses the run memo's schedule.
 * ``outage`` (correlated, mean ``correlated_mtbf``): samples
   ``blast_fraction`` of the machines; with ``drain_grace > 0`` each
   first enters DRAINING (no new work, running jobs continue) and goes
@@ -286,7 +288,9 @@ class FaultRuntime:
         self._seq = 0
         #: Fired after every membership change (a machine going down or
         #: coming back): the run handle wires MAXTP's ``reoptimize`` and
-        #: the affinity dispatcher's ``rebuild`` here.
+        #: the affinity dispatcher's ``rebuild`` here.  Each hook fires
+        #: per consumer; the LP is solved once per estimate epoch and
+        #: LP (``RunRateMemo.optimal``).
         self.membership_hook: Callable[[], None] | None = None
         self.rng = derive_rng(config.seed, "fault-events")
         # Initial schedule, drawn in a fixed order (per-machine crash

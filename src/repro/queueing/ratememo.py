@@ -32,9 +32,17 @@ MAXIT/SRPT machines revisit a handful of count vectors for thousands
 of events, so candidate enumeration amortizes to a dict hit — the
 "delta-update" replacement for rebuilding every multiset per decision.
 
+The LP layer (:meth:`optimal`) memoizes the Section-IV LP optimum
+over the memo's own rates, keyed on (workload, context count,
+backend).  Every offline-solved policy of a run re-solves the same LP
+at each re-optimization round; through :func:`optimal_schedule` they
+share one solve per distinct LP, and :meth:`clear` — called at every
+estimator publish — drops it with the rate layers it was solved from.
+
 Cache efficacy is observable: ``stats`` mirrors
 :class:`repro.microarch.rate_cache.CacheStats` (hits/misses over every
-memoized layer), and :meth:`stats_dict` adds per-layer entry counts.
+memoized rate layer; LP lookups are not counted), and
+:meth:`stats_dict` adds per-layer entry counts.
 """
 
 from __future__ import annotations
@@ -44,12 +52,19 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.optimal import OptimalSchedule, optimal_throughput
+from repro.core.workload import Workload
 from repro.microarch.codec import TypeCodec
 from repro.microarch.rate_cache import CacheStats
-from repro.microarch.rates import RateSource
+from repro.microarch.rates import RateSource, infer_contexts
 from repro.util.multiset import sub_multisets
 
-__all__ = ["RunRateMemo", "ProbeCandidate", "CandidateSet"]
+__all__ = [
+    "RunRateMemo",
+    "ProbeCandidate",
+    "CandidateSet",
+    "optimal_schedule",
+]
 
 
 def _per_job_type_rates(
@@ -220,6 +235,7 @@ class RunRateMemo:
         self._probes: dict[
             tuple[tuple[tuple[int, int], ...], int], CandidateSet
         ] = {}
+        self._optimal: dict[tuple[Workload, int, str], OptimalSchedule] = {}
 
     # ------------------------------------------------------------------
     # String layer (the reference engine and every string ``select``)
@@ -396,18 +412,46 @@ class RunRateMemo:
             self.stats.hits += 1
         return cached
 
+    # ------------------------------------------------------------------
+    # LP layer (offline-solved policies: MAXTP, affinity dispatch)
+    # ------------------------------------------------------------------
+    def optimal(
+        self, workload: Workload, contexts: int | None, backend: str
+    ) -> OptimalSchedule:
+        """:func:`~repro.core.optimal.optimal_throughput` over this
+        memo's rates, solved once per (workload, contexts, backend).
+
+        ``contexts`` is normalized through
+        :func:`~repro.microarch.rates.infer_contexts` first, so a
+        consumer passing ``None`` and one passing the inferred count
+        share one solve.  The LP is deterministic in its inputs, and
+        the rates it reads change only at :meth:`clear`, so a memoized
+        schedule is the one a fresh solve would return.  Callers copy
+        what they keep; the schedule itself is never mutated.
+        """
+        key = (workload, infer_contexts(self, contexts), backend)
+        schedule = self._optimal.get(key)
+        if schedule is None:
+            schedule = optimal_throughput(
+                self, workload, contexts=key[1], backend=backend
+            )
+            self._optimal[key] = schedule
+        return schedule
+
     def clear(self) -> None:
         """Flush every memoized rate layer, keeping the codec.
 
         The estimation layer calls this when the estimator publishes a
-        new epoch of rates: all cached floats are stale, but interned
-        type ids (and therefore any queue index keyed on the codec)
-        stay valid, so only the rate-derived layers are dropped.
+        new epoch of rates: all cached floats (and the LP optima solved
+        from them) are stale, but interned type ids (and therefore any
+        queue index keyed on the codec) stay valid, so only the
+        rate-derived layers are dropped.
         """
         self._type_rates.clear()
         self._per_job.clear()
         self._compiled.clear()
         self._probes.clear()
+        self._optimal.clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -430,3 +474,24 @@ class RunRateMemo:
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self.source, name)
+
+
+def optimal_schedule(
+    rates: RateSource,
+    workload: Workload,
+    contexts: int | None,
+    backend: str,
+) -> OptimalSchedule:
+    """The LP optimum an offline-solved policy follows.
+
+    Through the run memo's :meth:`RunRateMemo.optimal` when ``rates``
+    is one (a run's re-optimization rounds hand every policy the same
+    memo, so they share one solve), a direct
+    :func:`~repro.core.optimal.optimal_throughput` otherwise (policy
+    construction, and the end-of-run restore on the cluster's source).
+    """
+    if isinstance(rates, RunRateMemo):
+        return rates.optimal(workload, contexts, backend)
+    return optimal_throughput(
+        rates, workload, contexts=contexts, backend=backend
+    )

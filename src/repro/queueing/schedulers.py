@@ -21,10 +21,10 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from repro.errors import SimulationError, WorkloadError
-from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload
 from repro.microarch.rates import RateSource
 from repro.queueing.job import Job
+from repro.queueing.ratememo import optimal_schedule
 from repro.util.multiset import sub_multisets
 
 __all__ = [
@@ -235,9 +235,7 @@ class MaxTpScheduler(Scheduler):
         super().__init__(rates, contexts)
         self.workload = workload
         self._backend = backend
-        schedule = optimal_throughput(
-            rates, workload, contexts=contexts, backend=backend
-        )
+        schedule = optimal_schedule(rates, workload, contexts, backend)
         self.target_fractions: dict[tuple[str, ...], float] = dict(
             schedule.fractions
         )
@@ -284,13 +282,12 @@ class MaxTpScheduler(Scheduler):
 
         With bit-identical inputs (zero-noise estimates warm-started
         at the truth) the solve is deterministic, so the refreshed
-        fractions — and every subsequent deficit — are unchanged.
+        fractions — and every subsequent deficit — are unchanged.  On
+        a run memo the solve is shared with every other policy of the
+        round (:func:`~repro.queueing.ratememo.optimal_schedule`).
         """
-        schedule = optimal_throughput(
-            rates,
-            self.workload,
-            contexts=self.contexts,
-            backend=self._backend,
+        schedule = optimal_schedule(
+            rates, self.workload, self.contexts, self._backend
         )
         fractions = dict(schedule.fractions)
         self.time_in = {s: self.time_in.get(s, 0.0) for s in fractions}

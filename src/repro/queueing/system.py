@@ -57,6 +57,14 @@ def _fixed(value: float) -> int:
     return n << (_SCALE_BITS + 1 - d.bit_length())
 
 
+def _non_finite(quantity: str, value: float) -> SimulationError:
+    """The typed error for a NaN/inf observation (``as_integer_ratio``
+    raises ``ValueError``/``OverflowError`` on those)."""
+    return SimulationError(
+        f"non-finite {quantity} {value!r} reached the run metrics"
+    )
+
+
 def _unfixed(accumulated: int) -> float:
     """Correctly rounded float of a fixed-point integer sum.
 
@@ -125,20 +133,33 @@ class SystemMetrics:
         jobs_in_system: int,
         work: float,
     ) -> None:
-        """Account one inter-event interval."""
+        """Account one inter-event interval.
+
+        A NaN or infinite ``dt`` or ``work`` raises
+        :class:`~repro.errors.SimulationError` before anything is
+        accumulated.
+        """
         if dt < 0.0:
             raise SimulationError(f"negative interval {dt}")
         if dt == 0.0:
             return
-        n, d = dt.as_integer_ratio()
+        # The exact conversions reject NaN/inf themselves, so the
+        # finite case pays no extra comparison.
+        try:
+            n, d = dt.as_integer_ratio()
+        except (ValueError, OverflowError):
+            raise _non_finite("interval dt", dt) from None
         fixed_dt = n << (_SCALE_BITS + 1 - d.bit_length())
+        if work != 0.0:
+            try:
+                n, d = work.as_integer_ratio()
+            except (ValueError, OverflowError):
+                raise _non_finite("work", work) from None
+            self._work += n << (_SCALE_BITS + 1 - d.bit_length())
         self._measured += fixed_dt
         self._busy += len(running_types) * fixed_dt
         if jobs_in_system == 0:
             self._empty += fixed_dt
-        if work != 0.0:
-            n, d = work.as_integer_ratio()
-            self._work += n << (_SCALE_BITS + 1 - d.bit_length())
         if running_types:
             # The engine hands in canonical tuples, which
             # canonical_coschedule returns as-is (no re-sort, and the
@@ -155,13 +176,18 @@ class SystemMetrics:
                 self.overflow_intervals += 1
 
     def observe_completion(self, turnaround: float) -> None:
-        """Account one job completion."""
+        """Account one job completion (a NaN or infinite
+        ``turnaround`` raises :class:`~repro.errors.SimulationError`
+        before anything is counted)."""
         if turnaround < 0.0:
             raise SimulationError(f"negative turnaround {turnaround}")
-        self.completed += 1
         if turnaround != 0.0:
-            n, d = turnaround.as_integer_ratio()
+            try:
+                n, d = turnaround.as_integer_ratio()
+            except (ValueError, OverflowError):
+                raise _non_finite("turnaround", turnaround) from None
             self._turnaround += n << (_SCALE_BITS + 1 - d.bit_length())
+        self.completed += 1
 
     # ------------------------------------------------------------------
     # Merge algebra: associative, commutative, with SystemMetrics() as

@@ -56,3 +56,37 @@ class TestSystemMetrics:
             _ = m.utilization
         with pytest.raises(SimulationError):
             _ = m.coschedule_fractions()
+
+
+NON_FINITE = [float("nan"), float("inf")]
+
+
+class TestNonFiniteObservations:
+    """NaN/inf reaching the metrics raises a typed error naming the
+    quantity and its value, and leaves the accumulator untouched."""
+
+    @staticmethod
+    def _untouched(m: SystemMetrics) -> bool:
+        return m.to_state() == SystemMetrics().to_state()
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_interval_dt(self, value):
+        m = SystemMetrics()
+        with pytest.raises(SimulationError, match=rf"interval dt {value!r}"):
+            m.observe_interval(value, ("a",), 1, 1.0)
+        assert self._untouched(m)
+
+    @pytest.mark.parametrize("value", NON_FINITE + [float("-inf")])
+    def test_work(self, value):
+        m = SystemMetrics()
+        with pytest.raises(SimulationError, match=rf"work {value!r}"):
+            m.observe_interval(1.0, ("a",), 1, value)
+        assert self._untouched(m)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_turnaround(self, value):
+        m = SystemMetrics()
+        with pytest.raises(SimulationError, match=rf"turnaround {value!r}"):
+            m.observe_completion(value)
+        assert m.completed == 0
+        assert self._untouched(m)
