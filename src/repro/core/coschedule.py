@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import WorkloadError
 from repro.util.multiset import distinct_count
@@ -66,18 +66,7 @@ class Coschedule:
         """Multiplicity of one job type (0 if absent)."""
         return Counter(self.jobs)[name]
 
-    def as_tuple(self) -> tuple[str, ...]:
-        """The canonical tuple used by the rest of the library."""
-        return self.jobs
-
     def label(self) -> str:
         """Compact label, e.g. ``2xbzip2+1xmcf+1xhmmer``."""
         counts = self.counts()
         return "+".join(f"{counts[name]}x{name}" for name in sorted(counts))
-
-
-def as_canonical(coschedule: "Coschedule | Sequence[str]") -> tuple[str, ...]:
-    """Accept either a Coschedule or a name sequence; return the tuple."""
-    if isinstance(coschedule, Coschedule):
-        return coschedule.jobs
-    return tuple(sorted(coschedule))

@@ -7,7 +7,7 @@ jobs retry with exponential backoff until a budget abandons them.
 This experiment is the observable surface of that layer — and its
 regression net.  Every (scenario, dispatcher) cell runs a small grid:
 
-* ``none`` — the historical fault-free engine (``faults=None``);
+* ``none`` — no fault layer (``faults=None``);
 * ``zero`` — a default :class:`~repro.queueing.faults.FaultConfig`
   through the fault-aware code path.  The ``compare_bench --faults``
   gate asserts this row is **bit-identical** to ``none`` (the
@@ -187,17 +187,9 @@ def run_fault_cell(
             rates, workload, contexts=k
         ).throughput
     count = scenario.n_jobs if n_jobs is None else n_jobs
-    mean_rate = (
-        0.0
-        if scenario.saturated
-        else scenario.load * capacity / scenario.mean_size
-    )
+    mean_rate = scenario.offered_rate(capacity)
     cell_seed = _cell_seed(seed, scenario.name, dispatcher)
-    duration = (
-        count * scenario.mean_size / capacity
-        if scenario.saturated
-        else count / mean_rate
-    )
+    duration = scenario.expected_duration(count, capacity)
     if mode == "none":
         faults: FaultConfig | None = None
         mtbf = mttr = 0.0
@@ -221,10 +213,6 @@ def run_fault_cell(
             dispatcher, rates=rates, workload=workload, contexts=k
         ),
     )
-    stop_when_fewer_than = n_machines * k if scenario.saturated else None
-    keep_in_system = (
-        scenario.backlog_per_machine if scenario.saturated else None
-    )
     metrics = cluster.run(
         scenario.build_jobs(
             workload.types,
@@ -232,9 +220,8 @@ def run_fault_cell(
             seed=cell_seed,
             n_jobs=count,
         ),
-        stop_when_fewer_than=stop_when_fewer_than,
-        keep_in_system=keep_in_system,
         faults=faults,
+        **scenario.admission_limits(n_machines, k),
     )
     stats = cluster.last_fault_stats or {}
     lost_work = float(stats.get("lost_work", 0.0))

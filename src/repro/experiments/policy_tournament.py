@@ -207,19 +207,13 @@ def _run_once(
     estimation: EstimationConfig | None,
 ) -> tuple[ClusterMetrics, dict | None]:
     """One cluster run of a tournament cell (oracle or estimated)."""
-    mean_rate = (
-        0.0
-        if scenario.saturated
-        else scenario.load * capacity / scenario.mean_size
-    )
     jobs = scenario.build_jobs(
-        workload.types, mean_rate=mean_rate, seed=stream_seed, n_jobs=n_jobs
+        workload.types,
+        mean_rate=scenario.offered_rate(capacity),
+        seed=stream_seed,
+        n_jobs=n_jobs,
     )
-    duration = (
-        n_jobs * scenario.mean_size / capacity
-        if scenario.saturated
-        else n_jobs / mean_rate
-    )
+    duration = scenario.expected_duration(n_jobs, capacity)
     cluster = Cluster(
         rates,
         [
@@ -233,14 +227,9 @@ def _run_once(
     metrics = cluster.run(
         jobs,
         warmup_time=warmup_frac * duration,
-        stop_when_fewer_than=(
-            n_machines * k if scenario.saturated else None
-        ),
-        keep_in_system=(
-            scenario.backlog_per_machine if scenario.saturated else None
-        ),
         rate_source=rate_source,
         estimation=estimation,
+        **scenario.admission_limits(n_machines, k),
     )
     return metrics, cluster.last_estimator_stats
 

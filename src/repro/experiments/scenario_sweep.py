@@ -147,11 +147,7 @@ def run_scenario(
             rates, workload, contexts=k
         ).throughput
     count = scenario.n_jobs if n_jobs is None else n_jobs
-    mean_rate = (
-        0.0
-        if scenario.saturated
-        else scenario.load * capacity / scenario.mean_size
-    )
+    mean_rate = scenario.offered_rate(capacity)
     cell_seed = _scenario_seed(seed, scenario.name)
 
     def build_stream():
@@ -173,19 +169,10 @@ def run_scenario(
             dispatcher, rates=rates, workload=workload, contexts=k
         ),
     )
-    stop_when_fewer_than = n_machines * k if scenario.saturated else None
-    keep_in_system = (
-        scenario.backlog_per_machine if scenario.saturated else None
-    )
+    limits = scenario.admission_limits(n_machines, k)
     if shards > 1 or checkpoint_dir is not None:
-        # Expected run length: offered jobs over the offered rate, or —
-        # saturated — the backlog's work over the cluster's work rate.
-        # Only checkpoint spacing depends on this estimate.
-        duration = (
-            count * scenario.mean_size / capacity
-            if scenario.saturated
-            else count / mean_rate
-        )
+        # Only checkpoint spacing depends on the duration estimate.
+        duration = scenario.expected_duration(count, capacity)
         if checkpoint_dir is not None:
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
         sharded = run_sharded(
@@ -193,16 +180,11 @@ def run_scenario(
             build_stream,
             boundaries=plan_boundaries(max(shards, 1), duration),
             checkpoint_dir=checkpoint_dir,
-            stop_when_fewer_than=stop_when_fewer_than,
-            keep_in_system=keep_in_system,
+            **limits,
         )
         metrics = sharded.metrics
     else:
-        metrics = cluster.run(
-            build_stream(),
-            stop_when_fewer_than=stop_when_fewer_than,
-            keep_in_system=keep_in_system,
-        )
+        metrics = cluster.run(build_stream(), **limits)
     return ScenarioOutcome(
         scenario=scenario.name,
         dispatcher=dispatcher,

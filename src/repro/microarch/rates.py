@@ -227,10 +227,6 @@ class RateTable:
                 self.result(combo)
         return len(self._results)
 
-    def cached_coschedules(self) -> list[tuple[str, ...]]:
-        """All coschedules simulated so far, in canonical order."""
-        return sorted(self._results)
-
     def snapshot(
         self, coschedules: Iterable[Sequence[str]]
     ) -> "TableRates":

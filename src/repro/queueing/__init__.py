@@ -35,6 +35,7 @@ from repro.queueing.cluster import (
     ClusterMetrics,
     JobQueue,
     Machine,
+    RunConfig,
     run_cluster,
 )
 from repro.queueing.dispatch import (
@@ -99,6 +100,7 @@ __all__ = [
     "Job",
     "SystemMetrics",
     "Cluster",
+    "RunConfig",
     "ClusterMetrics",
     "JobQueue",
     "Machine",

@@ -35,12 +35,20 @@ truncated, non-JSON, or version-mismatched file raises
 :class:`~repro.errors.CheckpointError` naming the file and the
 expected format — never a raw ``json``/``KeyError``.
 
-v2 adds the fault layer: the run's
-:class:`~repro.queueing.faults.FaultConfig`, the livelock-guard
-threshold, each machine's effective speed (DEGRADED episodes), and the
-full :class:`~repro.queueing.faults.FaultRuntime` state (lifecycle,
-event heap, retry heap, attempt counts, RNG position) — a killed run
-resumes bit-identically *through* a failure event.
+The ``run`` section is the run's
+:meth:`~repro.queueing.cluster.RunConfig.to_jsonable`, and restore
+reads it back with :meth:`~repro.queueing.cluster.RunConfig.from_jsonable`.
+Payloads written before :class:`~repro.queueing.cluster.RunConfig`
+existed lack some of its keys; those take their defaults.  v2 adds the
+fault layer: the run's :class:`~repro.queueing.faults.FaultConfig`,
+each machine's effective speed (DEGRADED episodes), and the full
+:class:`~repro.queueing.faults.FaultRuntime` state (lifecycle, event
+heap, retry heap, attempt counts, RNG position) — a killed run resumes
+bit-identically *through* a failure event.
+
+Estimated-rate runs (``rate_source="estimated"``) are refused with a
+:class:`~repro.errors.CheckpointError`: the estimator's state is not
+serialized, so a restored run could only continue on oracle rates.
 
 ``run.engine`` must name one of :data:`~repro.queueing.cluster.ENGINES`.
 Payloads written before the interned "fast" loop was removed may say
@@ -64,12 +72,13 @@ from repro.queueing.cluster import (
     ClusterRunHandle,
     JobQueue,
     LoopState,
+    RunConfig,
 )
-from repro.queueing.faults import DEFAULT_STALL_EVENTS, FaultConfig
 from repro.queueing.job import Job
 
 __all__ = [
     "CHECKPOINT_FORMAT",
+    "check_checkpointable",
     "capture",
     "save",
     "load",
@@ -113,6 +122,18 @@ def _job_matches(job: Job, payload: list) -> bool:
     )
 
 
+def check_checkpointable(config: RunConfig) -> None:
+    """Raise :class:`~repro.errors.CheckpointError` for a run a
+    checkpoint cannot reproduce: an estimated-rate run, whose
+    estimator state is not serialized."""
+    if config.rate_source == "estimated":
+        raise CheckpointError(
+            "cannot checkpoint a rate_source='estimated' run: the "
+            "estimator state is not serialized, so a restored run "
+            "would continue on oracle rates"
+        )
+
+
 def capture(
     handle: ClusterRunHandle, *, extra: dict | None = None
 ) -> dict:
@@ -122,8 +143,10 @@ def capture(
     returned ``False``); a finished or never-advanced run has nothing
     meaningful to checkpoint.  ``extra`` rides along under ``"extra"``
     — the sharding driver stores its shard index and the exact
-    accumulated window metrics there.
+    accumulated window metrics there.  Estimated-rate runs are refused
+    (:func:`check_checkpointable`).
     """
+    check_checkpointable(handle.config)
     state = handle.state
     if state is None:
         raise SimulationError(
@@ -147,20 +170,7 @@ def capture(
         })
     return {
         "format": CHECKPOINT_FORMAT,
-        "run": {
-            "engine": handle.engine,
-            "warmup_time": handle.warmup_time,
-            "horizon": handle.horizon,
-            "stop_when_fewer_than": handle.stop_when_fewer_than,
-            "keep_in_system": handle.keep_in_system,
-            "max_events": handle.max_events,
-            "stall_events": handle.stall_events,
-            "faults": (
-                handle.fault_config.to_jsonable()
-                if handle.fault_config is not None
-                else None
-            ),
-        },
+        "run": handle.config.to_jsonable(),
         "loop": {
             "clock": state.clock,
             "last_arrival": state.last_arrival,
@@ -181,7 +191,7 @@ def capture(
         # reproduces every interned id of the original run.
         "codec": (
             list(handle.memo.codec.names())
-            if handle.engine == "compiled"
+            if handle.config.engine == "compiled"
             else None
         ),
         "machines": machines,
@@ -271,31 +281,18 @@ def restore(
     duplicate pick-log entries, and remaining-time policies could pick
     differently mid-interval).
     """
-    run = payload["run"]
-    engine = run["engine"]
+    engine = payload["run"]["engine"]
     if engine not in ENGINES:
         raise CheckpointError(
             f"checkpoint names engine {engine!r}; valid engines are "
             f"{', '.join(ENGINES)}.  A checkpoint from a removed engine "
             "cannot be remapped — re-run from the start"
         )
-    fault_payload = run.get("faults")
-    faults = (
-        FaultConfig.from_jsonable(fault_payload)
-        if fault_payload is not None
-        else None
-    )
-    handle = cluster.start(
+    handle = ClusterRunHandle(
+        cluster,
         arrivals,
-        warmup_time=run["warmup_time"],
-        horizon=run["horizon"],
-        stop_when_fewer_than=run["stop_when_fewer_than"],
-        keep_in_system=run["keep_in_system"],
-        max_events=run["max_events"],
-        engine=engine,
+        RunConfig.from_jsonable(payload["run"]),
         pick_log=pick_log,
-        faults=faults,
-        stall_events=run.get("stall_events", DEFAULT_STALL_EVENTS),
     )
     if len(handle.machines) != len(payload["machines"]):
         raise SimulationError(

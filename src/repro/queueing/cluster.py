@@ -61,8 +61,8 @@ join-shortest-queue, or the LP-guided symbiosis-affinity policy).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import EngineStallError, EstimationError, SimulationError
 from repro.microarch.codec import TypeCodec
@@ -86,6 +86,7 @@ __all__ = [
     "ClusterMetrics",
     "Cluster",
     "ClusterRunHandle",
+    "RunConfig",
     "LoopState",
     "MachineOps",
     "reference_ops",
@@ -99,6 +100,128 @@ _INF = float("inf")
 
 #: Recognized values of the ``engine=`` switch; the first is the default.
 ENGINES = ("compiled", "legacy")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The conditions of one cluster run: the run knobs, declared once.
+
+    :meth:`Cluster.run`, :meth:`Cluster.start`, :func:`run_cluster`,
+    :func:`~repro.queueing.sharding.run_sharded` and
+    :func:`~repro.queueing.engine.run_system` take these fields as
+    keyword arguments and build one ``RunConfig`` from them, so an
+    unknown keyword raises ``TypeError``.  A config replays through any
+    of them as ``**vars(config)``.  The run handle keeps it as
+    :attr:`ClusterRunHandle.config`, and a checkpoint's ``run`` section
+    is :meth:`to_jsonable`.
+
+    Attributes:
+        warmup_time: observations before this time are discarded.
+        horizon: optional hard stop time.
+        stop_when_fewer_than: stop once the whole cluster holds fewer
+            jobs than this (and the stream is exhausted) — cuts the
+            drain tail of saturation runs.
+        keep_in_system: per-machine cap on concurrently admitted jobs
+            (a bounded backlog).  A due arrival waits outside until its
+            dispatch target has room; if every machine is full, the
+            stream stalls until a completion.
+        max_events: safety bound on processed events (per
+            :meth:`ClusterRunHandle.advance` call).
+        engine: which per-machine operations the event loop runs — the
+            two are bit-identical (pinned by the differential fuzz
+            harness in ``tests/property/test_differential_engines.py``):
+
+            * ``"compiled"`` (the default) — the production
+              count-vector engine (:mod:`repro.queueing.compiled`):
+              dense per-machine type counts, memoized candidate sets,
+              event fusion, and machine batching;
+            * ``"legacy"`` — the string-keyed reference operations
+              (:func:`reference_ops`), kept as the definition the
+              compiled engine is tested against.
+        engine_options: compiled-engine debug knobs (``{"fuse":
+            False}`` / ``{"batch": False}``) used by the isolation
+            property tests; either knob off must not change a bit of
+            any output.
+        rate_source: what the *policies* (schedulers and the
+            dispatcher) see — job stepping always uses the true rates.
+            ``"oracle"`` reads the rate source itself; with
+            ``"estimated"`` every policy decision reads a
+            :class:`~repro.queueing.estimation.ThroughputEstimator` fed
+            by the run's own observed progress.  With zero noise and
+            the warm ``"oracle"`` prior, estimated runs are
+            bit-identical to oracle runs (pinned by the differential
+            harness).
+        estimation: estimator knobs for ``rate_source="estimated"``
+            (:class:`~repro.queueing.estimation.EstimationConfig`;
+            ``None`` → defaults).
+        faults: failure/repair model
+            (:class:`~repro.queueing.faults.FaultConfig`), or ``None``
+            for none.  A config with no process enabled
+            (``FaultConfig()``) is bit-identical to ``None`` — pinned
+            by the golden and fuzz harnesses.  Fault stats land in
+            :attr:`Cluster.last_fault_stats`.
+        stall_events: livelock guard — raise
+            :class:`~repro.errors.EngineStallError` after this many
+            consecutive events with no clock progress.
+    """
+
+    warmup_time: float = 0.0
+    horizon: float | None = None
+    stop_when_fewer_than: int | None = None
+    keep_in_system: int | None = None
+    max_events: int = 5_000_000
+    engine: str = "compiled"
+    engine_options: Mapping[str, bool] | None = None
+    rate_source: str = "oracle"
+    estimation: EstimationConfig | None = None
+    faults: FaultConfig | None = None
+    stall_events: int = DEFAULT_STALL_EVENTS
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise SimulationError(
+                f"unknown engine {self.engine!r}; choose compiled (the "
+                "default) or legacy"
+            )
+        if self.rate_source not in ("oracle", "estimated"):
+            raise SimulationError(
+                f"unknown rate_source {self.rate_source!r}; choose "
+                "oracle or estimated"
+            )
+        if self.faults is not None and not isinstance(
+            self.faults, FaultConfig
+        ):
+            raise SimulationError(
+                "faults must be a FaultConfig (or None), got "
+                f"{type(self.faults).__name__}"
+            )
+
+    def to_jsonable(self) -> dict[str, Any]:
+        """JSON-safe dict of every field (a checkpoint's ``run``)."""
+        return asdict(self)
+
+    @classmethod
+    def from_jsonable(cls, payload: Mapping[str, Any]) -> "RunConfig":
+        """Rebuild from :meth:`to_jsonable`.
+
+        A key the payload lacks takes its default: checkpoints written
+        before this class existed carry only some of the knobs.  The
+        retired ``backend`` key they may carry is ignored.
+        """
+        knobs = {k: v for k, v in payload.items() if k != "backend"}
+        if knobs.get("faults") is not None:
+            knobs["faults"] = FaultConfig.from_jsonable(knobs["faults"])
+        if knobs.get("estimation") is not None:
+            knobs["estimation"] = EstimationConfig(**knobs["estimation"])
+        return cls(**knobs)
+
+    def differing_fields(self, other: "RunConfig") -> list[str]:
+        """Names of the fields on which ``other`` differs, in order."""
+        return [
+            f.name
+            for f in fields(self)
+            if getattr(self, f.name) != getattr(other, f.name)
+        ]
 
 
 def _encoded_stream(stream: Iterator[Job], codec: TypeCodec) -> Iterator[Job]:
@@ -475,7 +598,7 @@ def _stall_error(
     in_system: int,
     pending: Job | None,
     machines: Sequence[Machine],
-    faults: "FaultRuntime | None",
+    fault_rt: FaultRuntime | None,
 ) -> EngineStallError:
     """Livelock diagnostics of :func:`run_loop`."""
     head = (
@@ -490,8 +613,8 @@ def _stall_error(
     ]
     for machine in machines[:8]:
         state = (
-            faults.state[machine.machine_id]
-            if faults is not None
+            fault_rt.state[machine.machine_id]
+            if fault_rt is not None
             else "up"
         )
         lines.append(
@@ -502,10 +625,11 @@ def _stall_error(
         )
     if len(machines) > 8:
         lines.append(f"  ... {len(machines) - 8} more machines")
-    if faults is not None:
+    if fault_rt is not None:
         lines.append(
-            f"  faults: events={len(faults.events)} "
-            f"retries={len(faults.retries)} stats={faults.stats.as_dict()}"
+            f"  faults: events={len(fault_rt.events)} "
+            f"retries={len(fault_rt.retries)} "
+            f"stats={fault_rt.stats.as_dict()}"
         )
     return EngineStallError("\n".join(lines))
 
@@ -589,14 +713,15 @@ class MachineOps:
 def reference_ops(
     machines: Sequence[Machine],
     memo: RunRateMemo,
+    config: RunConfig,
     *,
-    warmup_time: float,
     pick_log: list | None = None,
 ) -> MachineOps:
     """The reference engine (``engine="legacy"``): thin adapters over
     :class:`Machine`, whose ``reschedule`` is the scheduler's own
     string ``select``.  These are the semantics the compiled engine is
     held to."""
+    warmup_time = config.warmup_time
 
     def sync(mid: int, new_clock: float, span: float | None = None) -> None:
         machines[mid].sync(new_clock, span=span, warmup=warmup_time)
@@ -651,15 +776,11 @@ def run_loop(
     ops: MachineOps,
     stream: Iterator[Job],
     dispatcher: Dispatcher,
+    config: RunConfig,
     *,
-    horizon: float | None,
-    stop_when_fewer_than: int | None,
-    keep_in_system: int | None,
-    max_events: int,
     pause_at: float | None = None,
     resume: LoopState | None = None,
-    faults: FaultRuntime | None = None,
-    stall_events: int = DEFAULT_STALL_EVENTS,
+    fault_rt: FaultRuntime | None = None,
 ) -> LoopState | None:
     """The event loop: advance a run through ``ops.machines``.
 
@@ -667,11 +788,17 @@ def run_loop(
     shedding), validated routing, the stop conditions, the dirty flush,
     the completion heap, the choice of ``dt``, pauses, the stall guard,
     and the completion/arrival/fault/horizon events; ``ops`` is the
-    engine.  With ``pause_at`` set the loop stops between events once
+    engine and ``fault_rt`` the run's fault runtime (``None`` without
+    faults).  With ``pause_at`` set the loop stops between events once
     the next event would fall past it and returns the
     :class:`LoopState` to resume from (``resume=``); ``None`` means the
     run completed.
     """
+    horizon = config.horizon
+    stop_when_fewer_than = config.stop_when_fewer_than
+    keep_in_system = config.keep_in_system
+    max_events = config.max_events
+    stall_events = config.stall_events
     machines = ops.machines
     sync = ops.sync
     admit = ops.admit
@@ -733,13 +860,13 @@ def run_loop(
         return (
             keep_in_system is None
             or len(machines[mid].jobs) < keep_in_system
-        ) and (faults is None or faults.routable(mid))
+        ) and (fault_rt is None or fault_rt.routable(mid))
 
     def route(job: Job, clock: float) -> int:
         """Validated dispatch decision among machines with room (with
         faults: UP machines, DEGRADED ones as fallback)."""
-        if faults is not None:
-            eligible = faults.dispatch_eligible()
+        if fault_rt is not None:
+            eligible = fault_rt.dispatch_eligible()
         elif keep_in_system is None:
             eligible = all_ids
         else:
@@ -763,13 +890,16 @@ def run_loop(
             # Fault-mode retries whose backoff elapsed re-enter ahead of
             # new arrivals at the same instant, through the same
             # dispatch layer (skipping DOWN/DRAINING machines).
-            if faults is not None:
+            if fault_rt is not None:
                 while True:
-                    retry_job = faults.due_retry(clock)
-                    if retry_job is None or not faults.any_dispatchable():
+                    retry_job = fault_rt.due_retry(clock)
+                    if (
+                        retry_job is None
+                        or not fault_rt.any_dispatchable()
+                    ):
                         break
                     target = route(retry_job, clock)
-                    faults.pop_retry()
+                    fault_rt.pop_retry()
                     sync(target, clock)
                     admit(target, retry_job)
                     in_system += 1
@@ -788,14 +918,14 @@ def run_loop(
             ):
                 if routed is not None and usable(routed):
                     target = routed
-                elif faults is not None:
-                    if faults.any_dispatchable():
+                elif fault_rt is not None:
+                    if fault_rt.any_dispatchable():
                         target = route(pending, clock)
-                    elif faults.should_shed(pending, clock):
+                    elif fault_rt.should_shed(pending, clock):
                         # Admission-control valve: no machine can take
                         # the job and it has waited out its shed
                         # deadline — drop it and move on.
-                        faults.record_shed(pending)
+                        fault_rt.record_shed(pending)
                         routed = None
                         pending = next(stream, None)
                         continue
@@ -821,14 +951,14 @@ def run_loop(
 
             if stop_when_fewer_than is not None and pending is None:
                 in_flight = in_system + (
-                    faults.retry_pending() if faults is not None else 0
+                    fault_rt.retry_pending() if fault_rt is not None else 0
                 )
                 if in_flight < stop_when_fewer_than:
                     break
             if (
                 in_system == 0
                 and pending is None
-                and (faults is None or faults.idle())
+                and (fault_rt is None or fault_rt.idle())
             ):
                 break
             if horizon is not None and clock >= horizon:
@@ -879,7 +1009,7 @@ def run_loop(
             # capacity) must not produce zero-length steps: the next
             # admission can only happen at a completion, so ignore it
             # for time stepping.
-            if faults is None:
+            if fault_rt is None:
                 can_admit = pending is not None and full_machines < n_machines
                 fault_dt = _INF
             else:
@@ -889,9 +1019,11 @@ def run_loop(
                 # event, a retry whose backoff elapsed (only while
                 # someone could accept it), or a blocked arrival's shed
                 # deadline.
-                eligible_exists = faults.any_dispatchable()
+                eligible_exists = fault_rt.any_dispatchable()
                 can_admit = pending is not None and eligible_exists
-                fault_dt = faults.next_wake(clock, eligible_exists, pending)
+                fault_dt = fault_rt.next_wake(
+                    clock, eligible_exists, pending
+                )
             next_arrival = pending.arrival_time - clock if can_admit else _INF
             dt = (
                 next_completion
@@ -939,7 +1071,7 @@ def run_loop(
                 stalled += 1
                 if stalled >= stall_events:
                     raise _stall_error(
-                        clock, stalled, in_system, pending, machines, faults
+                        clock, stalled, in_system, pending, machines, fault_rt
                     )
 
             if next_mid is not None and next_completion <= dt:
@@ -953,14 +1085,14 @@ def run_loop(
                 if routed is None or not usable(routed):
                     routed = route(pending, clock)
                 touched = (routed,)
-            elif faults is not None and fault_dt <= dt:
+            elif fault_rt is not None and fault_dt <= dt:
                 # Fault event: the runtime applies (at most) one due
                 # event — crash, repair, drain, degrade edge, outage
                 # fan-out — through the engine's ops.  Retry/shed
                 # instants need no event here: the next iteration's
                 # admission phase handles them at the advanced clock.
                 clock = new_clock
-                removed = faults.on_wake(clock, ops)
+                removed = fault_rt.on_wake(clock, ops)
                 if removed:
                     in_system -= removed
                     if keep_in_system is not None:
@@ -1056,92 +1188,20 @@ class Cluster:
         self,
         arrivals: Iterable[Job],
         *,
-        warmup_time: float = 0.0,
-        horizon: float | None = None,
-        stop_when_fewer_than: int | None = None,
-        keep_in_system: int | None = None,
-        max_events: int = 5_000_000,
-        engine: str = "compiled",
-        engine_options: dict[str, bool] | None = None,
         pick_log: list | None = None,
-        rate_source: str = "oracle",
-        estimation: EstimationConfig | None = None,
-        faults: FaultConfig | None = None,
-        stall_events: int = DEFAULT_STALL_EVENTS,
+        **config: Any,
     ) -> ClusterMetrics:
         """Run the cluster to completion and return per-machine metrics.
 
-        Args:
-            arrivals: jobs in non-decreasing arrival order (one global
-                stream; the dispatcher splits it across machines).
-            warmup_time: observations before this time are discarded.
-            horizon: optional hard stop time.
-            stop_when_fewer_than: stop once the whole cluster holds
-                fewer jobs than this (and the stream is exhausted) —
-                cuts the drain tail of saturation runs.
-            keep_in_system: per-machine cap on concurrently admitted
-                jobs (a bounded backlog).  A due arrival waits outside
-                until its dispatch target has room; if every machine is
-                full, the stream stalls until a completion.
-            max_events: safety bound on processed events.
-            engine: which per-machine operations the event loop runs
-                — the two are bit-identical (pinned by the differential
-                fuzz harness in
-                ``tests/property/test_differential_engines.py``):
-
-                * ``"compiled"`` (the default) — the production
-                  count-vector engine (:mod:`repro.queueing.compiled`):
-                  dense per-machine type counts, memoized candidate
-                  sets, event fusion, and machine batching;
-                * ``"legacy"`` — the string-keyed reference operations
-                  (:func:`reference_ops`), kept as the definition the
-                  compiled engine is tested against.
-            engine_options: compiled-engine debug knobs (``{"fuse":
-                False}`` / ``{"batch": False}``) used by the isolation
-                property tests; either knob off must not change a bit
-                of any output.
-            pick_log: optional list; both engines append one
-                ``(machine_id, (job_id, ...))`` entry per scheduling
-                decision, in decision order — the pick-sequence trace
-                the differential harness compares across engines.
-            rate_source: what the *policies* (schedulers and the
-                dispatcher) see — job stepping always uses the true
-                rates.  ``"oracle"`` is today's behavior; with
-                ``"estimated"`` every policy decision reads a
-                :class:`~repro.queueing.estimation.ThroughputEstimator`
-                fed by the run's own observed progress.  With zero
-                noise and the warm ``"oracle"`` prior, estimated runs
-                are bit-identical to oracle runs (pinned by the
-                differential harness).
-            estimation: estimator knobs for ``rate_source="estimated"``
-                (:class:`~repro.queueing.estimation.EstimationConfig`;
-                ``None`` → defaults).
-            faults: failure/repair model
-                (:class:`~repro.queueing.faults.FaultConfig`).  ``None``
-                runs the historical fault-free loop; a config with no
-                process enabled (``FaultConfig()``) takes the
-                fault-aware path but is bit-identical to ``None`` —
-                pinned by the golden and fuzz harnesses.  Fault stats
-                land in :attr:`last_fault_stats`.
-            stall_events: livelock guard — raise
-                :class:`~repro.errors.EngineStallError` after this many
-                consecutive events with no clock progress.
+        ``arrivals`` are jobs in non-decreasing arrival order (one
+        global stream; the dispatcher splits it across machines).  The
+        keyword arguments are the fields of :class:`RunConfig`.
+        ``pick_log`` is an optional list; both engines append one
+        ``(machine_id, (job_id, ...))`` entry per scheduling decision,
+        in decision order — the pick-sequence trace the differential
+        harness compares across engines.
         """
-        handle = self.start(
-            arrivals,
-            warmup_time=warmup_time,
-            horizon=horizon,
-            stop_when_fewer_than=stop_when_fewer_than,
-            keep_in_system=keep_in_system,
-            max_events=max_events,
-            engine=engine,
-            engine_options=engine_options,
-            pick_log=pick_log,
-            rate_source=rate_source,
-            estimation=estimation,
-            faults=faults,
-            stall_events=stall_events,
-        )
+        handle = self.start(arrivals, pick_log=pick_log, **config)
         try:
             handle.advance()
         finally:
@@ -1152,20 +1212,10 @@ class Cluster:
         self,
         arrivals: Iterable[Job],
         *,
-        warmup_time: float = 0.0,
-        horizon: float | None = None,
-        stop_when_fewer_than: int | None = None,
-        keep_in_system: int | None = None,
-        max_events: int = 5_000_000,
-        engine: str = "compiled",
-        engine_options: dict[str, bool] | None = None,
         pick_log: list | None = None,
-        rate_source: str = "oracle",
-        estimation: EstimationConfig | None = None,
-        faults: FaultConfig | None = None,
-        stall_events: int = DEFAULT_STALL_EVENTS,
+        **config: Any,
     ) -> "ClusterRunHandle":
-        """Begin a pausable run; same knobs as :meth:`run`.
+        """Begin a pausable run; same arguments as :meth:`run`.
 
         Returns a :class:`ClusterRunHandle` whose
         :meth:`~ClusterRunHandle.advance` processes events up to a
@@ -1174,20 +1224,7 @@ class Cluster:
         scale-out contract the sharding and checkpoint layers build on.
         """
         return ClusterRunHandle(
-            self,
-            arrivals,
-            warmup_time=warmup_time,
-            horizon=horizon,
-            stop_when_fewer_than=stop_when_fewer_than,
-            keep_in_system=keep_in_system,
-            max_events=max_events,
-            engine=engine,
-            engine_options=engine_options,
-            pick_log=pick_log,
-            rate_source=rate_source,
-            estimation=estimation,
-            faults=faults,
-            stall_events=stall_events,
+            self, arrivals, RunConfig(**config), pick_log=pick_log
         )
 
 
@@ -1209,39 +1246,14 @@ class ClusterRunHandle:
         self,
         cluster: Cluster,
         arrivals: Iterable[Job],
+        config: RunConfig,
         *,
-        warmup_time: float = 0.0,
-        horizon: float | None = None,
-        stop_when_fewer_than: int | None = None,
-        keep_in_system: int | None = None,
-        max_events: int = 5_000_000,
-        engine: str = "compiled",
-        engine_options: dict[str, bool] | None = None,
         pick_log: list | None = None,
-        rate_source: str = "oracle",
-        estimation: EstimationConfig | None = None,
-        faults: FaultConfig | None = None,
-        stall_events: int = DEFAULT_STALL_EVENTS,
     ) -> None:
-        if engine not in ENGINES:
-            raise SimulationError(
-                f"unknown engine {engine!r}; choose compiled (the "
-                "default) or legacy"
-            )
-        if rate_source not in ("oracle", "estimated"):
-            raise SimulationError(
-                f"unknown rate_source {rate_source!r}; choose oracle "
-                "or estimated"
-            )
-        if faults is not None and not isinstance(faults, FaultConfig):
-            raise SimulationError(
-                "faults must be a FaultConfig (or None), got "
-                f"{type(faults).__name__}"
-            )
         self.cluster = cluster
-        self.engine = engine
-        self.rate_source = rate_source
-        compiled = engine == "compiled"
+        #: The run's conditions (validated when built).
+        self.config = config
+        compiled = config.engine == "compiled"
         dispatcher = cluster.dispatcher
         #: The dispatcher's table re-solve, when it consumes rates.
         self._rebuild = (
@@ -1256,7 +1268,7 @@ class ClusterRunHandle:
         #: ``self.memo`` (true rates) — only decisions see estimates.
         self.estimator: ThroughputEstimator | None = None
         self.policy_memo: RunRateMemo | None = None
-        if rate_source == "estimated":
+        if config.rate_source == "estimated":
             foreign = sorted(
                 {
                     s.name
@@ -1280,7 +1292,9 @@ class ClusterRunHandle:
                     "Implement rebuild(rates) or run with "
                     "rate_source='oracle'"
                 )
-            self.estimator = ThroughputEstimator(self.memo, estimation)
+            self.estimator = ThroughputEstimator(
+                self.memo, config.estimation
+            )
             self.policy_memo = RunRateMemo(
                 self.estimator, codec=self.memo.codec
             )
@@ -1300,11 +1314,6 @@ class ClusterRunHandle:
             if compiled
             else _uncoded_stream(self.counter)
         )
-        self.warmup_time = warmup_time
-        self.horizon = horizon
-        self.stop_when_fewer_than = stop_when_fewer_than
-        self.keep_in_system = keep_in_system
-        self.max_events = max_events
         self.pick_log = pick_log
         #: Loop state while paused between segments; ``None`` before
         #: the first :meth:`advance` and after completion.
@@ -1318,7 +1327,6 @@ class ClusterRunHandle:
         #: Compiled-engine per-machine count-vector states, kept across
         #: segments (their queue-order flags must survive a pause).
         self._cstates: list | None = None
-        self._engine_options = engine_options or {}
         self.engine_stats = None
         if compiled:
             from repro.queueing.compiled import CompiledEngineStats
@@ -1373,12 +1381,12 @@ class ClusterRunHandle:
             self.estimator.add_listener(_reoptimize)
         #: Fault layer: one runtime per run, driven by the one event
         #: loop whichever engine's operations it applies events through.
-        self.fault_config = faults
-        self.stall_events = stall_events
         self.fault_rt: FaultRuntime | None = None
-        if faults is not None:
+        if config.faults is not None:
             self.fault_rt = FaultRuntime(
-                faults, self.machines, keep_in_system=keep_in_system
+                config.faults,
+                self.machines,
+                keep_in_system=config.keep_in_system,
             )
             # Topology churn re-plans through the estimation layer's
             # hooks: on any membership change (machine down or
@@ -1403,12 +1411,9 @@ class ClusterRunHandle:
 
     def _build_ops(self) -> MachineOps:
         """The engine's per-machine operations over this run's state."""
-        if self.engine == "legacy":
+        if self.config.engine == "legacy":
             return reference_ops(
-                self.machines,
-                self.memo,
-                warmup_time=self.warmup_time,
-                pick_log=self.pick_log,
+                self.machines, self.memo, self.config, pick_log=self.pick_log
             )
         from repro.queueing.compiled import _prepare_state, compiled_ops
 
@@ -1421,10 +1426,8 @@ class ClusterRunHandle:
             self.memo,
             self.probe_memo,
             self._cstates,
-            warmup_time=self.warmup_time,
+            self.config,
             stats=self.engine_stats,
-            fuse=self._engine_options.get("fuse", True),
-            batch=self._engine_options.get("batch", True),
             pick_log=self.pick_log,
         )
 
@@ -1453,14 +1456,10 @@ class ClusterRunHandle:
                 self._ops,
                 self.stream,
                 self.cluster.dispatcher,
-                horizon=self.horizon,
-                stop_when_fewer_than=self.stop_when_fewer_than,
-                keep_in_system=self.keep_in_system,
-                max_events=self.max_events,
+                self.config,
                 pause_at=pause_at,
                 resume=self.state,
-                faults=self.fault_rt,
-                stall_events=self.stall_events,
+                fault_rt=self.fault_rt,
             )
         except BaseException:
             self.close()
@@ -1537,33 +1536,10 @@ def run_cluster(
     dispatcher: Dispatcher,
     arrivals: Iterable[Job],
     *,
-    warmup_time: float = 0.0,
-    horizon: float | None = None,
-    stop_when_fewer_than: int | None = None,
-    keep_in_system: int | None = None,
-    max_events: int = 5_000_000,
-    engine: str = "compiled",
-    engine_options: dict[str, bool] | None = None,
     pick_log: list | None = None,
-    rate_source: str = "oracle",
-    estimation: EstimationConfig | None = None,
-    faults: FaultConfig | None = None,
-    stall_events: int = DEFAULT_STALL_EVENTS,
+    **config: Any,
 ) -> ClusterMetrics:
-    """Build a :class:`Cluster` and run it once (convenience wrapper)."""
+    """Build a :class:`Cluster` and run it once (convenience wrapper;
+    same arguments as :meth:`Cluster.run`)."""
     cluster = Cluster(rates, schedulers, dispatcher)
-    return cluster.run(
-        arrivals,
-        warmup_time=warmup_time,
-        horizon=horizon,
-        stop_when_fewer_than=stop_when_fewer_than,
-        keep_in_system=keep_in_system,
-        max_events=max_events,
-        engine=engine,
-        engine_options=engine_options,
-        pick_log=pick_log,
-        rate_source=rate_source,
-        estimation=estimation,
-        faults=faults,
-        stall_events=stall_events,
-    )
+    return cluster.run(arrivals, pick_log=pick_log, **config)

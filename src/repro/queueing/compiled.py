@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import SimulationError
-from repro.queueing.cluster import MachineOps
+from repro.queueing.cluster import MachineOps, RunConfig
 from repro.queueing.job import Job
 from repro.queueing.ratememo import CandidateSet, ProbeCandidate, RunRateMemo
 from repro.queueing.schedulers import (
@@ -279,11 +279,9 @@ def compiled_ops(
     memo: RunRateMemo,
     probe_memo: RunRateMemo,
     states: list[_MState],
+    config: RunConfig,
     *,
-    warmup_time: float,
     stats: CompiledEngineStats,
-    fuse: bool = True,
-    batch: bool = True,
     pick_log: list | None = None,
 ) -> MachineOps:
     """The compiled engine's per-machine operations for ``run_loop``.
@@ -294,10 +292,14 @@ def compiled_ops(
     (from :func:`_prepare_state`) outlive a pause, so the count vectors
     and queue-order flags carry over between segments.  ``stats`` is
     filled in as the run progresses (so a raising run still reports
-    its counters).  ``fuse`` and ``batch`` are debug knobs for the
-    isolation property tests — disabling them must not change a single
-    bit of any output.
+    its counters).  ``config.engine_options`` may turn off the
+    ``fuse`` and ``batch`` debug knobs for the isolation property
+    tests — disabling them must not change a single bit of any output.
     """
+    warmup_time = config.warmup_time
+    options = config.engine_options or {}
+    fuse = options.get("fuse", True)
+    batch = options.get("batch", True)
     machines = [ms.machine for ms in states]
     codec = memo.codec
     probe_cached = probe_memo.probe_cached

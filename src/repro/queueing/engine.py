@@ -21,7 +21,7 @@ unchanged; multi-machine scenarios use
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.microarch.rates import RateSource
 from repro.queueing.cluster import run_cluster
@@ -37,45 +37,22 @@ def run_system(
     rates: RateSource,
     scheduler: Scheduler,
     arrivals: Iterable[Job],
-    *,
-    warmup_time: float = 0.0,
-    horizon: float | None = None,
-    stop_when_fewer_than: int | None = None,
-    keep_in_system: int | None = None,
-    max_events: int = 5_000_000,
+    **config: Any,
 ) -> SystemMetrics:
     """Run the single-machine queueing system and return its metrics.
 
-    Args:
-        rates: per-coschedule execution rates.
-        scheduler: the scheduling policy (re-invoked at every event).
-        arrivals: jobs in non-decreasing arrival order.
-        warmup_time: observations before this time are discarded.
-        horizon: optional hard stop time.
-        stop_when_fewer_than: stop once the system holds fewer jobs
-            than this (used by the saturation experiment to cut the
-            drain tail, keeping the machine fully loaded throughout the
-            measurement).
-        keep_in_system: cap on concurrently admitted jobs.  Due
-            arrivals beyond the cap stay outside until a completion
-            frees room (a bounded backlog: the saturation experiment
-            admits a window of the job pool instead of all of it, which
-            keeps scheduler decisions cheap without starving it of
-            choices).
-        max_events: safety bound on processed events.
+    ``scheduler`` is re-invoked at every event; ``arrivals`` are jobs
+    in non-decreasing arrival order.  The keyword arguments are the
+    fields of :class:`~repro.queueing.cluster.RunConfig` — the
+    saturation experiment, for instance, sets
+    ``stop_when_fewer_than`` to cut the drain tail and
+    ``keep_in_system`` to admit a window of the job pool, which keeps
+    scheduler decisions cheap without starving it of choices.
 
     Returns:
         Accumulated :class:`~repro.queueing.system.SystemMetrics`.
     """
     metrics = run_cluster(
-        rates,
-        [scheduler],
-        RoundRobinDispatcher(),
-        arrivals,
-        warmup_time=warmup_time,
-        horizon=horizon,
-        stop_when_fewer_than=stop_when_fewer_than,
-        keep_in_system=keep_in_system,
-        max_events=max_events,
+        rates, [scheduler], RoundRobinDispatcher(), arrivals, **config
     )
     return metrics.per_machine[0]

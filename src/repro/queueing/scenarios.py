@@ -119,6 +119,36 @@ class Scenario:
         """True when every job is available at time zero."""
         return self.arrival == "saturated"
 
+    def offered_rate(self, capacity: float) -> float:
+        """Mean arrival rate offering ``load`` of a cluster whose work
+        rate is ``capacity`` (0 for saturated scenarios)."""
+        if self.saturated:
+            return 0.0
+        return self.load * capacity / self.mean_size
+
+    def expected_duration(self, n_jobs: int, capacity: float) -> float:
+        """Expected length of an ``n_jobs`` run on a cluster whose work
+        rate is ``capacity``: the jobs over the offered rate or, when
+        saturated, the backlog's work over the work rate."""
+        if self.saturated:
+            return n_jobs * self.mean_size / capacity
+        return n_jobs / self.offered_rate(capacity)
+
+    def admission_limits(
+        self, n_machines: int, contexts: int
+    ) -> dict[str, int | None]:
+        """The run's admission knobs, as
+        :class:`~repro.queueing.cluster.RunConfig` keywords: a
+        saturated run stops once fewer jobs than contexts remain and
+        caps each machine's backlog at ``backlog_per_machine``; other
+        runs set neither."""
+        if not self.saturated:
+            return {"stop_when_fewer_than": None, "keep_in_system": None}
+        return {
+            "stop_when_fewer_than": n_machines * contexts,
+            "keep_in_system": self.backlog_per_machine,
+        }
+
     def size_model(self) -> SizeModel:
         """The scenario's size law as a sampler object."""
         return make_size_model(self.size_spec)

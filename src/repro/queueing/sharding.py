@@ -40,12 +40,22 @@ import os
 from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import SimulationError
-from repro.queueing.checkpoint import capture, load, restore, save
-from repro.queueing.cluster import Cluster, ClusterMetrics
-from repro.queueing.faults import DEFAULT_STALL_EVENTS, FaultConfig
+from repro.queueing.checkpoint import (
+    capture,
+    check_checkpointable,
+    load,
+    restore,
+    save,
+)
+from repro.queueing.cluster import (
+    Cluster,
+    ClusterMetrics,
+    ClusterRunHandle,
+    RunConfig,
+)
 from repro.queueing.job import Job
 
 __all__ = [
@@ -110,15 +120,8 @@ def run_sharded(
     *,
     boundaries: Sequence[float],
     checkpoint_dir: Path | str | None = None,
-    warmup_time: float = 0.0,
-    horizon: float | None = None,
-    stop_when_fewer_than: int | None = None,
-    keep_in_system: int | None = None,
-    max_events: int = 5_000_000,
-    engine: str = "compiled",
     pick_log: list | None = None,
-    faults: FaultConfig | None = None,
-    stall_events: int = DEFAULT_STALL_EVENTS,
+    **config: Any,
 ) -> ShardedRun:
     """Run a cluster scenario as consecutive time-slice shards.
 
@@ -128,14 +131,19 @@ def run_sharded(
     With ``checkpoint_dir`` set, a checkpoint is written after every
     shard and a pre-existing checkpoint in that directory is resumed
     from; the file is removed once the run completes, so a finished
-    directory never hijacks a later run.  ``max_events`` bounds each
-    segment (not the whole run).
+    directory never hijacks a later run.  A checkpoint resumes only
+    under the run config it was taken with; estimated-rate runs cannot
+    be checkpointed.  The remaining keyword arguments are the fields of
+    :class:`~repro.queueing.cluster.RunConfig`; ``max_events`` bounds
+    each segment (not the whole run).
     """
+    run_config = RunConfig(**config)
     boundaries = [float(b) for b in boundaries]
     if sorted(boundaries) != boundaries:
         raise SimulationError("shard boundaries must be non-decreasing")
     checkpoint_path: Path | None = None
     if checkpoint_dir is not None:
+        check_checkpointable(run_config)
         checkpoint_path = Path(checkpoint_dir) / CHECKPOINT_NAME
 
     accumulated: ClusterMetrics | None = None
@@ -149,14 +157,14 @@ def run_sharded(
                 "checkpoint was taken under different shard boundaries "
                 "— refusing to resume a different plan"
             )
-        expected_faults = (
-            faults.to_jsonable() if faults is not None else None
-        )
-        if payload["run"].get("faults") != expected_faults:
+        differing = RunConfig.from_jsonable(
+            payload["run"]
+        ).differing_fields(run_config)
+        if differing:
             raise SimulationError(
-                "checkpoint was taken under a different fault config "
-                "— refusing to resume (the failure schedule would "
-                "diverge from the original timeline)"
+                "checkpoint was taken under a different run config "
+                f"(differing fields: {', '.join(differing)}) — refusing "
+                "to resume a different run"
             )
         handle = restore(
             cluster, stream_factory(), payload, pick_log=pick_log
@@ -165,17 +173,8 @@ def run_sharded(
         resumed_from = int(extra["shard"])
         next_shard = resumed_from + 1
     else:
-        handle = cluster.start(
-            stream_factory(),
-            warmup_time=warmup_time,
-            horizon=horizon,
-            stop_when_fewer_than=stop_when_fewer_than,
-            keep_in_system=keep_in_system,
-            max_events=max_events,
-            engine=engine,
-            pick_log=pick_log,
-            faults=faults,
-            stall_events=stall_events,
+        handle = ClusterRunHandle(
+            cluster, stream_factory(), run_config, pick_log=pick_log
         )
 
     die_after = os.environ.get(_DIE_ENV)

@@ -50,13 +50,6 @@ _SCALE_BITS = 1074
 _SCALE = 1 << _SCALE_BITS
 
 
-def _fixed(value: float) -> int:
-    """Exact fixed-point integer of a float at scale ``2**-1074``."""
-    n, d = value.as_integer_ratio()
-    # d is a power of two for every finite float, so the shift is exact.
-    return n << (_SCALE_BITS + 1 - d.bit_length())
-
-
 def _non_finite(quantity: str, value: float) -> SimulationError:
     """The typed error for a NaN/inf observation (``as_integer_ratio``
     raises ``ValueError``/``OverflowError`` on those)."""

@@ -107,13 +107,10 @@ def golden_path(scenario: str, dispatcher: str) -> Path:
 
 def golden_mean_rate(scenario_name: str) -> float:
     """Offered rate on the frozen table (recomputed only on update)."""
-    scenario = get_scenario(scenario_name)
-    if scenario.saturated:
-        return 0.0
     capacity = GOLDEN_MACHINES * optimal_throughput(
         GOLDEN_RATES, GOLDEN_WORKLOAD, contexts=GOLDEN_CONTEXTS
     ).throughput
-    return scenario.load * capacity / scenario.mean_size
+    return get_scenario(scenario_name).offered_rate(capacity)
 
 
 def build_golden_stream(scenario_name: str, mean_rate: float) -> list[Job]:
@@ -134,7 +131,6 @@ def run_golden_trace(
     engine: str = "compiled",
 ) -> ClusterMetrics:
     """The frozen run configuration every golden file was made with."""
-    scenario = get_scenario(scenario_name)
     schedulers = [
         make_scheduler(
             "maxtp", GOLDEN_RATES, GOLDEN_CONTEXTS,
@@ -152,13 +148,8 @@ def run_golden_trace(
             contexts=GOLDEN_CONTEXTS,
         ),
         jobs,
-        stop_when_fewer_than=(
-            GOLDEN_MACHINES * GOLDEN_CONTEXTS
-            if scenario.saturated
-            else None
-        ),
-        keep_in_system=(
-            scenario.backlog_per_machine if scenario.saturated else None
+        **get_scenario(scenario_name).admission_limits(
+            GOLDEN_MACHINES, GOLDEN_CONTEXTS
         ),
         engine=engine,
     )
@@ -354,7 +345,6 @@ def run_estimated_golden(
     """The frozen estimated-rate configuration of a golden cell."""
     from repro.queueing.estimation import EstimationConfig
 
-    scenario = get_scenario(scenario_name)
     schedulers = [
         make_scheduler(
             "maxtp", GOLDEN_RATES, GOLDEN_CONTEXTS,
@@ -372,13 +362,8 @@ def run_estimated_golden(
             contexts=GOLDEN_CONTEXTS,
         ),
         jobs,
-        stop_when_fewer_than=(
-            GOLDEN_MACHINES * GOLDEN_CONTEXTS
-            if scenario.saturated
-            else None
-        ),
-        keep_in_system=(
-            scenario.backlog_per_machine if scenario.saturated else None
+        **get_scenario(scenario_name).admission_limits(
+            GOLDEN_MACHINES, GOLDEN_CONTEXTS
         ),
         engine=engine,
         rate_source="estimated",
@@ -552,7 +537,6 @@ def run_faulty_golden(
     Returns ``(metrics, last_fault_stats)`` — the stats are part of
     the pinned expectation, not just the metrics.
     """
-    scenario = get_scenario(scenario_name)
     cluster = Cluster(
         GOLDEN_RATES,
         [
@@ -571,13 +555,8 @@ def run_faulty_golden(
     )
     metrics = cluster.run(
         jobs,
-        stop_when_fewer_than=(
-            GOLDEN_MACHINES * GOLDEN_CONTEXTS
-            if scenario.saturated
-            else None
-        ),
-        keep_in_system=(
-            scenario.backlog_per_machine if scenario.saturated else None
+        **get_scenario(scenario_name).admission_limits(
+            GOLDEN_MACHINES, GOLDEN_CONTEXTS
         ),
         engine=engine,
         faults=faults,

@@ -341,7 +341,7 @@ class TestEngineSwitch:
     def test_compiled_is_the_default(self, unit_rates):
         cluster = fcfs_cluster(unit_rates, 2)
         handle = cluster.start(iter(jobs_at(("A", 0.0, 1.0))))
-        assert handle.engine == "compiled"
+        assert handle.config.engine == "compiled"
         handle.advance()
         assert cluster.last_engine_stats is not None
 
@@ -352,7 +352,7 @@ class TestOneLoop:
     re-solve goes through one helper."""
 
     def test_mark_dirty_queues_each_machine_once(self, unit_rates):
-        from repro.queueing.cluster import Machine, reference_ops
+        from repro.queueing.cluster import Machine, RunConfig, reference_ops
 
         machines = [
             Machine(machine_id=i, scheduler=FcfsScheduler(unit_rates, 2))
@@ -360,9 +360,7 @@ class TestOneLoop:
         ]
         for machine in machines:
             machine.dirty = False
-        ops = reference_ops(
-            machines, RunRateMemo(unit_rates), warmup_time=0.0
-        )
+        ops = reference_ops(machines, RunRateMemo(unit_rates), RunConfig())
         ops.mark_dirty(2)
         ops.mark_dirty(0)
         ops.mark_dirty(2)
@@ -372,7 +370,7 @@ class TestOneLoop:
     def test_reference_ops_admit_marks_dirty_and_logs_picks(
         self, unit_rates
     ):
-        from repro.queueing.cluster import Machine, reference_ops
+        from repro.queueing.cluster import Machine, RunConfig, reference_ops
 
         machines = [
             Machine(machine_id=i, scheduler=FcfsScheduler(unit_rates, 2))
@@ -384,7 +382,7 @@ class TestOneLoop:
         ops = reference_ops(
             machines,
             RunRateMemo(unit_rates),
-            warmup_time=0.0,
+            RunConfig(),
             pick_log=pick_log,
         )
         for job in jobs_at(("A", 0.0, 1.0), ("B", 0.0, 1.0)):
@@ -404,7 +402,7 @@ class TestOneLoop:
         original = ClusterRunHandle._build_ops
 
         def spy(self):
-            built.append(self.engine)
+            built.append(self.config.engine)
             return original(self)
 
         monkeypatch.setattr(ClusterRunHandle, "_build_ops", spy)

@@ -473,7 +473,9 @@ class TestKillResumeThroughFailure:
         )
         handle.close()
         checkpoint.save(tmp_path / "checkpoint.json", payload)
-        with pytest.raises(SimulationError, match="different fault config"):
+        with pytest.raises(
+            SimulationError, match=r"differing fields: faults\)"
+        ):
             run_sharded(
                 make_cluster(pair_rates, 2),
                 stream,
