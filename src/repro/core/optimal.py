@@ -14,19 +14,51 @@ deliberately worst one, and together they bound what *any* scheduler can
 achieve on the workload.  A vertex optimum uses at most N coschedules
 (the number of equality constraints), a property the paper points out
 and our tests assert.
+
+**Assembly.** The program is built straight into a
+:class:`~repro.lp.standard_form.StandardForm` (``min c'x, Ax = b,
+x >= 0``) rather than written with the modeling layer's variables and
+expressions and compiled: one column per coschedule, the time-budget
+row, then one equal-work row per non-reference type.  Its layout —
+coschedules, column and row names — depends only on the workload and
+K and is kept in a small LRU cache, so a re-solve over new rates (every
+estimator epoch of an estimated-rate run) only reads rates and fills
+``c``, ``A`` and ``b``.  The result is exact by construction: every
+entry is the float expression compilation produced — ``0.0 + coef``
+accumulation (turning a ``-0.0`` coefficient into ``+0.0``), the
+objective negated for maximization, ``b = [1.0, ±0.0, ...]`` with the
+sign of zero compilation leaves — and the form is solved through
+:meth:`repro.lp.model.Model.solve` on either backend.
+``tests/property/test_section_iv_form.py`` keeps the modeling-layer
+program as the oracle and compares the arrays byte for byte.
+
+Non-finite inputs fail loudly: a NaN, infinite or non-positive type
+weight is a :class:`~repro.errors.WorkloadError`, and a non-finite
+rate is a :class:`~repro.errors.SolverError` naming the workload and
+the coschedule.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import SolverError, WorkloadError
 from repro.core.workload import Workload
-from repro.lp.model import LinearExpr, Model, Sense
+from repro.lp.model import Model, Sense
+from repro.lp.standard_form import StandardForm
 from repro.microarch.rates import RateSource, infer_contexts
 
-__all__ = ["OptimalSchedule", "optimal_throughput", "worst_throughput"]
+__all__ = [
+    "OptimalSchedule",
+    "optimal_throughput",
+    "section_iv_form",
+    "worst_throughput",
+]
 
 
 @dataclass(frozen=True)
@@ -87,10 +119,105 @@ def _normalize_weights(
     if missing:
         raise WorkloadError(f"type_weights missing entries for {missing}")
     values = {b: float(type_weights[b]) for b in workload.types}
-    if any(v <= 0.0 for v in values.values()):
-        raise WorkloadError("type_weights must be positive")
+    # A positive test, since NaN fails every comparison (``v <= 0.0``
+    # would let it through).
+    bad = {b: v for b, v in values.items() if not 0.0 < v < math.inf}
+    if bad:
+        raise WorkloadError(
+            f"type_weights must be positive and finite, got {bad}"
+        )
     total = sum(values.values())
+    if total == math.inf:
+        raise WorkloadError(f"type_weights overflow when summed: {values}")
     return {b: v / total for b, v in values.items()}
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The rate-free structure of one (workload, K) Section-IV LP:
+    one column per coschedule, the time-budget row, one equal-work row
+    per non-reference type."""
+
+    coschedules: tuple[tuple[str, ...], ...]
+    column_names: tuple[str, ...]
+    row_names: tuple[str, ...]
+
+
+@functools.lru_cache(maxsize=128)
+def _layout(workload: Workload, contexts: int) -> _Layout:
+    coschedules = tuple(workload.coschedules(contexts))
+    return _Layout(
+        coschedules=coschedules,
+        column_names=tuple(f"x[{','.join(s)}]" for s in coschedules),
+        row_names=(
+            "time_budget",
+            *(f"equal_work[{b}]" for b in workload.types[1:]),
+        ),
+    )
+
+
+def section_iv_form(
+    rates: RateSource,
+    workload: Workload,
+    contexts: int | None,
+    sense: Sense,
+    type_weights: Mapping[str, float] | None = None,
+) -> StandardForm:
+    """The Section-IV LP in standard form, one column per coschedule.
+
+    Rates are read once per coschedule, in coschedule order.  Every
+    entry is the float the modeling layer's compilation produces (see
+    the module docstring); a non-finite entry raises
+    :class:`~repro.errors.SolverError` naming the coschedule.
+    """
+    k = infer_contexts(rates, contexts)
+    layout = _layout(workload, k)
+    tables = [rates.type_rates(s) for s in layout.coschedules]
+    weights = _normalize_weights(workload, type_weights)
+
+    # Work proportionality (Equation 5, generalized): each type's share
+    # of the executed work matches its weight — work_b / w_b equals
+    # work_ref / w_ref, written with a w_ref/w_b scale so the uniform
+    # case reduces to the paper's equal-work constraint verbatim.
+    reference = workload.types[0]
+    raw = [
+        [sum(t.values()) for t in tables],
+        [1.0] * len(tables),
+    ]
+    for b in workload.types[1:]:
+        scale = weights[reference] / weights[b]
+        raw.append(
+            [t.get(b, 0.0) * scale - t.get(reference, 0.0) for t in tables]
+        )
+    grid = np.array(raw)
+    finite = np.isfinite(grid).all(axis=0)
+    if not finite.all():
+        j = int(np.flatnonzero(~finite)[0])
+        raise SolverError(
+            f"throughput LP for {workload.label()}: coschedule "
+            f"{layout.coschedules[j]} has non-finite rates {dict(tables[j])}"
+        )
+    # Compilation subtracts ``coef * 0.0`` from an equal-work row's
+    # -0.0 right-hand side, which leaves it -0.0 unless a coefficient
+    # has its sign bit set; it accumulates every coefficient onto 0.0,
+    # turning -0.0 into +0.0.
+    b = np.where(np.signbit(grid[1:]).any(axis=1), 0.0, -0.0)
+    b[0] = 1.0
+    grid += 0.0
+    sign = 1.0 if sense is Sense.MINIMIZE else -1.0
+    grid[0] *= sign
+    return StandardForm(
+        c=grid[0],
+        A=grid[1:],
+        b=b,
+        objective_constant=sign * 0.0,
+        objective_sign=sign,
+        column_meaning=[
+            ("var", (name, 0.0, 1.0)) for name in layout.column_names
+        ],
+        row_names=list(layout.row_names),
+        row_signs=[1.0] * len(layout.row_names),
+    )
 
 
 def _solve(
@@ -102,40 +229,10 @@ def _solve(
     type_weights: Mapping[str, float] | None = None,
 ) -> OptimalSchedule:
     k = infer_contexts(rates, contexts)
-    coschedules = workload.coschedules(k)
-    type_rates = {s: rates.type_rates(s) for s in coschedules}
-    weights = _normalize_weights(workload, type_weights)
-
-    model = Model(
-        name=f"{'max' if sense is Sense.MAXIMIZE else 'min'}_tp[{workload.label()}]",
-        sense=sense,
+    form = section_iv_form(rates, workload, k, sense, type_weights)
+    model = Model.from_form(
+        form, name=f"{sense.value}_tp[{workload.label()}]", sense=sense
     )
-    x = {s: model.add_variable(f"x[{','.join(s)}]") for s in coschedules}
-
-    total_time = LinearExpr({x[s]: 1.0 for s in coschedules})
-    model.add_constraint(total_time == 1.0, name="time_budget")
-
-    # Work proportionality (Equation 5, generalized): each type's share
-    # of the executed work matches its weight — work_b / w_b equals
-    # work_ref / w_ref, written with a w_ref/w_b scale so the uniform
-    # case reduces to the paper's equal-work constraint verbatim.
-    reference = workload.types[0]
-    for b in workload.types[1:]:
-        scale = weights[reference] / weights[b]
-        balance = LinearExpr(
-            {
-                x[s]: type_rates[s].get(b, 0.0) * scale
-                - type_rates[s].get(reference, 0.0)
-                for s in coschedules
-            }
-        )
-        model.add_constraint(balance == 0.0, name=f"equal_work[{b}]")
-
-    objective = LinearExpr(
-        {x[s]: sum(type_rates[s].values()) for s in coschedules}
-    )
-    model.set_objective(objective)
-
     solution = model.solve(backend=backend)
     if not solution.is_optimal:
         raise SolverError(
@@ -145,8 +242,9 @@ def _solve(
         )
 
     fractions: dict[tuple[str, ...], float] = {}
-    for s in coschedules:
-        value = solution.value(x[s].name)
+    layout = _layout(workload, k)
+    for s, name in zip(layout.coschedules, layout.column_names):
+        value = solution.value(name)
         if value > 1e-12:
             fractions[s] = value
 
@@ -154,7 +252,7 @@ def _solve(
         workload=workload,
         throughput=solution.objective,
         fractions=fractions,
-        sense="max" if sense is Sense.MAXIMIZE else "min",
+        sense=sense.value,
         duals=dict(solution.duals),
     )
 

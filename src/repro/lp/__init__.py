@@ -5,8 +5,10 @@ Programming Kit.  This package provides an equivalent, self-contained
 stack:
 
 * :mod:`repro.lp.model` — a small modeling layer (variables, linear
-  expressions, constraints, objective) so the Section-IV formulation in
-  :mod:`repro.core.optimal` reads like the paper's math.
+  expressions, constraints, objective) so a program reads like the
+  math (the multi-machine LP of :mod:`repro.core.multimachine`; the
+  test oracle of the Section-IV LP, which :mod:`repro.core.optimal`
+  re-solves often enough to assemble straight into standard form).
 * :mod:`repro.lp.simplex` — a dense two-phase primal simplex solver with
   Bland's anti-cycling rule, the default backend.
 * :mod:`repro.lp.scipy_backend` — an optional backend delegating to

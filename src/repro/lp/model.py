@@ -11,17 +11,22 @@ states it::
 
 Variables are non-negative by default (matching the paper's time
 fractions); free variables and upper bounds are supported for generality
-and are exercised by the test suite.
+and are exercised by the test suite.  A program assembled straight
+into standard form enters through :meth:`Model.from_form`, so it is
+solved by the same :meth:`Model.solve` on either backend.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.lp.solution import LPSolution
+
+if TYPE_CHECKING:
+    from repro.lp.standard_form import StandardForm
 
 __all__ = ["Sense", "Variable", "LinearExpr", "Constraint", "Model"]
 
@@ -220,6 +225,23 @@ class Model:
         self.constraints: list[Constraint] = []
         self.objective: LinearExpr = LinearExpr()
         self._names: set[str] = set()
+        #: A form the model was given compiled (see :meth:`from_form`).
+        self.form: StandardForm | None = None
+
+    @classmethod
+    def from_form(
+        cls, form: "StandardForm", *, name: str = "lp", sense: Sense
+    ) -> "Model":
+        """A model given directly in standard form.
+
+        For a program assembled straight into arrays (the Section-IV
+        LP): it has no variables or constraints of its own, and every
+        backend solves ``form`` as is.  ``sense`` is the original
+        sense ``form`` was standardized from.
+        """
+        model = cls(name, sense)
+        model.form = form
+        return model
 
     def add_variable(
         self,

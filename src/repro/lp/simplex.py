@@ -13,7 +13,12 @@ textbook tableau implementation with:
 The Section-IV throughput LPs are small (tens to hundreds of columns,
 number of rows = number of job types), so a dense tableau is the right
 tool: simple, auditable, and fast enough to solve thousands of instances
-per second.
+per second.  At that size numpy's per-call overhead, not arithmetic,
+is the cost of a pivot, so the pricing and ratio tests run on Python
+floats read out of the tableau: the same comparisons, the same IEEE
+divisions and the same first-index tie-breaks as array operations
+would give.  Row elimination and the reduced-cost product stay in
+numpy.
 """
 
 from __future__ import annotations
@@ -58,49 +63,55 @@ class StandardFormResult:
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     """Gauss-Jordan pivot of ``tableau`` on (row, col), in place."""
-    pivot_value = tableau[row, col]
-    tableau[row, :] /= pivot_value
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i, :] -= tableau[i, col] * tableau[row, :]
+    pivot_row = tableau[row, :]
+    pivot_row /= pivot_row[col]
+    for i, factor in enumerate(tableau[:, col].tolist()):
+        if i != row and factor != 0.0:
+            tableau[i, :] -= factor * pivot_row
 
 
 def _choose_entering(
-    reduced: np.ndarray, allowed: np.ndarray, *, bland: bool
+    reduced: np.ndarray, n_allowed: int, *, bland: bool
 ) -> int | None:
-    """Pick the entering column, or None if optimal."""
-    candidates = np.flatnonzero(allowed & (reduced < -_TOLERANCE))
-    if candidates.size == 0:
+    """Pick the entering column among the first ``n_allowed``, or None
+    if optimal.  Dantzig: the first of the most negative reduced costs."""
+    costs = reduced[:n_allowed].tolist()
+    candidates = [j for j, cost in enumerate(costs) if cost < -_TOLERANCE]
+    if not candidates:
         return None
     if bland:
-        return int(candidates[0])
-    return int(candidates[np.argmin(reduced[candidates])])
+        return candidates[0]
+    return min(candidates, key=costs.__getitem__)
 
 
 def _choose_leaving(
     tableau: np.ndarray, basis: list[int], col: int
 ) -> int | None:
     """Ratio test: pick the leaving row, or None if unbounded."""
-    column = tableau[:, col]
-    rhs = tableau[:, -1]
-    rows = np.flatnonzero(column > _TOLERANCE)
-    if rows.size == 0:
+    rhs = tableau[:, -1].tolist()
+    ratios = [
+        (rhs[i] / a, i)
+        for i, a in enumerate(tableau[:, col].tolist())
+        if a > _TOLERANCE
+    ]
+    if not ratios:
         return None
-    ratios = rhs[rows] / column[rows]
-    best = ratios.min()
+    cutoff = min(ratio for ratio, _ in ratios) + _TOLERANCE
     # Bland-compatible tie break: smallest basis variable index.
-    tied = rows[np.flatnonzero(ratios <= best + _TOLERANCE)]
-    return int(min(tied, key=lambda i: basis[i]))
+    return min(
+        (i for ratio, i in ratios if ratio <= cutoff), key=basis.__getitem__
+    )
 
 
 def _run_simplex(
     tableau: np.ndarray,
     basis: list[int],
     cost: np.ndarray,
-    allowed: np.ndarray,
+    n_allowed: int,
     start_iterations: int,
 ) -> tuple[str, int]:
-    """Iterate to optimality for ``cost``; returns (status, iterations)."""
+    """Iterate to optimality for ``cost``, entering only the first
+    ``n_allowed`` columns; returns (status, iterations)."""
     iterations = start_iterations
     while True:
         if iterations > _MAX_PIVOTS:
@@ -111,7 +122,7 @@ def _run_simplex(
         c_basis = cost[basis]
         reduced = cost - c_basis @ tableau[:, :-1]
         entering = _choose_entering(
-            reduced, allowed, bland=iterations > _BLAND_SWITCH
+            reduced, n_allowed, bland=iterations > _BLAND_SWITCH
         )
         if entering is None:
             return "optimal", iterations
@@ -129,8 +140,8 @@ def solve_standard_form(
     """Solve ``min c'x s.t. Ax = b, x >= 0`` (with ``b >= 0``).
 
     Raises:
-        SolverError: on dimension mismatch, negative rhs, or pivot-budget
-            exhaustion.
+        SolverError: on dimension mismatch, negative rhs, non-finite
+            entries, or pivot-budget exhaustion.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -144,6 +155,8 @@ def solve_standard_form(
         )
     if np.any(b < -_TOLERANCE):
         raise SolverError("standard form requires b >= 0")
+    if not all(np.isfinite(part).all() for part in (A, b, c)):
+        raise SolverError("standard form has non-finite entries")
 
     original_A = A.copy()
     original_rows = list(range(n_rows))
@@ -156,8 +169,9 @@ def solve_standard_form(
     # ---- Phase 1: minimize sum of artificials.
     phase1_cost = np.zeros(total_cols)
     phase1_cost[n_cols:] = 1.0
-    allowed = np.ones(total_cols, dtype=bool)
-    status, iterations = _run_simplex(tableau, basis, phase1_cost, allowed, 0)
+    status, iterations = _run_simplex(
+        tableau, basis, phase1_cost, total_cols, 0
+    )
     if status == "unbounded":  # cannot happen with bounded-below phase-1
         raise SolverError("phase 1 reported unbounded; internal error")
     artificial_value = sum(
@@ -199,10 +213,8 @@ def solve_standard_form(
 
     # ---- Phase 2: original objective; artificials barred from entering.
     phase2_cost = np.concatenate([c, np.zeros(n_rows)])
-    allowed = np.ones(total_cols, dtype=bool)
-    allowed[n_cols:] = False
     status, iterations = _run_simplex(
-        tableau, basis, phase2_cost, allowed, iterations
+        tableau, basis, phase2_cost, n_cols, iterations
     )
     if status == "unbounded":
         return StandardFormResult(

@@ -97,7 +97,10 @@ class StandardForm:
 
 
 def to_standard_form(model: Model) -> StandardForm:
-    """Compile ``model`` into a :class:`StandardForm`."""
+    """Compile ``model`` into a :class:`StandardForm` (or return the
+    form a :meth:`Model.from_form` model carries)."""
+    if model.form is not None:
+        return model.form
     column_meaning: list[tuple[str, tuple]] = []
     objective_constant = 0.0
 

@@ -1163,8 +1163,10 @@ class Cluster:
         self.rates = rates
         self.schedulers = list(schedulers)
         self.dispatcher = dispatcher
-        #: Hit/miss/size counters of the last run's memo (see
-        #: :meth:`RunRateMemo.stats_dict`); ``None`` before any run.
+        #: Hit/miss/size counters of the last run's stepping memo (see
+        #: :meth:`RunRateMemo.stats_dict`), with the policy memo's
+        #: (estimated-rate runs; ``None`` on oracle runs) under
+        #: ``"policy"``; ``None`` before any run.
         self.last_memo_stats: dict[str, object] | None = None
         #: Compiled-engine counters of the last run (see
         #: :meth:`repro.queueing.compiled.CompiledEngineStats.as_dict`);
@@ -1512,7 +1514,14 @@ class ClusterRunHandle:
         # Recorded even when a segment raises: a diagnostic path
         # catching the error should see this run's counters, not the
         # previous run's.
-        self.cluster.last_memo_stats = self.memo.stats_dict()
+        self.cluster.last_memo_stats = {
+            **self.memo.stats_dict(),
+            "policy": (
+                self.policy_memo.stats_dict()
+                if self.policy_memo is not None
+                else None
+            ),
+        }
         self.cluster.last_engine_stats = (
             self.engine_stats.as_dict()
             if self.engine_stats is not None

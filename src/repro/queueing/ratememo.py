@@ -31,18 +31,33 @@ precomputed instantaneous throughput and per-job rates.  Saturated
 MAXIT/SRPT machines revisit a handful of count vectors for thousands
 of events, so candidate enumeration amortizes to a dict hit — the
 "delta-update" replacement for rebuilding every multiset per decision.
+It is split in two along what the estimator can change.  The
+*enumeration* of a probe key — its candidate multisets in legacy order,
+with their name counts, interned ``count_items`` and ``codes_key`` —
+depends only on the codec, so it is built once per run.  The *prices*
+(``it`` and per-job rates, and the candidate sets ranked by them) are
+read from the rate layer: each coschedule is priced once per epoch,
+and its :class:`ProbeCandidate` is shared by every candidate set that
+holds it.  A priced candidate's rates are the string layer's entry, so
+the rate lookups happen in the order a fresh enumeration would make
+them — the estimator cold-starts the same coschedules either way.
 
 The LP layer (:meth:`optimal`) memoizes the Section-IV LP optimum
 over the memo's own rates, keyed on (workload, context count,
 backend).  Every offline-solved policy of a run re-solves the same LP
 at each re-optimization round; through :func:`optimal_schedule` they
-share one solve per distinct LP, and :meth:`clear` — called at every
-estimator publish — drops it with the rate layers it was solved from.
+share one solve per distinct LP.  The LP's rate-free structure is
+kept by :mod:`repro.core.optimal` itself, so a solve reads only rates.
+
+:meth:`clear` — called at every estimator publish — drops every price
+(rate entries, priced candidates, candidate sets, LP optima) and keeps
+the codec and the enumerations.
 
 Cache efficacy is observable: ``stats`` mirrors
 :class:`repro.microarch.rate_cache.CacheStats` (hits/misses over every
 memoized rate layer; LP lookups are not counted), and
-:meth:`stats_dict` adds per-layer entry counts.
+:meth:`stats_dict` adds the candidate sets re-priced from a kept
+enumeration, the LP solves, and per-layer entry counts.
 """
 
 from __future__ import annotations
@@ -107,8 +122,37 @@ class _CompiledEntry:
         self.rates_by_code = rates_by_code
 
 
+class _ProbeShape:
+    """The rate-free part of one probe candidate: everything fixed by
+    the multiset and the codec, kept across estimator epochs.
+
+    Attributes:
+        names: canonical name tuple (the legacy probe key).
+        name_counts: ``Counter(names).items()`` as a tuple — the order
+            per-job rates are read in.
+        count_items: ``name_counts`` with each name interned.
+        codes_key: the sorted flat code tuple of the multiset.
+    """
+
+    __slots__ = ("names", "name_counts", "count_items", "codes_key")
+
+    def __init__(self, names: tuple[str, ...], codec: TypeCodec) -> None:
+        self.names = names
+        self.name_counts = tuple(Counter(names).items())
+        self.count_items = tuple(
+            (codec.encode(name), count) for name, count in self.name_counts
+        )
+        self.codes_key = tuple(
+            sorted(
+                code
+                for code, count in self.count_items
+                for _ in range(count)
+            )
+        )
+
+
 class ProbeCandidate:
-    """One candidate coschedule of a scheduler probe, precomputed.
+    """One candidate coschedule of a scheduler probe, priced.
 
     Attributes:
         names: canonical name tuple (the legacy probe key).
@@ -136,26 +180,18 @@ class ProbeCandidate:
         "codes_key",
     )
 
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        count_items: tuple[tuple[int, int], ...],
-        it: float,
-        per_job_rates: tuple[float, ...],
-    ) -> None:
-        self.names = names
-        self.count_items = count_items
-        self.it = it
-        self.per_job_rates = per_job_rates
+    def __init__(self, shape: _ProbeShape, rates: dict[str, float]) -> None:
+        self.names = shape.names
+        self.count_items = shape.count_items
+        self.codes_key = shape.codes_key
+        self.it = sum(rates.values())
+        self.per_job_rates = tuple(
+            rates.get(name, 0.0) / count for name, count in shape.name_counts
+        )
         self.srpt_items = tuple(
             (code, count, rate)
-            for (code, count), rate in zip(count_items, per_job_rates)
-        )
-        self.codes_key = tuple(
-            sorted(
-                code
-                for code, count in count_items
-                for _ in range(count)
+            for (code, count), rate in zip(
+                shape.count_items, self.per_job_rates
             )
         )
 
@@ -235,7 +271,20 @@ class RunRateMemo:
         self._probes: dict[
             tuple[tuple[tuple[int, int], ...], int], CandidateSet
         ] = {}
+        #: Rate-free probe layer, kept across :meth:`clear`: each probe
+        #: key's candidate enumeration, and one shape per multiset.
+        self._enumerations: dict[
+            tuple[tuple[tuple[int, int], ...], int], tuple[_ProbeShape, ...]
+        ] = {}
+        self._shapes: dict[tuple[str, ...], _ProbeShape] = {}
+        #: This epoch's priced candidates, shared by every set holding one.
+        self._priced: dict[tuple[str, ...], ProbeCandidate] = {}
         self._optimal: dict[tuple[Workload, int, str], OptimalSchedule] = {}
+        #: Candidate sets priced from a kept enumeration (re-priced
+        #: after a :meth:`clear` instead of re-enumerated).
+        self.repriced_sets = 0
+        #: Section-IV LP solves :meth:`optimal` ran.
+        self.lp_solves = 0
 
     # ------------------------------------------------------------------
     # String layer (the reference engine and every string ``select``)
@@ -311,36 +360,51 @@ class RunRateMemo:
         cached = self._probes.get(key)
         if cached is None:
             self.stats.misses += 1
-            decode = self.codec.decode
-            present = tuple(
-                sorted(
-                    name
-                    for code, count in counts_key
-                    for name in (decode(code),) * count
-                )
-            )
-            candidates = []
-            for names in sorted(set(sub_multisets(present, size))):
-                entry = self.type_rates(names)
-                counts = Counter(names)
-                count_items = tuple(
-                    (self.codec.encode(name), count)
-                    for name, count in counts.items()
-                )
-                per_job_rates = tuple(
-                    entry.get(name, 0.0) / count
-                    for name, count in counts.items()
-                )
-                candidates.append(
-                    ProbeCandidate(
-                        names, count_items, sum(entry.values()), per_job_rates
-                    )
-                )
-            cached = CandidateSet(candidates)
+            shapes = self._enumerations.get(key)
+            if shapes is None:
+                shapes = self._enumerate(counts_key, size)
+                self._enumerations[key] = shapes
+            else:
+                self.repriced_sets += 1
+            cached = CandidateSet([self._price(shape) for shape in shapes])
             self._probes[key] = cached
         else:
             self.stats.hits += 1
         return cached
+
+    def _enumerate(
+        self, counts_key: tuple[tuple[int, int], ...], size: int
+    ) -> tuple[_ProbeShape, ...]:
+        """The legacy enumeration of a (capped) probe key, rate-free."""
+        decode = self.codec.decode
+        present = tuple(
+            sorted(
+                name
+                for code, count in counts_key
+                for name in (decode(code),) * count
+            )
+        )
+        shapes = []
+        for names in sorted(set(sub_multisets(present, size))):
+            shape = self._shapes.get(names)
+            if shape is None:
+                shape = self._shapes[names] = _ProbeShape(names, self.codec)
+            shapes.append(shape)
+        return tuple(shapes)
+
+    def _price(self, shape: _ProbeShape) -> ProbeCandidate:
+        """This epoch's candidate for ``shape``, priced on first sight.
+
+        A priced candidate's rates are already in the string layer, so
+        reusing it stands in for (and is counted as) that layer's hit.
+        """
+        candidate = self._priced.get(shape.names)
+        if candidate is None:
+            candidate = ProbeCandidate(shape, self.type_rates(shape.names))
+            self._priced[shape.names] = candidate
+        else:
+            self.stats.hits += 1
+        return candidate
 
     def probe_filtered(
         self, counts_key: tuple[tuple[int, int], ...], size: int
@@ -436,21 +500,25 @@ class RunRateMemo:
                 self, workload, contexts=key[1], backend=backend
             )
             self._optimal[key] = schedule
+            self.lp_solves += 1
         return schedule
 
     def clear(self) -> None:
-        """Flush every memoized rate layer, keeping the codec.
+        """Flush every memoized rate layer, keeping the codec and the
+        rate-free probe enumerations.
 
         The estimation layer calls this when the estimator publishes a
-        new epoch of rates: all cached floats (and the LP optima solved
+        new epoch of rates: all cached floats (the priced candidates,
+        the candidate sets ranked by them, and the LP optima solved
         from them) are stale, but interned type ids (and therefore any
-        queue index keyed on the codec) stay valid, so only the
-        rate-derived layers are dropped.
+        queue index keyed on the codec) stay valid, and so does every
+        enumeration derived from them alone.
         """
         self._type_rates.clear()
         self._per_job.clear()
         self._compiled.clear()
         self._probes.clear()
+        self._priced.clear()
         self._optimal.clear()
 
     # ------------------------------------------------------------------
@@ -463,12 +531,20 @@ class RunRateMemo:
             "per_job": len(self._per_job),
             "compiled": len(self._compiled),
             "probe_sets": len(self._probes),
+            "probe_enumerations": len(self._enumerations),
+            "priced_candidates": len(self._priced),
             "interned_types": self.codec.size,
         }
 
     def stats_dict(self) -> dict[str, object]:
-        """JSON-friendly stats: hit/miss counters plus layer sizes."""
-        return {**self.stats.as_dict(), "sizes": self.sizes()}
+        """JSON-friendly stats: hit/miss counters, the re-priced
+        candidate sets and LP solves, plus layer sizes."""
+        return {
+            **self.stats.as_dict(),
+            "repriced_sets": self.repriced_sets,
+            "lp_solves": self.lp_solves,
+            "sizes": self.sizes(),
+        }
 
     def __getattr__(self, name: str):
         if name.startswith("_"):

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from itertools import combinations_with_replacement
 
 import pytest
 
 from repro.core.optimal import optimal_throughput, worst_throughput
 from repro.core.workload import Workload
-from repro.errors import WorkloadError
+from repro.errors import SolverError, WorkloadError
 from repro.microarch.rates import TableRates
+from repro.queueing.hotpath import synthetic_rates as hotpath_rates
 
 AB = Workload.of("A", "B")
 
@@ -121,3 +123,58 @@ class TestOnSimulatedRates:
             best.fraction_of(cos) for cos in AB.coschedules(2)
         )
         assert total == pytest.approx(1.0)
+
+
+class _Poisoned:
+    """A rate table with one coschedule's rate of one type replaced."""
+
+    def __init__(self, source, coschedule, name, value) -> None:
+        self.source = source
+        self.coschedule = coschedule
+        self.name = name
+        self.value = value
+
+    def type_rates(self, coschedule):
+        entry = self.source.type_rates(coschedule)
+        if tuple(sorted(coschedule)) == self.coschedule:
+            entry = {**entry, self.name: self.value}
+        return entry
+
+
+class TestNonFiniteInputs:
+    """Non-finite LP inputs fail loudly with a typed, named error."""
+
+    @pytest.fixture()
+    def table(self):
+        rates, names = hotpath_rates(n_types=3, contexts=2, seed=7)
+        return rates, Workload.of(*names)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("solve", [optimal_throughput, worst_throughput])
+    def test_non_finite_rate_names_the_coschedule(self, table, solve, value):
+        rates, workload = table
+        poisoned = _Poisoned(rates, ("A", "B"), "B", value)
+        with pytest.raises(SolverError) as excinfo:
+            solve(poisoned, workload, contexts=2)
+        message = str(excinfo.value)
+        assert "A+B+C" in message
+        assert "('A', 'B')" in message
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 0.0, -1.0]
+    )
+    def test_bad_weight_is_a_workload_error(self, table, value):
+        rates, workload = table
+        with pytest.raises(WorkloadError, match="positive and finite"):
+            optimal_throughput(
+                rates, workload, contexts=2,
+                type_weights={"A": 1.0, "B": value, "C": 1.0},
+            )
+
+    def test_overflowing_weights_are_a_workload_error(self, table):
+        rates, workload = table
+        with pytest.raises(WorkloadError, match="overflow"):
+            optimal_throughput(
+                rates, workload, contexts=2,
+                type_weights={"A": 1e308, "B": 1e308, "C": 1e308},
+            )

@@ -16,6 +16,18 @@ def build(sense=Sense.MAXIMIZE):
 
 
 class TestStandardFormSolver:
+    @pytest.mark.parametrize("where", ["c", "A", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, where, value):
+        arrays = {
+            "c": np.array([-1.0, -1.0]),
+            "A": np.array([[1.0, 2.0]]),
+            "b": np.array([4.0]),
+        }
+        arrays[where].flat[0] = value
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_standard_form(arrays["c"], arrays["A"], arrays["b"])
+
     def test_simple_max(self):
         # max x + y s.t. x + 2y <= 4, 3x + y <= 6 -> handled via model API
         m = build()
