@@ -1,4 +1,4 @@
-"""Memoized, persistable coschedule-rate cache.
+"""Memoized coschedule-rate cache and its one persisted file format.
 
 The symbiotic scheduler re-evaluates per-coschedule execution rates at
 every scheduling event, and every figure/table experiment asks the
@@ -11,15 +11,16 @@ processes, or repository runs.  This module adds that layer:
   :class:`~repro.microarch.rates.RateSource` (a live
   :class:`~repro.microarch.rates.RateTable`, a frozen
   :class:`~repro.microarch.rates.TableRates`, a test double, ...),
-  keyed on canonical coschedule tuples, with hit/miss statistics, an
-  optional precompute-all-coschedules pass, and JSON persistence.
+  keyed on canonical coschedule tuples, with hit/miss statistics.
   Unknown attributes delegate to the wrapped source, so a wrapped
   :class:`RateTable` still exposes ``machine``, ``alone_ipc``, etc.
 * :class:`RateCacheStore` — a single JSON file holding one entry
   section per machine configuration, so one persisted sweep (the
   analogue of the paper's 1,365-combination Sniper run) serves the SMT
   and quad-core rate tables of every experiment, benchmark session,
-  and parallel worker process.
+  and parallel worker process.  It is the only reader and writer of
+  persisted rates; every loaded entry passes
+  :func:`~repro.microarch.rates.checked_entry`.
 * :class:`CacheStats` — hit/miss/preload accounting with a one-line
   :meth:`~CacheStats.render` used by the experiment runner CLI.
 
@@ -46,13 +47,12 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import WorkloadError
-from repro.microarch.rates import RateSource, canonical_coschedule
-from repro.util.multiset import multisets
+from repro.microarch.rates import RateSource, canonical_coschedule, checked_entry
 
 __all__ = ["CacheStats", "CachedRateSource", "RateCacheStore"]
 
@@ -115,21 +115,21 @@ def _atomic_dump(path: Path, write) -> None:
 
 
 #: Everything a malformed-but-valid-JSON cache payload can raise while
-#: being normalized; loaders catch these and start cold instead.
-_LOAD_ERRORS = (OSError, ValueError, TypeError, AttributeError, KeyError)
+#: being normalized; the store catches these and starts cold instead.
+_LOAD_ERRORS = (
+    OSError, ValueError, TypeError, AttributeError, KeyError, WorkloadError
+)
 
 
 def _parse_entries(raw: object) -> dict[tuple[str, ...], dict[str, float]]:
-    """Normalize one persisted entry mapping; raises on bad shapes."""
+    """Normalize one persisted section; raises on bad shapes and on
+    entries that fail :func:`~repro.microarch.rates.checked_entry`."""
     if not isinstance(raw, dict):
         raise ValueError(f"entries must be a mapping, got {type(raw).__name__}")
     entries: dict[tuple[str, ...], dict[str, float]] = {}
-    for key, rates in raw.items():
-        if isinstance(rates, dict) and "type_rates" in rates:
-            rates = rates["type_rates"]  # RateTable.to_json nesting
-        entries[_split_key(key)] = {
-            str(b): float(r) for b, r in rates.items()
-        }
+    for raw_key, rates in raw.items():
+        key = canonical_coschedule(_split_key(raw_key))
+        entries[key] = checked_entry(key, rates)
     return entries
 
 
@@ -191,20 +191,19 @@ class CacheStats:
 
 
 class CachedRateSource:
-    """A memoizing, persistable wrapper around any :class:`RateSource`.
+    """A memoizing wrapper around any :class:`RateSource`.
 
     Lookups are keyed on :func:`canonical_coschedule`, so permutations
     of the same multiset share one entry.  ``per_job_rate`` and
     ``instantaneous_throughput`` are derived from the memoized
     ``type_rates`` entry, which means even bare sources that only
-    implement the minimal protocol gain both helpers.
+    implement the minimal protocol gain both helpers.  Persist the
+    memo by handing out wrappers from a :class:`RateCacheStore`.
 
     Args:
         source: the wrapped rate source.
         entries: optional pre-seeded ``{coschedule: {type: rate}}``
             mapping (counted as ``preloaded`` in the stats).
-        stats: optional externally owned stats object (lets several
-            wrappers share one counter).
         label: stats label; defaults to the source machine's name.
     """
 
@@ -213,7 +212,6 @@ class CachedRateSource:
         source: RateSource,
         *,
         entries: Mapping[Sequence[str], Mapping[str, float]] | None = None,
-        stats: CacheStats | None = None,
         label: str | None = None,
     ) -> None:
         self._source = source
@@ -222,7 +220,7 @@ class CachedRateSource:
         if label is None:
             machine = getattr(source, "machine", None)
             label = getattr(machine, "name", "") if machine else ""
-        self.stats = stats if stats is not None else CacheStats(label=label)
+        self.stats = CacheStats(label=label)
         if entries:
             for coschedule, rates in entries.items():
                 key = canonical_coschedule(coschedule)
@@ -297,107 +295,6 @@ class CachedRateSource:
             raise AttributeError(name)
         return getattr(self._source, name)
 
-    # ------------------------------------------------------------------
-    # Bulk precomputation
-    # ------------------------------------------------------------------
-    def precompute(
-        self,
-        types: Sequence[str] | None = None,
-        *,
-        contexts: int | None = None,
-        sizes: Iterable[int] | None = None,
-    ) -> int:
-        """Fill the memo with every multiset of ``types`` and ``sizes``.
-
-        Defaults mirror :meth:`RateTable.precompute`: all roster types
-        of the wrapped source and all sizes ``1..contexts``.  Returns
-        the number of memoized entries afterwards.
-        """
-        if types is None:
-            roster = getattr(self._source, "roster", None)
-            if roster is None:
-                raise WorkloadError(
-                    "the wrapped source has no roster; pass types explicitly"
-                )
-            types = tuple(roster)
-        if sizes is None:
-            if contexts is None:
-                machine = getattr(self._source, "machine", None)
-                contexts = getattr(machine, "contexts", None)
-            if contexts is None:
-                raise WorkloadError(
-                    "cannot infer coschedule sizes; pass contexts or sizes"
-                )
-            sizes = range(1, contexts + 1)
-        for size in sizes:
-            for combo in multisets(sorted(types), size):
-                self.type_rates(combo)
-        return len(self._entries)
-
-    # ------------------------------------------------------------------
-    # Persistence (format-compatible with TableRates.to_json)
-    # ------------------------------------------------------------------
-    def to_json(self, fp: IO[str]) -> None:
-        """Serialize every memoized entry as JSON."""
-        machine = getattr(self._source, "machine", None)
-        payload = {
-            "machine": getattr(machine, "name", None),
-            "entries": {
-                _join_key(key): rates
-                for key, rates in sorted(self._entries.items())
-            },
-        }
-        json.dump(payload, fp, indent=2, sort_keys=True)
-
-    def save(self, path: str | Path) -> None:
-        """Crash-safely write the memo to ``path`` (parents created).
-
-        The dump goes to a temp file first and is renamed into place,
-        so a failure mid-dump never truncates an existing cache.
-        """
-        _atomic_dump(Path(path), self.to_json)
-
-    @classmethod
-    def from_json(cls, fp: IO[str], source: RateSource) -> "CachedRateSource":
-        """Wrap ``source`` with entries loaded from a JSON stream.
-
-        If both the payload and the source name a machine and the names
-        disagree, the entries are rejected (warn + cold start): serving
-        one machine's rates for another would silently corrupt every
-        downstream analysis.
-        """
-        payload = json.load(fp)
-        saved_machine = payload.get("machine")
-        machine = getattr(source, "machine", None)
-        source_machine = getattr(machine, "name", None) if machine else None
-        if saved_machine and source_machine and saved_machine != source_machine:
-            print(
-                f"warning: rate cache was saved for machine "
-                f"{saved_machine!r}, not {source_machine!r}; starting cold",
-                file=sys.stderr,
-            )
-            return cls(source)
-        return cls(source, entries=_parse_entries(payload.get("entries", {})))
-
-    @classmethod
-    def open(cls, source: RateSource, path: str | Path) -> "CachedRateSource":
-        """Wrap ``source``, preloading from ``path`` when it exists.
-
-        An unreadable or corrupt file is treated as a cold start (with
-        a warning) — a cache must never be the reason a run crashes.
-        """
-        path = Path(path)
-        if path.exists():
-            try:
-                with path.open() as fp:
-                    return cls.from_json(fp, source)
-            except _LOAD_ERRORS as exc:
-                print(
-                    f"warning: ignoring unreadable rate cache {path}: {exc!r}",
-                    file=sys.stderr,
-                )
-        return cls(source)
-
 
 class RateCacheStore:
     """One JSON file holding rate entries for several machines.
@@ -411,7 +308,10 @@ class RateCacheStore:
 
     ``wrap()`` hands out :class:`CachedRateSource` wrappers preloaded
     from the matching section; ``save()`` collects everything the
-    wrappers have learned and rewrites the file atomically.
+    wrappers have learned and rewrites the file atomically.  A file
+    that is unreadable, not of this shape, or holds an entry failing
+    :func:`~repro.microarch.rates.checked_entry` is a cold start with
+    a warning.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -424,23 +324,9 @@ class RateCacheStore:
             try:
                 with self.path.open() as fp:
                     payload = json.load(fp)
-                sections = payload.get("sections", {})
-                if not sections and "entries" in payload:
-                    # Single-source file written by CachedRateSource.save
-                    # ({machine, entries}): migrate it into a section
-                    # rather than silently discarding the sweep.
-                    section = payload.get("machine")
-                    if section:
-                        sections = {section: payload["entries"]}
-                    else:
-                        print(
-                            f"warning: rate cache {self.path} has entries "
-                            "but no machine name; starting cold",
-                            file=sys.stderr,
-                        )
                 self._sections = {
                     str(section): _parse_entries(entries)
-                    for section, entries in sections.items()
+                    for section, entries in payload["sections"].items()
                 }
             except _LOAD_ERRORS as exc:
                 print(

@@ -10,33 +10,35 @@ module provides:
 * :class:`RateTable` — lazily simulates coschedules on a machine via
   :func:`repro.microarch.simulator.simulate_coschedule` and caches the
   results (the analogue of the paper's 1,365-combination Sniper sweep);
-* :class:`TableRates` — an immutable in-memory table, used for JSON
-  round-trips, counterfactual rate edits (Section V.D), and test
-  doubles.
+* :class:`TableRates` — an immutable in-memory table, used for frozen
+  snapshots, counterfactual rate edits (Section V.D), and test doubles;
+* :func:`checked_entry` — the one rule for a valid ``r_b(s)`` entry,
+  applied to every table built here and every entry loaded from disk.
 
-For memoization that persists across rate sources, processes, and
-repository runs (plus hit/miss statistics), wrap any of these in
-:class:`repro.microarch.rate_cache.CachedRateSource`.
+For memoization across rate sources (plus hit/miss statistics), wrap
+any of these in :class:`repro.microarch.rate_cache.CachedRateSource`;
+:class:`repro.microarch.rate_cache.RateCacheStore` is the one reader
+and writer of persisted rates.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from collections import Counter
-from typing import IO, Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.errors import WorkloadError
 from repro.microarch.benchmarks import default_roster
 from repro.microarch.config import MachineConfig
 from repro.microarch.params import JobTypeParams
 from repro.microarch.simulator import SimulationResult, simulate_coschedule
-from repro.util.multiset import multisets
 
 __all__ = [
     "RateSource",
     "RateTable",
     "TableRates",
     "canonical_coschedule",
+    "checked_entry",
     "infer_contexts",
     "instantaneous_throughput",
 ]
@@ -58,6 +60,31 @@ def canonical_coschedule(names: Iterable[str]) -> tuple[str, ...]:
                 return tuple(sorted(names))
         return names
     return tuple(sorted(names))
+
+
+def checked_entry(
+    coschedule: tuple[str, ...], rates: Mapping[str, float]
+) -> dict[str, float]:
+    """A validated copy of one ``r_b(s)`` entry for ``coschedule``.
+
+    The entry names exactly the coschedule's distinct types, and every
+    rate is finite and non-negative.  Raises :class:`WorkloadError`
+    otherwise, so neither a hand-built table nor a persisted file can
+    serve rates no simulation could have produced.
+    """
+    entry = {str(b): float(r) for b, r in rates.items()}
+    if entry.keys() != set(coschedule):
+        raise WorkloadError(
+            f"rate entry for {coschedule} names types {sorted(entry)}, "
+            f"expected {sorted(set(coschedule))}"
+        )
+    for b, r in entry.items():
+        if not 0.0 <= r < math.inf:  # also false for NaN
+            raise WorkloadError(
+                f"rate {r!r} of {b!r} in entry for {coschedule} is not "
+                "finite and non-negative"
+            )
+    return entry
 
 
 def infer_contexts(rates: object, contexts: int | None = None) -> int:
@@ -203,61 +230,15 @@ class RateTable:
             raise WorkloadError(f"{name!r} not in coschedule {tuple(coschedule)}")
         return rates[name] / Counter(coschedule)[name]
 
-    # ------------------------------------------------------------------
-    # Bulk precomputation & persistence
-    # ------------------------------------------------------------------
-    def precompute(
-        self,
-        types: Sequence[str] | None = None,
-        *,
-        sizes: Iterable[int] | None = None,
-    ) -> int:
-        """Simulate every multiset of the given types and sizes.
-
-        Returns the number of coschedules now cached.  Defaults to all
-        roster types and all sizes 1..K — the full analogue of the
-        paper's simulation sweep.
-        """
-        chosen = tuple(types) if types is not None else tuple(self.roster)
-        size_list = (
-            list(sizes) if sizes is not None else list(range(1, self.machine.contexts + 1))
-        )
-        for size in size_list:
-            for combo in multisets(sorted(chosen), size):
-                self.result(combo)
-        return len(self._results)
-
-    def snapshot(
-        self, coschedules: Iterable[Sequence[str]]
-    ) -> "TableRates":
-        """Freeze the rates of specific coschedules into a TableRates."""
-        table = {
-            canonical_coschedule(c): dict(self.type_rates(c))
-            for c in coschedules
-        }
-        return TableRates(table)
-
-    def to_json(self, fp: IO[str]) -> None:
-        """Serialize all cached coschedule rates as JSON."""
-        payload = {
-            "machine": self.machine.name,
-            "entries": {
-                "|".join(key): {
-                    "type_rates": self.type_rates(key),
-                    "ipcs": list(result.ipcs),
-                }
-                for key, result in sorted(self._results.items())
-            },
-        }
-        json.dump(payload, fp, indent=2, sort_keys=True)
-
 
 class TableRates:
     """An immutable rate table: ``{coschedule: {type: total WIPC}}``.
 
-    Satisfies :class:`RateSource`.  Produced by
-    :meth:`RateTable.snapshot`, :func:`TableRates.from_json`, or built
-    directly (tests, Section-V.D counterfactuals).
+    Satisfies :class:`RateSource`.  Built from a live source by
+    :func:`repro.experiments.common.snapshot_rates` (picklable worker
+    payloads), edited by :meth:`with_rates` (Section-V.D
+    counterfactuals), or written out directly (tests).  Every entry
+    passes :func:`checked_entry`.
     """
 
     def __init__(
@@ -266,15 +247,7 @@ class TableRates:
         self._table: dict[tuple[str, ...], dict[str, float]] = {}
         for coschedule, rates in table.items():
             key = canonical_coschedule(coschedule)
-            entry = {str(b): float(r) for b, r in rates.items()}
-            if set(entry) != set(key):
-                raise WorkloadError(
-                    f"rate entry for {key} names types {sorted(entry)}, "
-                    f"expected {sorted(set(key))}"
-                )
-            if any(r < 0.0 for r in entry.values()):
-                raise WorkloadError(f"negative rate in entry for {key}")
-            self._table[key] = entry
+            self._table[key] = checked_entry(key, rates)
 
     def type_rates(self, coschedule: Sequence[str]) -> dict[str, float]:
         """Total WIPC per job type in ``coschedule``."""
@@ -313,24 +286,3 @@ class TableRates:
             raise WorkloadError(f"no rates recorded for coschedule {key}")
         updated[key] = dict(rates)
         return TableRates(updated)
-
-    def to_json(self, fp: IO[str]) -> None:
-        """Serialize to JSON."""
-        payload = {
-            "entries": {
-                "|".join(key): rates for key, rates in sorted(self._table.items())
-            }
-        }
-        json.dump(payload, fp, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, fp: IO[str]) -> "TableRates":
-        """Load a table serialized by :meth:`to_json` or RateTable.to_json."""
-        payload = json.load(fp)
-        entries = payload.get("entries", {})
-        table: dict[tuple[str, ...], dict[str, float]] = {}
-        for key, value in entries.items():
-            coschedule = tuple(key.split("|"))
-            rates = value["type_rates"] if "type_rates" in value else value
-            table[coschedule] = {str(b): float(r) for b, r in rates.items()}
-        return cls(table)

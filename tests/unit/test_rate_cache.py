@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.microarch.config import smt_machine
+from repro.microarch.config import quad_core_machine, smt_machine
 from repro.microarch.rate_cache import (
     CachedRateSource,
     CacheStats,
@@ -26,6 +25,13 @@ def small_table() -> TableRates:
         for cos in multisets(("A", "B"), size):
             table[cos] = {b: per_job[b] * cos.count(b) * 0.9 for b in set(cos)}
     return TableRates(table)
+
+
+class Exploding:
+    """A RateSource that must never be consulted (every lookup warm)."""
+
+    def type_rates(self, coschedule):  # pragma: no cover - must not run
+        raise AssertionError("should never be consulted")
 
 
 class CountingSource:
@@ -112,144 +118,13 @@ class TestCachedRateSource:
         assert cached.machine is rates.machine
         assert cached.roster is rates.roster
 
-    def test_persistence_round_trip(self, tmp_path):
-        table = small_table()
-        cached = CachedRateSource(table)
-        for cos in table.coschedules():
-            cached.type_rates(cos)
-        path = tmp_path / "cache.json"
-        cached.save(path)
-
-        class Exploding:
-            def type_rates(self, coschedule):  # pragma: no cover
-                raise AssertionError("should never be consulted")
-
-        reloaded = CachedRateSource.open(Exploding(), path)
-        assert reloaded.stats.preloaded == len(table.coschedules())
-        for cos in table.coschedules():
-            assert reloaded.type_rates(cos) == table.type_rates(cos)
-        assert reloaded.stats.misses == 0
-
-    def test_open_missing_file_starts_empty(self, tmp_path):
-        cached = CachedRateSource.open(small_table(), tmp_path / "nope.json")
-        assert cached.stats.preloaded == 0
-        assert cached.coschedules() == []
-
-    def test_open_corrupt_file_warns_and_starts_cold(self, tmp_path, capsys):
-        path = tmp_path / "cache.json"
-        path.write_text("{ not json")
-        cached = CachedRateSource.open(small_table(), path)
-        assert cached.stats.preloaded == 0
-        assert "unreadable rate cache" in capsys.readouterr().err
-        assert cached.type_rates(("A",))  # still usable
-
-    def test_open_shape_corrupt_file_warns_and_starts_cold(
-        self, tmp_path, capsys
-    ):
-        """Valid JSON with the wrong shape must not crash either."""
-        path = tmp_path / "cache.json"
-        path.write_text('{"machine": "m", "entries": {"A": [1.0]}}')
-        cached = CachedRateSource.open(small_table(), path)
-        assert cached.stats.preloaded == 0
-        assert "unreadable rate cache" in capsys.readouterr().err
-
-    def test_open_machine_mismatch_starts_cold(self, tmp_path, capsys):
-        """A cache saved for one machine must not feed another."""
-        smt = CachedRateSource(RateTable(smt_machine()))
-        smt.type_rates(("mcf", "hmmer"))
-        path = tmp_path / "cache.json"
-        smt.save(path)
-
-        from repro.microarch.config import quad_core_machine
-
-        quad = CachedRateSource.open(RateTable(quad_core_machine()), path)
-        assert quad.stats.preloaded == 0
-        assert "starting cold" in capsys.readouterr().err
-        # Same machine still preloads.
-        again = CachedRateSource.open(RateTable(smt_machine()), path)
-        assert again.stats.preloaded == 1
-
-    def test_json_format_compatible_with_tablerates(self):
-        """RateTable.to_json payloads (with ipcs) load fine too."""
-        table = small_table()
-        cached = CachedRateSource(table)
-        cached.type_rates(("A", "B"))
-        buf = io.StringIO()
-        cached.to_json(buf)
-        buf.seek(0)
-        assert TableRates.from_json(buf).type_rates(
-            ("A", "B")
-        ) == table.type_rates(("A", "B"))
-
-    def test_new_entries_only_fresh(self, tmp_path):
-        table = small_table()
-        warm = CachedRateSource(table)
-        warm.type_rates(("A",))
-        path = tmp_path / "cache.json"
-        warm.save(path)
-        reloaded = CachedRateSource.open(table, path)
-        reloaded.type_rates(("A",))  # preloaded -> not fresh
-        reloaded.type_rates(("A", "B"))  # computed -> fresh
-        assert list(reloaded.new_entries()) == [("A", "B")]
-
-    def test_empty_coschedule_round_trip(self, tmp_path):
-        """() must survive persistence as (), not ('',)."""
-        cached = CachedRateSource(TableRates({(): {}}))
-        assert cached.type_rates(()) == {}
-        path = tmp_path / "cache.json"
-        cached.save(path)
-        reloaded = CachedRateSource.open(TableRates({(): {}}), path)
-        assert reloaded.coschedules() == [()]
-        assert reloaded.type_rates(()) == {}
-        assert reloaded.stats.misses == 0
-
-    def test_precompute_covers_all_multisets(self):
-        rates = RateTable(smt_machine())
-        cached = CachedRateSource(rates)
-        count = cached.precompute(types=("mcf", "hmmer"), contexts=2)
-        assert count == 5  # (mcf) (hmmer) (mm) (mh) (hh)
-        assert cached.stats.misses == 5
-        cached.type_rates(("hmmer", "mcf"))
-        assert cached.stats.hits == 1
-
-    def test_precompute_requires_sizing_info(self):
-        cached = CachedRateSource(small_table())
-        with pytest.raises(WorkloadError):
-            cached.precompute(types=("A",))
-
-    def test_reserved_separator_rejected_on_save(self):
-        cached = CachedRateSource(
-            TableRates({("a|b",): {"a|b": 1.0}})
-        )
-        cached.type_rates(("a|b",))
-        with pytest.raises(WorkloadError):
-            cached.to_json(io.StringIO())
-
 
 class TestCrashSafePersistence:
     """A failed dump must never truncate an existing cache file."""
 
-    def test_cached_source_failed_save_preserves_existing_file(
-        self, tmp_path
-    ):
-        path = tmp_path / "rates.json"
-        good = CachedRateSource(small_table())
-        good.type_rates(("A", "B"))
-        good.save(path)
-        before = path.read_text()
-
-        # The reserved separator makes to_json raise midway through
-        # the dump — after the temp file was opened for writing.
-        bad = CachedRateSource(TableRates({("a|b",): {"a|b": 1.0}}))
-        bad.type_rates(("a|b",))
-        with pytest.raises(WorkloadError):
-            bad.save(path)
-
-        assert path.read_text() == before
-        assert list(tmp_path.iterdir()) == [path], "temp file left behind"
-
+    @pytest.mark.parametrize("failure", ["disk-full", "reserved-separator"])
     def test_store_failed_save_preserves_existing_file(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, failure
     ):
         path = tmp_path / "rates.json"
         store = RateCacheStore(path)
@@ -257,13 +132,21 @@ class TestCrashSafePersistence:
         store.save()
         before = path.read_text()
 
-        import repro.microarch.rate_cache as rate_cache
+        if failure == "disk-full":
+            import repro.microarch.rate_cache as rate_cache
 
-        def exploding_dump(*args, **kwargs):
-            raise OSError("disk full")
+            def exploding_dump(*args, **kwargs):
+                raise OSError("disk full")
 
-        monkeypatch.setattr(rate_cache.json, "dump", exploding_dump)
-        with pytest.raises(OSError, match="disk full"):
+            monkeypatch.setattr(rate_cache.json, "dump", exploding_dump)
+            expected = pytest.raises(OSError, match="disk full")
+        else:
+            # "|" separates a key's type names, so a type containing it
+            # cannot be persisted.
+            bad = TableRates({("a|b",): {"a|b": 1.0}})
+            store.wrap(bad, section="bad").type_rates(("a|b",))
+            expected = pytest.raises(WorkloadError, match="reserved separator")
+        with expected:
             store.save()
 
         assert path.read_text() == before
@@ -271,60 +154,92 @@ class TestCrashSafePersistence:
 
     def test_save_replaces_atomically_on_success(self, tmp_path):
         path = tmp_path / "rates.json"
-        cached = CachedRateSource(small_table())
+        store = RateCacheStore(path)
+        cached = store.wrap(small_table(), section="toy")
         cached.type_rates(("A",))
-        cached.save(path)
+        store.save()
         cached.type_rates(("A", "B"))
-        cached.save(path)
-        entries = json.loads(path.read_text())["entries"]
+        store.save()
+        entries = json.loads(path.read_text())["sections"]["toy"]
         assert sorted(entries) == ["A", "A|B"]
         assert list(tmp_path.iterdir()) == [path]
 
 
 class TestRateCacheStore:
-    def test_wrap_save_reload(self, tmp_path):
+    @pytest.mark.parametrize(
+        "table",
+        [small_table(), TableRates({(): {}})],
+        ids=["small", "empty-coschedule"],
+    )
+    def test_wrap_save_reload(self, tmp_path, table):
+        """Reloaded entries are served without consulting the source;
+        () comes back as (), not ('',)."""
         path = tmp_path / "rates.json"
         store = RateCacheStore(path)
-        rates = store.wrap(small_table(), section="toy")
-        rates.type_rates(("A", "B"))
-        assert store.save() == 1
+        assert store.sections() == []  # missing file: empty, no warning
+        rates = store.wrap(table, section="toy")
+        for cos in table.coschedules():
+            rates.type_rates(cos)
+        assert store.save() == len(table.coschedules())
 
         fresh = RateCacheStore(path)
         assert fresh.sections() == ["toy"]
-        reloaded = fresh.wrap(small_table(), section="toy")
-        assert reloaded.stats.preloaded == 1
+        reloaded = fresh.wrap(Exploding(), section="toy")
+        assert reloaded.stats.preloaded == len(table.coschedules())
+        assert reloaded.coschedules() == table.coschedules()
+        for cos in table.coschedules():
+            assert reloaded.type_rates(cos) == table.type_rates(cos)
+        assert reloaded.stats.misses == 0
+
+    def test_missing_file_starts_empty_without_warning(self, tmp_path, capsys):
+        store = RateCacheStore(tmp_path / "nope.json")
+        assert store.sections() == []
+        cached = store.wrap(small_table(), section="toy")
+        assert cached.stats.preloaded == 0
+        assert cached.coschedules() == []
+        assert capsys.readouterr().err == ""
+
+    def test_loaded_keys_are_canonicalized(self, tmp_path):
+        """A key persisted out of order is served under its sorted
+        multiset, so lookups of either order hit it."""
+        path = tmp_path / "rates.json"
+        path.write_text(
+            '{"sections": {"toy": {"B|A": {"A": 0.9, "B": 0.45}}}}'
+        )
+        store = RateCacheStore(path)
+        assert list(store.entries_for("toy")) == [("A", "B")]
+        cached = store.wrap(Exploding(), section="toy")
+        assert cached.type_rates(("B", "A")) == {"A": 0.9, "B": 0.45}
+        assert cached.stats.misses == 0
+
+    def test_new_entries_after_reload_only_fresh(self, tmp_path):
+        path = tmp_path / "rates.json"
+        store = RateCacheStore(path)
+        store.wrap(small_table(), section="toy").type_rates(("A",))
+        store.save()
+        reloaded = RateCacheStore(path).wrap(small_table(), section="toy")
+        reloaded.type_rates(("A",))  # preloaded -> not fresh
+        reloaded.type_rates(("A", "B"))  # computed -> fresh
+        assert list(reloaded.new_entries()) == [("A", "B")]
 
     def test_section_defaults_to_machine_name(self, tmp_path):
-        store = RateCacheStore(tmp_path / "rates.json")
+        """Sections are keyed by machine, so one machine's rates never
+        feed another's."""
+        path = tmp_path / "rates.json"
+        store = RateCacheStore(path)
         rates = store.wrap(RateTable(smt_machine()))
         assert rates.stats.label == smt_machine().name
+        rates.type_rates(("mcf", "hmmer"))
+        store.save()
+
+        fresh = RateCacheStore(path)
+        assert fresh.wrap(RateTable(quad_core_machine())).stats.preloaded == 0
+        assert fresh.wrap(RateTable(smt_machine())).stats.preloaded == 1
 
     def test_sectionless_source_requires_explicit_section(self, tmp_path):
         store = RateCacheStore(tmp_path / "rates.json")
         with pytest.raises(WorkloadError):
             store.wrap(small_table())
-
-    def test_migrates_single_source_file(self, tmp_path):
-        """A file written by CachedRateSource.save ({machine, entries})
-        loads as a section instead of being silently discarded."""
-        rates = CachedRateSource(RateTable(smt_machine()))
-        rates.type_rates(("mcf", "hmmer"))
-        path = tmp_path / "rates.json"
-        rates.save(path)
-
-        store = RateCacheStore(path)
-        assert store.sections() == [smt_machine().name]
-        assert ("hmmer", "mcf") in store.entries_for(smt_machine().name)
-        # And saving upgrades the file to the sections format.
-        store.save()
-        assert RateCacheStore(path).sections() == [smt_machine().name]
-
-    def test_machineless_single_source_file_warns(self, tmp_path, capsys):
-        path = tmp_path / "rates.json"
-        path.write_text('{"machine": null, "entries": {"A": {"A": 1.0}}}')
-        store = RateCacheStore(path)
-        assert store.sections() == []
-        assert "no machine name" in capsys.readouterr().err
 
     def test_corrupt_file_warns_and_starts_cold(self, tmp_path, capsys):
         path = tmp_path / "rates.json"
@@ -332,6 +247,7 @@ class TestRateCacheStore:
         store = RateCacheStore(path)
         assert store.sections() == []
         assert "unreadable rate cache" in capsys.readouterr().err
+        assert store.wrap(small_table(), section="toy").type_rates(("A",))
         store.merge("toy", {("A",): {"A": 1.0}})
         store.save()
         assert RateCacheStore(path).sections() == ["toy"]
@@ -343,6 +259,17 @@ class TestRateCacheStore:
             '{"sections": {"smt4": {"A|B": [1.0, 2.0]}}}',
             '{"sections": {"smt4": {"A": {"A": "not a number"}}}}',
             "[1, 2, 3]",
+            # Entries outside any section: not a store file.
+            '{"machine": "m", "entries": {"A": [1.0]}}',
+            '{"machine": null, "entries": {"A": {"A": 1.0}}}',
+            # Well-formed JSON, but rates no simulation produces.
+            '{"sections": {"smt4": {"hmmer|mcf": '
+            '{"hmmer": NaN, "mcf": -3.0}, "mcf": {"lbm": 1.0}}}}',
+            '{"sections": {"smt4": {"hmmer|mcf": {"hmmer": NaN, "mcf": 1.0}}}}',
+            '{"sections": {"smt4": {"mcf": {"mcf": -3.0}}}}',
+            '{"sections": {"smt4": {"mcf": {"mcf": Infinity}}}}',
+            '{"sections": {"smt4": {"mcf": {"lbm": 1.0}}}}',
+            '{"sections": {"smt4": {"hmmer|mcf": {"mcf": 1.0}}}}',
         ],
     )
     def test_shape_corrupt_file_warns_and_starts_cold(

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import io
+import math
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.microarch.benchmarks import roster_by_name
-from repro.microarch.config import smt_machine
-from repro.microarch.rates import RateTable, TableRates, canonical_coschedule
+from repro.experiments.common import snapshot_rates
+from repro.microarch.rates import TableRates, canonical_coschedule, checked_entry
+from repro.util.multiset import multisets
 
 
 class TestCanonical:
@@ -72,32 +72,41 @@ class TestRateTable:
         first["bzip2"] = 999.0
         assert smt_rates.type_rates(cos)["bzip2"] != 999.0
 
-    def test_precompute_counts(self):
-        roster = roster_by_name("bzip2", "mcf")
-        table = RateTable(smt_machine(), roster)
-        count = table.precompute(sizes=[1, 2])
-        # 2 singles + 3 pairs.
-        assert count == 5
-
-    def test_to_json_round_trip(self):
-        roster = roster_by_name("bzip2", "mcf")
-        table = RateTable(smt_machine(), roster)
-        table.precompute(sizes=[2])
-        buffer = io.StringIO()
-        table.to_json(buffer)
-        buffer.seek(0)
-        frozen = TableRates.from_json(buffer)
-        cos = ("bzip2", "mcf")
-        assert frozen.type_rates(cos) == pytest.approx(table.type_rates(cos))
-
     def test_snapshot(self, smt_rates):
-        cos = ("bzip2", "mcf")
-        frozen = smt_rates.snapshot([cos])
-        assert frozen.type_rates(cos) == pytest.approx(
-            smt_rates.type_rates(cos)
-        )
+        """``snapshot_rates`` freezes every multiset of the run's types
+        up to the context count, and nothing else."""
+        frozen = snapshot_rates(smt_rates, ["mcf", "bzip2", "mcf"], 2)
+        assert frozen.coschedules() == sorted([
+            ("bzip2",), ("mcf",),
+            ("bzip2", "bzip2"), ("bzip2", "mcf"), ("mcf", "mcf"),
+        ])
+        for cos in frozen.coschedules():
+            assert frozen.type_rates(cos) == smt_rates.type_rates(cos)
         with pytest.raises(WorkloadError):
             frozen.type_rates(("hmmer", "hmmer"))
+
+
+class TestCheckedEntry:
+    def test_returns_float_copy(self):
+        raw = {"A": 1, "B": 0.5}
+        entry = checked_entry(("A", "B", "B"), raw)
+        assert entry == {"A": 1.0, "B": 0.5}
+        assert type(entry["A"]) is float
+        entry["A"] = 9.0
+        assert raw["A"] == 1
+
+    def test_empty_coschedule_takes_empty_entry(self):
+        assert checked_entry((), {}) == {}
+        with pytest.raises(WorkloadError):
+            checked_entry((), {"A": 1.0})
+
+    def test_simulated_rates_pass(self, smt_rates):
+        """Every entry the simulator produces satisfies the rule."""
+        types = ("bzip2", "hmmer", "libquantum", "mcf")
+        for size in (1, 2):
+            for cos in multisets(types, size):
+                rates = smt_rates.type_rates(cos)
+                assert checked_entry(cos, rates) == rates
 
 
 class TestTableRates:
@@ -115,9 +124,12 @@ class TestTableRates:
         with pytest.raises(WorkloadError):
             TableRates({("A", "B"): {"A": 1.0}})
 
-    def test_negative_rates_rejected(self):
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_negative_rates_rejected(self, bad):
+        """Every rate is finite and non-negative (NaN fails ``r < 0``
+        too, so it needs its own check)."""
         with pytest.raises(WorkloadError):
-            TableRates({("A",): {"A": -1.0}})
+            TableRates({("A",): {"A": bad}})
 
     def test_with_rates_replaces_one_entry(self, synthetic_rates):
         updated = synthetic_rates.with_rates(("A", "B"), {"A": 0.7, "B": 0.7})
@@ -125,18 +137,13 @@ class TestTableRates:
         # original untouched
         assert synthetic_rates.type_rates(("A", "B"))["A"] == 0.9
 
+    def test_with_rates_rejects_nan(self, synthetic_rates):
+        with pytest.raises(WorkloadError):
+            synthetic_rates.with_rates(("A", "B"), {"A": math.nan, "B": 0.5})
+
     def test_with_rates_missing_entry(self, synthetic_rates):
         with pytest.raises(WorkloadError):
             synthetic_rates.with_rates(("A", "C"), {"A": 1.0, "C": 1.0})
-
-    def test_json_round_trip(self, synthetic_rates):
-        buffer = io.StringIO()
-        synthetic_rates.to_json(buffer)
-        buffer.seek(0)
-        loaded = TableRates.from_json(buffer)
-        assert loaded.coschedules() == synthetic_rates.coschedules()
-        for cos in loaded.coschedules():
-            assert loaded.type_rates(cos) == synthetic_rates.type_rates(cos)
 
     def test_per_job_rate(self, synthetic_rates):
         assert synthetic_rates.per_job_rate(("A", "A"), "A") == pytest.approx(0.8)
