@@ -188,11 +188,19 @@ def diff_payload(
     return lines
 
 
-def write_golden(path: Path, payload: dict[str, object]) -> None:
+def render_indented(payload: dict[str, object]) -> str:
+    """The default golden file text: sorted keys, two-space indent."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_golden(
+    path: Path, payload: dict[str, object], render=render_indented
+) -> None:
     """Write a refreshed golden, leaving it untouched when the committed
     file already matches within ``REL_TOL`` — so a refresh on an
-    unchanged engine never churns files over last-ulp libm noise."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    unchanged engine never churns files over last-ulp libm noise.
+    ``render`` turns the payload into the file's JSON text."""
+    text = render(payload)
     if path.exists() and not diff_payload(
         json.loads(path.read_text()), json.loads(text)
     ):
