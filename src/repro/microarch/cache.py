@@ -14,9 +14,50 @@ inside the coschedule fixed point.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
-__all__ = ["cache_shares"]
+__all__ = ["cache_shares", "share_allocator"]
+
+
+def share_allocator(
+    n: int,
+    total_mb: float,
+    *,
+    floor_fraction: float = 0.03,
+    exponent: float = 0.6,
+) -> Callable[[Sequence[float]], list[float]]:
+    """:func:`cache_shares` for ``n`` jobs, its constants checked once.
+
+    Returns ``allocate(pressures) -> shares`` for length-``n`` pressure
+    vectors; see :func:`cache_shares` for the arguments and the model.
+    """
+    if total_mb <= 0.0:
+        raise ValueError(f"total_mb must be positive, got {total_mb}")
+    if exponent <= 0.0:
+        raise ValueError(f"exponent must be positive, got {exponent}")
+    if n > 1 and floor_fraction * n >= 1.0:
+        raise ValueError(
+            f"floor_fraction {floor_fraction} infeasible for {n} jobs"
+        )
+    even = total_mb / n
+    floor = floor_fraction * total_mb
+    distributable = total_mb - n * floor
+
+    def allocate(pressures: Sequence[float]) -> list[float]:
+        for p in pressures:
+            if p < 0.0:
+                raise ValueError("pressures must be non-negative")
+        if n == 1:
+            return [total_mb]
+        scaled = [p**exponent for p in pressures]
+        total_pressure = 0.0
+        for p in scaled:
+            total_pressure += p
+        if total_pressure <= 0.0:
+            return [even] * n
+        return [floor + distributable * p / total_pressure for p in scaled]
+
+    return allocate
 
 
 def cache_shares(
@@ -51,26 +92,10 @@ def cache_shares(
     n = len(pressures)
     if n == 0:
         return []
-    if total_mb <= 0.0:
-        raise ValueError(f"total_mb must be positive, got {total_mb}")
-    if any(p < 0.0 for p in pressures):
-        raise ValueError("pressures must be non-negative")
-    if exponent <= 0.0:
-        raise ValueError(f"exponent must be positive, got {exponent}")
-    if n == 1:
-        return [total_mb]
-    if floor_fraction * n >= 1.0:
-        raise ValueError(
-            f"floor_fraction {floor_fraction} infeasible for {n} jobs"
-        )
-
-    scaled = [p**exponent for p in pressures]
-    total_pressure = float(sum(scaled))
-    if total_pressure <= 0.0:
-        return [total_mb / n] * n
-
-    floor = floor_fraction * total_mb
-    distributable = total_mb - n * floor
-    return [
-        floor + distributable * p / total_pressure for p in scaled
-    ]
+    allocate = share_allocator(
+        n,
+        total_mb,
+        floor_fraction=floor_fraction,
+        exponent=exponent,
+    )
+    return allocate(pressures)

@@ -11,7 +11,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from repro.errors import ConfigurationError
 
@@ -98,6 +99,12 @@ class MachineConfig:
             raise ConfigurationError(
                 f"kind must be 'smt' or 'multicore', got {self.kind!r}"
             )
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{field.name} must be finite, got {value!r}"
+                )
         positive = [
             ("contexts", self.contexts),
             ("width", self.width),

@@ -19,11 +19,40 @@ determines how much of a *rival* each co-runner is:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.microarch.config import FetchPolicy
 
-__all__ = ["rival_weights", "water_fill"]
+__all__ = ["rival_weigher", "rival_weights", "water_fill"]
+
+
+def rival_weigher(
+    policy: FetchPolicy,
+    *,
+    strength: float = 2.5,
+    rr_slot_waste: float = 0.5,
+) -> Callable[[Sequence[float]], list[float]]:
+    """:func:`rival_weights` for one policy, its waste resolved once.
+
+    Returns ``weigh(activities) -> rival weights``.
+    """
+    if not 0.0 <= rr_slot_waste <= 1.0:
+        raise ValueError(f"rr_slot_waste out of [0, 1]: {rr_slot_waste}")
+    if policy is FetchPolicy.ROUND_ROBIN:
+        waste = rr_slot_waste
+    else:
+        waste = 1.0 / (1.0 + strength)
+
+    def weigh(activities: Sequence[float]) -> list[float]:
+        for a in activities:
+            if not -1e-9 <= a <= 1.0 + 1e-9:
+                raise ValueError(f"activity out of [0, 1]: {a}")
+        return [
+            min(1.0, max(0.0, a) + waste * (1.0 - max(0.0, a)))
+            for a in activities
+        ]
+
+    return weigh
 
 
 def rival_weights(
@@ -57,19 +86,10 @@ def rival_weights(
     Returns:
         Per-thread rival weights in [0, 1].
     """
-    for a in activities:
-        if not -1e-9 <= a <= 1.0 + 1e-9:
-            raise ValueError(f"activity out of [0, 1]: {a}")
-    if not 0.0 <= rr_slot_waste <= 1.0:
-        raise ValueError(f"rr_slot_waste out of [0, 1]: {rr_slot_waste}")
-    if policy is FetchPolicy.ROUND_ROBIN:
-        waste = rr_slot_waste
-    else:
-        waste = 1.0 / (1.0 + strength)
-    return [
-        min(1.0, max(0.0, a) + waste * (1.0 - max(0.0, a)))
-        for a in activities
-    ]
+    weigh = rival_weigher(
+        policy, strength=strength, rr_slot_waste=rr_slot_waste
+    )
+    return weigh(activities)
 
 
 def water_fill(

@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.microarch.cache import cache_shares
+from repro.microarch.cache import share_allocator
 from repro.microarch.config import MachineConfig
-from repro.microarch.membus import bus_queueing_delay, bus_utilization
+from repro.microarch.contention import ContentionMap, llc_misses
+from repro.microarch.membus import bus_model
 from repro.microarch.params import JobTypeParams
 
 __all__ = ["MulticoreEvaluation", "evaluate_multicore", "multicore_iteration"]
@@ -42,14 +43,48 @@ class MulticoreEvaluation:
     bus_utilization: float
 
 
-def _core_cpi(job: JobTypeParams, machine: MachineConfig) -> float:
-    """Private-core CPI component (full window available)."""
-    scale = job.window_scaling(float(machine.rob_size))
-    return (
-        job.cpi_base * (1.0 + job.ilp_sens * (1.0 - scale))
-        + job.br_mpki / 1000.0 * machine.branch_penalty_cycles
-        + job.cpi_short
+def multicore_iteration(
+    machine: MachineConfig, jobs: Sequence[JobTypeParams]
+) -> ContentionMap:
+    """The multicore contention map of one coschedule, over the state
+    vector ``[ipc_1..n, share_1..n]``; its
+    :meth:`~ContentionMap.evaluate` returns a
+    :class:`MulticoreEvaluation`."""
+    n = len(jobs)
+    if n == 0:
+        raise ValueError("need at least one job")
+    memory_latency = machine.mem_latency_cycles
+    width = float(machine.width)
+    bus = bus_model(
+        machine.bus_service_cycles,
+        max_utilization=machine.bus_max_utilization,
     )
+    split = share_allocator(
+        n, machine.llc_mb, floor_fraction=machine.cache_share_floor
+    )
+    curves = [job.llc_mpki for job in jobs]
+    # Every job owns a private core, so its window is the full ROB.
+    scales = [job.window_scaling(float(machine.rob_size)) for job in jobs]
+    core_cpis = [
+        job.core_cpi(scale, machine.branch_penalty_cycles)
+        for job, scale in zip(jobs, scales)
+    ]
+    mlps = [job.effective_mlp(scale) for job, scale in zip(jobs, scales)]
+
+    def equations(ipcs: Sequence[float], shares: Sequence[float]):
+        mpkis, misses = llc_misses(curves, ipcs, shares)
+        utilization, delay = bus(misses)
+        latency = memory_latency + delay
+        next_ipcs = []
+        for core_cpi, mlp, mpki in zip(core_cpis, mlps, mpkis):
+            cpi = core_cpi + mpki / 1000.0 * latency / mlp
+            next_ipcs.append(min(1.0 / cpi, width))
+        next_shares = split(
+            [a * m / 1000.0 for a, m in zip(next_ipcs, mpkis)]
+        )
+        return next_ipcs, next_shares, mpkis, latency, utilization
+
+    return ContentionMap(n, equations, MulticoreEvaluation)
 
 
 def evaluate_multicore(
@@ -59,55 +94,4 @@ def evaluate_multicore(
     shares: Sequence[float],
 ) -> MulticoreEvaluation:
     """Evaluate the contention equations once at the given estimates."""
-    n = len(jobs)
-    if n == 0:
-        raise ValueError("need at least one job")
-    if len(ipcs) != n or len(shares) != n:
-        raise ValueError("state length mismatch with job count")
-
-    mpkis = [job.llc_mpki(share) for job, share in zip(jobs, shares)]
-    miss_rate = sum(i * m for i, m in zip(ipcs, mpkis)) / 1000.0
-    latency = machine.mem_latency_cycles + bus_queueing_delay(
-        miss_rate,
-        machine.bus_service_cycles,
-        max_utilization=machine.bus_max_utilization,
-    )
-    utilization = bus_utilization(
-        miss_rate,
-        machine.bus_service_cycles,
-        max_utilization=machine.bus_max_utilization,
-    )
-
-    next_ipcs = []
-    for job, mpki in zip(jobs, mpkis):
-        mlp = 1.0 + (job.mlp - 1.0) * job.window_scaling(
-            float(machine.rob_size)
-        )
-        cpi = _core_cpi(job, machine) + mpki / 1000.0 * latency / mlp
-        next_ipcs.append(min(1.0 / cpi, float(machine.width)))
-
-    pressures = [a * m / 1000.0 for a, m in zip(next_ipcs, mpkis)]
-    next_shares = cache_shares(
-        pressures,
-        machine.llc_mb,
-        floor_fraction=machine.cache_share_floor,
-    )
-
-    return MulticoreEvaluation(
-        next_ipcs=tuple(next_ipcs),
-        next_shares=tuple(next_shares),
-        mpkis=tuple(mpkis),
-        memory_latency=latency,
-        bus_utilization=utilization,
-    )
-
-
-def multicore_iteration(machine: MachineConfig, jobs: Sequence[JobTypeParams]):
-    """Fixed-point map over the state vector ``[ipc_1..n, share_1..n]``."""
-    n = len(jobs)
-
-    def iterate(state: Sequence[float]) -> list[float]:
-        evaluation = evaluate_multicore(machine, jobs, state[:n], state[n:])
-        return list(evaluation.next_ipcs) + list(evaluation.next_shares)
-
-    return iterate
+    return multicore_iteration(machine, jobs).evaluate(ipcs, shares)

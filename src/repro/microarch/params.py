@@ -10,7 +10,8 @@ parallelism, and the instruction-window demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from repro.errors import ConfigurationError
 
@@ -59,6 +60,12 @@ class JobTypeParams:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("job type needs a non-empty name")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{self.name}: {field.name} must be finite, got {value!r}"
+                )
         checks = [
             ("cpi_base", self.cpi_base, 0.0),
             ("w_need", float(self.w_need), 0.0),
@@ -106,3 +113,17 @@ class JobTypeParams:
         if window <= 0.0:
             return 0.0
         return min(1.0, window / float(self.w_need))
+
+    def core_cpi(self, scale: float, branch_penalty_cycles: float) -> float:
+        """Dispatch-and-front-end CPI at a window scaling (see
+        :meth:`window_scaling`): dispatch-limited CPI inflated by the
+        ILP lost to a short window, plus branch refills and short stalls."""
+        return (
+            self.cpi_base * (1.0 + self.ilp_sens * (1.0 - scale))
+            + self.br_mpki / 1000.0 * branch_penalty_cycles
+            + self.cpi_short
+        )
+
+    def effective_mlp(self, scale: float) -> float:
+        """Memory-level parallelism at a window scaling."""
+        return 1.0 + (self.mlp - 1.0) * scale

@@ -20,13 +20,24 @@ modeled, following Raasch & Reinhardt (PACT 2003):
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.microarch.config import FetchPolicy, RobPolicy
 from repro.microarch.fetch import water_fill
 from repro.microarch.params import JobTypeParams
 
-__all__ = ["occupancy_demand", "window_shares"]
+__all__ = ["occupancy_demand", "window_allocator", "window_shares"]
+
+
+def _demand(
+    useful: float, stall_fraction: float, rob_size: int, icount: bool
+) -> float:
+    """Occupancy demand of a thread whose useful window is ``useful``."""
+    if not 0.0 <= stall_fraction <= 1.0:
+        raise ValueError(f"stall fraction out of [0, 1]: {stall_fraction}")
+    if icount:
+        return useful * (1.0 + 0.25 * stall_fraction)
+    return (1.0 - stall_fraction) * useful + stall_fraction * float(rob_size)
 
 
 def occupancy_demand(
@@ -41,12 +52,57 @@ def occupancy_demand(
     (plus a small overshoot growing with stall time).  With round-robin
     fetch, stall periods let the thread run away toward the full ROB.
     """
-    if not 0.0 <= stall_fraction <= 1.0:
-        raise ValueError(f"stall fraction out of [0, 1]: {stall_fraction}")
-    useful = float(min(job.w_need, rob_size))
-    if fetch_policy is FetchPolicy.ICOUNT:
-        return useful * (1.0 + 0.25 * stall_fraction)
-    return (1.0 - stall_fraction) * useful + stall_fraction * float(rob_size)
+    return _demand(
+        float(min(job.w_need, rob_size)),
+        stall_fraction,
+        rob_size,
+        fetch_policy is FetchPolicy.ICOUNT,
+    )
+
+
+def window_allocator(
+    jobs: Sequence[JobTypeParams],
+    rob_size: int,
+    rob_policy: RobPolicy,
+    fetch_policy: FetchPolicy,
+) -> Callable[[Sequence[float]], list[float]]:
+    """:func:`window_shares` for a fixed set of threads and policies.
+
+    Returns ``allocate(stall_fractions) -> windows`` with each thread's
+    useful window and the policy branches resolved once.
+    """
+    n = len(jobs)
+    if n == 1:
+        return lambda stall_fractions: [float(rob_size)]
+    if rob_policy is RobPolicy.STATIC:
+        even = rob_size / n
+        return lambda stall_fractions: [even] * n
+
+    useful = [float(min(job.w_need, rob_size)) for job in jobs]
+    icount = fetch_policy is FetchPolicy.ICOUNT
+    capacity = float(rob_size)
+    ones = [1.0] * n
+
+    def allocate(stall_fractions: Sequence[float]) -> list[float]:
+        demands = [
+            _demand(u, sf, rob_size, icount)
+            for u, sf in zip(useful, stall_fractions)
+        ]
+        total = 0.0
+        for d in demands:
+            total += d
+        if total <= rob_size:
+            return demands
+        if not icount:
+            # Runaway occupancy: stalled threads hold entries hostage and
+            # the squeeze lands on everyone proportionally.
+            return [rob_size * d / total for d in demands]
+        # ICOUNT keeps demands honest, so over-subscription resolves like
+        # a fair allocator: small demands are met in full, big ones split
+        # the remainder — never below the static share.
+        return water_fill(demands, ones, capacity)
+
+    return allocate
 
 
 def window_shares(
@@ -70,23 +126,5 @@ def window_shares(
         raise ValueError(
             f"length mismatch: {n} jobs vs {len(stall_fractions)} stalls"
         )
-    if n == 1:
-        return [float(rob_size)]
-    if rob_policy is RobPolicy.STATIC:
-        return [rob_size / n] * n
-
-    demands = [
-        occupancy_demand(job, sf, rob_size, fetch_policy)
-        for job, sf in zip(jobs, stall_fractions)
-    ]
-    total = sum(demands)
-    if total <= rob_size:
-        return [float(d) for d in demands]
-    if fetch_policy is FetchPolicy.ROUND_ROBIN:
-        # Runaway occupancy: stalled threads hold entries hostage and
-        # the squeeze lands on everyone proportionally.
-        return [rob_size * d / total for d in demands]
-    # ICOUNT keeps demands honest, so over-subscription resolves like a
-    # fair allocator: small demands are met in full, big ones split the
-    # remainder — never below the static share.
-    return water_fill(demands, [1.0] * n, float(rob_size))
+    allocate = window_allocator(jobs, rob_size, rob_policy, fetch_policy)
+    return allocate(stall_fractions)

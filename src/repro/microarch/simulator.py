@@ -10,14 +10,14 @@ callers may pass names in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.errors import ConvergenceError, WorkloadError
 from repro.microarch.config import MachineConfig
-from repro.microarch.multicore import evaluate_multicore, multicore_iteration
+from repro.microarch.multicore import multicore_iteration
 from repro.microarch.params import JobTypeParams
-from repro.microarch.smt_core import evaluate_smt, smt_iteration
+from repro.microarch.smt_core import smt_iteration
 from repro.util.fixedpoint import solve_fixed_point
 
 # Under-relaxation ladder: most coschedules converge fast at 0.4; heavily
@@ -51,6 +51,11 @@ class SimulationResult:
         memory_latency: effective memory latency including bus queueing.
         bus_utilization: modeled memory-bus utilization in [0, 1).
         iterations: fixed-point iterations to convergence.
+        evaluations: contention-map evaluations over every damping rung
+            tried, abandoned rungs included (equals ``iterations`` when
+            the first rung converges).  A cost diagnostic: it does not
+            take part in ``==``, so results that agree on every model
+            output compare equal however many rungs each took.
     """
 
     machine_name: str
@@ -62,6 +67,7 @@ class SimulationResult:
     memory_latency: float
     bus_utilization: float
     iterations: int
+    evaluations: int = field(compare=False)
 
     @property
     def total_ipc(self) -> float:
@@ -113,18 +119,27 @@ def simulate_coschedule(
     jobs = [roster[name] for name in canonical]
     n = len(jobs)
 
+    # The coschedule's map is built once: the damping rungs iterate it
+    # and the diagnostics below evaluate it at the fixed point.
     iterate = (
         smt_iteration(machine, jobs)
         if machine.is_smt
         else multicore_iteration(machine, jobs)
     )
+    evaluations = 0
+
+    def counted(state):
+        nonlocal evaluations
+        evaluations += 1
+        return iterate(state)
+
     start = [1.0] * n + [machine.llc_mb / n] * n
     fixed_point = None
     failures: list[str] = []
     for damping in _DAMPING_LADDER:
         try:
             fixed_point = solve_fixed_point(
-                iterate,
+                counted,
                 start,
                 damping=damping,
                 tolerance=1e-10,
@@ -141,11 +156,10 @@ def simulate_coschedule(
     ipcs = fixed_point.value[:n]
     shares = fixed_point.value[n:]
 
+    evaluation = iterate.evaluate(ipcs, shares)
     if machine.is_smt:
-        evaluation = evaluate_smt(machine, jobs, ipcs, shares)
         windows = evaluation.windows
     else:
-        evaluation = evaluate_multicore(machine, jobs, ipcs, shares)
         windows = (float(machine.rob_size),) * n
 
     return SimulationResult(
@@ -158,4 +172,5 @@ def simulate_coschedule(
         memory_latency=evaluation.memory_latency,
         bus_utilization=evaluation.bus_utilization,
         iterations=fixed_point.iterations,
+        evaluations=evaluations,
     )

@@ -40,12 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.microarch.cache import cache_shares
+from repro.microarch.cache import share_allocator
 from repro.microarch.config import MachineConfig
-from repro.microarch.fetch import rival_weights
-from repro.microarch.membus import bus_queueing_delay, bus_utilization
+from repro.microarch.contention import ContentionMap, llc_misses
+from repro.microarch.fetch import rival_weigher
+from repro.microarch.membus import bus_model
 from repro.microarch.params import JobTypeParams
-from repro.microarch.rob import window_shares
+from repro.microarch.rob import window_allocator
 
 __all__ = ["SmtEvaluation", "evaluate_smt", "smt_iteration"]
 
@@ -67,21 +68,107 @@ class SmtEvaluation:
     bus_utilization: float
 
 
-def _core_cpi(
-    job: JobTypeParams, machine: MachineConfig, window: float
-) -> float:
-    """Dispatch-and-front-end CPI component with a window of given size."""
-    scale = job.window_scaling(window)
-    return (
-        job.cpi_base * (1.0 + job.ilp_sens * (1.0 - scale))
-        + job.br_mpki / 1000.0 * machine.branch_penalty_cycles
-        + job.cpi_short
+def smt_iteration(
+    machine: MachineConfig, jobs: Sequence[JobTypeParams]
+) -> ContentionMap:
+    """The SMT contention map of one coschedule, over the state vector
+    ``[ipc_1..n, share_1..n]``; its :meth:`~ContentionMap.evaluate`
+    returns an :class:`SmtEvaluation`."""
+    n = len(jobs)
+    if n == 0:
+        raise ValueError("need at least one job")
+    rob = float(machine.rob_size)
+    penalty = machine.branch_penalty_cycles
+    memory_latency = machine.mem_latency_cycles
+    fragmentation = machine.smt_fragmentation
+    width = machine.width
+    bus = bus_model(
+        machine.bus_service_cycles,
+        max_utilization=machine.bus_max_utilization,
     )
+    allocate_windows = window_allocator(
+        jobs, machine.rob_size, machine.rob_policy, machine.fetch_policy
+    )
+    weigh = rival_weigher(
+        machine.fetch_policy,
+        strength=machine.icount_strength,
+        rr_slot_waste=machine.rr_slot_waste,
+    )
+    split = share_allocator(
+        n, machine.llc_mb, floor_fraction=machine.cache_share_floor
+    )
+    curves = [job.llc_mpki for job in jobs]
+    mlps = [job.mlp for job in jobs]
+    # Pass A runs every job at the full ROB.
+    full_cpis = [job.core_cpi(job.window_scaling(rob), penalty) for job in jobs]
+    smt_factor = 1.0 + machine.smt_overhead * (n - 1)
+    rivals_of = [[j for j in range(n) if j != i] for i in range(n)]
+    indices = range(n)
 
+    def equations(ipcs: Sequence[float], shares: Sequence[float]):
+        mpkis, misses = llc_misses(curves, ipcs, shares)
+        utilization, delay = bus(misses)
+        latency = memory_latency + delay
 
-def _effective_mlp(job: JobTypeParams, window: float) -> float:
-    """Memory-level parallelism achievable with a window of given size."""
-    return 1.0 + (job.mlp - 1.0) * job.window_scaling(window)
+        # Pass A: provisional stall fractions with full windows, used
+        # only to drive the ROB partitioning.
+        provisional_stalls = []
+        for i in indices:
+            t_mem = mpkis[i] / 1000.0 * latency / mlps[i]
+            provisional_stalls.append(t_mem / (full_cpis[i] + t_mem))
+        windows = allocate_windows(provisional_stalls)
+
+        # Pass B: final per-thread timing with the allocated windows.
+        # The stall/active fractions are evaluated at the *state* IPCs
+        # so that, at the fixed point, they reflect the width-squeezed
+        # schedule (a thread slowed by slot competition is active a
+        # larger fraction of the time) rather than the unconstrained
+        # demand.
+        t_execs = []
+        t_mems = []
+        stall_fractions = []
+        activities = []
+        expected_active = 0.0
+        for i in indices:
+            job = jobs[i]
+            scale = job.window_scaling(windows[i])
+            t_exec = job.core_cpi(scale, penalty) * smt_factor
+            t_mem = mpkis[i] / 1000.0 * latency / job.effective_mlp(scale)
+            t_execs.append(t_exec)
+            t_mems.append(t_mem)
+            stall = min(0.99, max(0.0, t_mem * ipcs[i]))
+            stall_fractions.append(stall)
+            activity = 1.0 - stall
+            activities.append(activity)
+            expected_active += activity
+        weights = weigh(activities)
+
+        # Mean-field dispatch-slot competition with front-end
+        # fragmentation.
+        eta = 1.0 / (1.0 + fragmentation * max(0.0, expected_active - 1.0))
+        allocation = []
+        for i in indices:
+            rivals = 0.0
+            for j in rivals_of[i]:
+                rivals += weights[j]
+            share = eta * width / (1.0 + rivals)
+            active_rate = min(1.0 / t_execs[i], share)
+            allocation.append(1.0 / (1.0 / active_rate + t_mems[i]))
+
+        next_shares = split(
+            [a * m / 1000.0 for a, m in zip(allocation, mpkis)]
+        )
+        return (
+            allocation,
+            next_shares,
+            mpkis,
+            windows,
+            stall_fractions,
+            latency,
+            utilization,
+        )
+
+    return ContentionMap(n, equations, SmtEvaluation)
 
 
 def evaluate_smt(
@@ -91,105 +178,4 @@ def evaluate_smt(
     shares: Sequence[float],
 ) -> SmtEvaluation:
     """Evaluate the contention equations once at the given estimates."""
-    n = len(jobs)
-    if n == 0:
-        raise ValueError("need at least one job")
-    if len(ipcs) != n or len(shares) != n:
-        raise ValueError("state length mismatch with job count")
-
-    mpkis = [job.llc_mpki(share) for job, share in zip(jobs, shares)]
-
-    miss_rate = sum(i * m for i, m in zip(ipcs, mpkis)) / 1000.0
-    latency = machine.mem_latency_cycles + bus_queueing_delay(
-        miss_rate,
-        machine.bus_service_cycles,
-        max_utilization=machine.bus_max_utilization,
-    )
-    utilization = bus_utilization(
-        miss_rate,
-        machine.bus_service_cycles,
-        max_utilization=machine.bus_max_utilization,
-    )
-
-    # Pass A: provisional stall fractions with full windows, used only to
-    # drive the ROB partitioning.
-    provisional_stalls = []
-    for job, mpki in zip(jobs, mpkis):
-        cpi_core = _core_cpi(job, machine, float(machine.rob_size))
-        t_mem = mpki / 1000.0 * latency / job.mlp
-        provisional_stalls.append(t_mem / (cpi_core + t_mem))
-
-    windows = window_shares(
-        jobs,
-        provisional_stalls,
-        machine.rob_size,
-        machine.rob_policy,
-        machine.fetch_policy,
-    )
-
-    # Pass B: final per-thread timing with the allocated windows.  The
-    # stall/active fractions are evaluated at the *state* IPCs so that,
-    # at the fixed point, they reflect the width-squeezed schedule (a
-    # thread slowed by slot competition is active a larger fraction of
-    # the time) rather than the unconstrained demand.
-    smt_factor = 1.0 + machine.smt_overhead * (n - 1)
-    t_execs: list[float] = []
-    t_mems: list[float] = []
-    stall_fractions: list[float] = []
-    activities: list[float] = []
-    for job, mpki, window, state_ipc in zip(jobs, mpkis, windows, ipcs):
-        t_exec = _core_cpi(job, machine, window) * smt_factor
-        t_mem = mpki / 1000.0 * latency / _effective_mlp(job, window)
-        t_execs.append(t_exec)
-        t_mems.append(t_mem)
-        stall = min(0.99, max(0.0, t_mem * state_ipc))
-        stall_fractions.append(stall)
-        activities.append(1.0 - stall)
-
-    weights = rival_weights(
-        machine.fetch_policy,
-        activities,
-        strength=machine.icount_strength,
-        rr_slot_waste=machine.rr_slot_waste,
-    )
-
-    # Mean-field dispatch-slot competition with front-end fragmentation.
-    expected_active = sum(activities)
-    eta = 1.0 / (
-        1.0 + machine.smt_fragmentation * max(0.0, expected_active - 1.0)
-    )
-    allocation: list[float] = []
-    for i in range(n):
-        rivals = sum(weights[j] for j in range(n) if j != i)
-        share = eta * machine.width / (1.0 + rivals)
-        active_rate = min(1.0 / t_execs[i], share)
-        cpi = 1.0 / active_rate + t_mems[i]
-        allocation.append(1.0 / cpi)
-
-    pressures = [a * m / 1000.0 for a, m in zip(allocation, mpkis)]
-    next_shares = cache_shares(
-        pressures,
-        machine.llc_mb,
-        floor_fraction=machine.cache_share_floor,
-    )
-
-    return SmtEvaluation(
-        next_ipcs=tuple(allocation),
-        next_shares=tuple(next_shares),
-        mpkis=tuple(mpkis),
-        windows=tuple(windows),
-        stall_fractions=tuple(stall_fractions),
-        memory_latency=latency,
-        bus_utilization=utilization,
-    )
-
-
-def smt_iteration(machine: MachineConfig, jobs: Sequence[JobTypeParams]):
-    """Fixed-point map over the state vector ``[ipc_1..n, share_1..n]``."""
-    n = len(jobs)
-
-    def iterate(state: Sequence[float]) -> list[float]:
-        evaluation = evaluate_smt(machine, jobs, state[:n], state[n:])
-        return list(evaluation.next_ipcs) + list(evaluation.next_shares)
-
-    return iterate
+    return smt_iteration(machine, jobs).evaluate(ipcs, shares)

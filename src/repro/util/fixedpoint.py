@@ -89,34 +89,43 @@ def solve_fixed_point(
             runs out, an iterate or residual is non-finite, or the
             residual stops contracting (see the module docstring).  The
             message names which.
-        ValueError: if damping is outside (0, 1] or start is empty.
+        ValueError: if damping is outside (0, 1], tolerance is negative
+            or NaN, max_iterations is below 1, or start is empty.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     x = [float(v) for v in start]
     if not x:
         raise ValueError("start vector must be non-empty")
 
-    residual = float("inf")
-    window_best = float("inf")
-    previous_best = float("inf")
+    keep = 1.0 - damping
+    residual = math.inf
+    window_best = math.inf
+    previous_best = math.inf
     for iteration in range(1, max_iterations + 1):
-        fx = [float(v) for v in func(x)]
+        fx = func(x)
         if len(fx) != len(x):
             raise ValueError(
                 f"fixed-point map changed dimension: {len(x)} -> {len(fx)}"
             )
-        residual = max(
-            abs(new - old) / max(1.0, abs(old)) for new, old in zip(fx, x)
-        )
-        if not (math.isfinite(residual) and all(map(math.isfinite, fx))):
+        # One pass for the relative max-norm residual and finiteness: a
+        # non-finite map value makes its term, and so the residual, NaN
+        # or infinite, and either fails the ``< inf`` test below.
+        residual = 0.0
+        for new, old in zip(fx, x):
+            term = abs(new - old) / max(1.0, abs(old))
+            if term > residual or term != term:
+                residual = term
+        if not residual < math.inf:
             raise ConvergenceError(
                 f"non-finite iterate at iteration {iteration} "
                 f"(residual {residual:.3e})"
             )
-        x = [
-            (1.0 - damping) * old + damping * new for new, old in zip(fx, x)
-        ]
+        x = [keep * old + damping * new for new, old in zip(fx, x)]
         if residual <= tolerance:
             return FixedPointResult(
                 value=tuple(x), iterations=iteration, residual=residual
@@ -132,7 +141,7 @@ def solve_fixed_point(
                     f"(tolerance {tolerance:.3e})"
                 )
             previous_best = window_best
-            window_best = float("inf")
+            window_best = math.inf
     raise ConvergenceError(
         f"budget exhausted: no convergence in {max_iterations} iterations "
         f"(residual {residual:.3e}, tolerance {tolerance:.3e})"

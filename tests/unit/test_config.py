@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -14,6 +15,12 @@ from repro.microarch.config import (
     quad_core_machine,
     smt_machine,
 )
+
+NUMERIC_FIELDS = [
+    field.name
+    for field in dataclasses.fields(MachineConfig)
+    if field.type in ("int", "float")
+]
 
 
 class TestFactories:
@@ -92,6 +99,13 @@ class TestValidation:
             kwargs = self.base_kwargs() | {field: -0.1}
             with pytest.raises(ConfigurationError):
                 MachineConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_non_finite_values_rejected(self, field, value):
+        kwargs = self.base_kwargs() | {field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            MachineConfig(**kwargs)
 
     def test_frozen(self):
         machine = smt_machine()

@@ -70,6 +70,23 @@ class TestSolveFixedPoint:
         with pytest.raises(ValueError):
             solve_fixed_point(lambda x: list(x), [])
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1e-12, -math.inf])
+    def test_invalid_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_fixed_point(lambda x: list(x), [1.0], tolerance=tolerance)
+
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_invalid_budget_rejected(self, max_iterations):
+        converged = counting(lambda x: list(x))
+        with pytest.raises(ValueError, match="max_iterations"):
+            solve_fixed_point(converged, [1.0], max_iterations=max_iterations)
+        assert converged.calls == 0
+
+    def test_zero_tolerance_accepted(self):
+        result = solve_fixed_point(lambda x: [0.5], [0.0], damping=1.0,
+                                   tolerance=0.0)
+        assert result.value == (0.5,)
+
     def test_dimension_change_rejected(self):
         with pytest.raises(ValueError):
             solve_fixed_point(lambda x: [1.0, 2.0], [1.0])

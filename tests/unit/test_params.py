@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,13 @@ from hypothesis import given, strategies as st
 from repro.errors import ConfigurationError
 from repro.microarch.benchmarks import default_roster
 from repro.microarch.params import JobTypeParams
+
+
+NUMERIC_FIELDS = [
+    field.name
+    for field in dataclasses.fields(JobTypeParams)
+    if field.type in ("int", "float")
+]
 
 
 def make_params(**overrides) -> JobTypeParams:
@@ -56,6 +64,12 @@ class TestValidation:
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigurationError):
             make_params(name="")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            make_params(**{field: value})
 
 
 class TestMissCurve:

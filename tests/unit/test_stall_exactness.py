@@ -102,3 +102,16 @@ def test_limit_cycles_are_abandoned_early(checked, unchecked, names):
     assert calls <= 1000
     # With the check off the same rung spends its whole budget.
     assert unchecked[names][1][0] == (first, 5000, False)
+
+
+@pytest.mark.parametrize("names", LIMIT_CYCLES, ids="+".join)
+def test_evaluations_count_abandoned_rungs(checked, names):
+    result, rungs = checked[names]
+    assert result.evaluations == sum(calls for _, calls, _ in rungs)
+    assert result.evaluations > result.iterations
+
+
+@pytest.mark.parametrize("names", tuple(SLOW_CONVERGERS), ids="+".join)
+def test_first_rung_evaluations_equal_iterations(checked, names):
+    result, _ = checked[names]
+    assert result.evaluations == result.iterations
