@@ -100,7 +100,9 @@ def smt_iteration(
     curves = [job.llc_mpki for job in jobs]
     mlps = [job.mlp for job in jobs]
     # Pass A runs every job at the full ROB.
-    full_cpis = [job.core_cpi(job.window_scaling(rob), penalty) for job in jobs]
+    full_cpis = [
+        job.core_cpi(job.window_scaling(rob), penalty) for job in jobs
+    ]
     smt_factor = 1.0 + machine.smt_overhead * (n - 1)
     rivals_of = [[j for j in range(n) if j != i] for i in range(n)]
     indices = range(n)

@@ -33,7 +33,7 @@ from repro.util.multiset import multisets
 from test_golden_traces import GOLDEN_DIR, diff_payload, write_golden
 
 ARTIFACT_DIR = GOLDEN_DIR / "artifacts"
-MACHINES = {machine.name: machine for machine in (smt_machine(), quad_core_machine())}
+MACHINES = {m.name: m for m in (smt_machine(), quad_core_machine())}
 
 
 def rate_golden_path(machine_name: str) -> Path:

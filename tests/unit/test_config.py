@@ -104,7 +104,8 @@ class TestValidation:
     @pytest.mark.parametrize("field", NUMERIC_FIELDS)
     def test_non_finite_values_rejected(self, field, value):
         kwargs = self.base_kwargs() | {field: value}
-        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        message = f"{field} must be finite"
+        with pytest.raises(ConfigurationError, match=message):
             MachineConfig(**kwargs)
 
     def test_frozen(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.microarch.benchmarks import default_roster
 from repro.microarch.config import quad_core_machine
-from repro.microarch.multicore import evaluate_multicore
+from repro.microarch.multicore import evaluate_multicore, multicore_iteration
 
 ROSTER = default_roster()
 MACHINE = quad_core_machine()
@@ -57,6 +57,23 @@ class TestEvaluateMulticore:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate_multicore(MACHINE, [], [], [])
+
+    @pytest.mark.parametrize(
+        "ipcs, shares, message",
+        [
+            ([1.0, 1.0], [1.0, -0.5], "cache allocation must be >= 0"),
+            ([1.0, -1.0], [1.0, 1.0], "miss rate must be non-negative"),
+        ],
+    )
+    def test_state_checks_raise_in_the_map(self, ipcs, shares, message):
+        """The map checks each state it is handed, not only the first."""
+        jobs = [ROSTER["bzip2"], ROSTER["mcf"]]
+        iterate = multicore_iteration(MACHINE, jobs)
+        iterate([1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            iterate(ipcs + shares)
+        with pytest.raises(ValueError, match=message):
+            iterate.evaluate(ipcs, shares)
 
     def test_compute_jobs_mostly_unaffected_by_each_other(self):
         alone = evaluate(["hmmer"], shares=[MACHINE.llc_mb])

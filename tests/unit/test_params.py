@@ -68,7 +68,8 @@ class TestValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", NUMERIC_FIELDS)
     def test_non_finite_values_rejected(self, field, value):
-        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        message = f"{field} must be finite"
+        with pytest.raises(ConfigurationError, match=message):
             make_params(**{field: value})
 
 

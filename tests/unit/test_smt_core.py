@@ -6,7 +6,7 @@ import pytest
 
 from repro.microarch.benchmarks import default_roster
 from repro.microarch.config import FetchPolicy, RobPolicy, smt_machine
-from repro.microarch.smt_core import evaluate_smt
+from repro.microarch.smt_core import evaluate_smt, smt_iteration
 
 ROSTER = default_roster()
 MACHINE = smt_machine()
@@ -76,6 +76,22 @@ class TestEvaluateSmt:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate_smt(MACHINE, [], [], [])
+
+    @pytest.mark.parametrize(
+        "ipcs, shares, message",
+        [
+            ([1.0, 1.0], [2.0, -0.5], "cache allocation must be >= 0"),
+            ([1.0, -1.0], [2.0, 2.0], "miss rate must be non-negative"),
+        ],
+    )
+    def test_state_checks_raise_in_the_map(self, ipcs, shares, message):
+        """The map checks each state it is handed, not only the first."""
+        iterate = smt_iteration(MACHINE, [ROSTER["bzip2"], ROSTER["mcf"]])
+        iterate([1.0, 1.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match=message):
+            iterate(ipcs + shares)
+        with pytest.raises(ValueError, match=message):
+            iterate.evaluate(ipcs, shares)
 
     def test_fragmentation_shrinks_aggregate_width(self):
         """Four active compute threads get less aggregate dispatch than
