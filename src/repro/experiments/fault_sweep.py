@@ -9,15 +9,19 @@ regression net.  Every (scenario, dispatcher) cell runs a small grid:
 
 * ``none`` — no fault layer (``faults=None``);
 * ``zero`` — a default :class:`~repro.queueing.faults.FaultConfig`
-  through the fault-aware code path.  The ``compare_bench --faults``
-  gate asserts this row is **bit-identical** to ``none`` (the
+  through the fault-aware code path.  ``tools/compare_bench.py
+  --faults`` asserts this row is **bit-identical** to ``none`` (the
   zero-fault identity is structural, not approximate);
 * faulty cells at increasing MTBF (fixed MTTR), each reporting
   availability, goodput (work rate net of progress lost to crashes),
   lost work, retries, abandonment, and shed arrivals alongside the
-  usual throughput/turnaround metrics.  The gate also checks
-  availability is monotone non-decreasing in MTBF — the sanity law
+  usual throughput/turnaround metrics.  The gate also checks that
+  mean availability does not fall by more than 0.02 from one MTBF
+  grid point to the next — the sanity law
   ``availability ≈ MTBF / (MTBF + MTTR)`` at the grid's scale.
+
+The gate reads only the results file this experiment writes with
+``--results-dir``, not ``BENCH_CORE.json``.
 
 MTBF/MTTR are expressed as fractions of the cell's estimated run
 duration, so every scenario sees a comparable number of failure events
@@ -386,8 +390,9 @@ def render(outcomes: list[FaultOutcome]) -> str:
         f"{len({o.dispatcher for o in outcomes})} dispatchers x "
         f"{len({o.mode for o in outcomes})} fault modes, "
         f"{outcomes[0].n_machines} machines).\n"
-        "zero-fault rows are bit-identical to the fault-free engine "
-        f"({len(zero_rows)} checked by compare_bench --faults); "
+        f"{len(zero_rows)} zero-fault rows must be bit-identical to the "
+        "fault-free engine (gate: tools/compare_bench.py --faults on the "
+        "--results-dir file); "
         "mean faulty availability "
         f"{sum(o.availability for o in faulty) / len(faulty):.3f}"
         if faulty

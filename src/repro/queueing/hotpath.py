@@ -1,12 +1,8 @@
-"""Hot-path benchmark workloads and the perf-trajectory format.
+"""Hot-path benchmark workloads.
 
-The ROADMAP's north star is a simulator that runs as fast as the
-hardware allows, which needs two things the repo previously lacked: a
-*fixed, synthetic-rate* workload pair that times the event core in
-isolation (no microarch simulation, no LP noise beyond the offline
-solves), and a committed record of how fast it runs so later PRs
-cannot silently regress it.  This module is the single source of truth
-for both:
+Timing the event core in isolation needs *fixed, synthetic-rate*
+workloads: no microarch simulation, no LP noise beyond the offline
+solves.  This module is their single definition:
 
 * :func:`synthetic_rates` — a deterministic rate table over N job
   types with real symbiosis structure (mixed coschedules beat
@@ -22,21 +18,18 @@ for both:
   workload for perf-trajectory point 1;
 * :func:`scenario_run` — the **scenario-sweep** workload: bursty MMPP
   traffic through MAXTP machines behind the LP-affinity dispatcher,
-  exercising long non-saturated queues and the dispatch layer;
-* :func:`measure` — best-of-N wall-clock of one workload on either
-  engine (``compiled``, the production loop, or ``legacy``, the
-  reference — the axes of ``tools/profile_hotpaths.py`` and
-  ``BENCH_CORE.json``).
+  exercising long non-saturated queues and the dispatch layer.
 
-``benchmarks/bench_hotpath.py`` wraps these in pytest-benchmark and
-checks the committed ``BENCH_CORE.json`` trajectory; CI's perf-smoke
-job compares fresh numbers against that baseline with a generous
-tolerance (hardware varies — only a wholesale regression fails).
+``benchmarks/bench_hotpath.py`` times :data:`HOTPATH_WORKLOADS` on
+both engines (``compiled``, the production loop, and ``legacy``, the
+reference) in pytest-benchmark; CI's perf-smoke job gates that JSON
+with ``tools/compare_bench.py --hotpath`` against the committed
+``BENCH_CORE.json`` trajectory, with a generous tolerance (hardware
+varies — only a wholesale regression fails).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Sequence
 
 from repro.core.workload import Workload
@@ -54,7 +47,6 @@ __all__ = [
     "saturated_jobs",
     "saturated_cluster",
     "scenario_run",
-    "measure",
     "HOTPATH_WORKLOADS",
 ]
 
@@ -200,33 +192,3 @@ HOTPATH_WORKLOADS: dict[str, Callable[..., tuple[ClusterMetrics, dict | None]]] 
     ),
 }
 
-
-def measure(
-    workload: str,
-    *,
-    engine: str = "compiled",
-    repeats: int = 3,
-) -> dict[str, object]:
-    """Best-of-``repeats`` wall-clock seconds of one named workload.
-
-    ``engine`` is ``"compiled"`` or ``"legacy"``, exactly as in
-    :meth:`Cluster.run`.  Also returns the run's completion count (a
-    cheap integrity check: both engines must do identical work) and the
-    memo/engine stats of the last repeat (cache efficacy; the reference
-    loop reports no engine counters).
-    """
-    runner = HOTPATH_WORKLOADS[workload]
-    best = float("inf")
-    completed = None
-    stats: dict[str, object] | None = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        metrics, stats = runner(engine=engine)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        completed = metrics.completed
-    return {
-        "seconds": best,
-        "completed": completed,
-        "memo_stats": stats,
-    }

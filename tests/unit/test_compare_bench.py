@@ -1,18 +1,20 @@
-"""Unit tests for the CI perf-smoke gate (``tools/compare_bench.py``).
+"""Unit tests for the CI gate (``tools/compare_bench.py``).
 
-The gate is the last line of defense for the committed perf
-trajectory, so its *failure modes* are part of its contract: a
-half-landed change (new benchmark without a refreshed baseline, or a
-baseline file with no usable trajectory point) must produce a clear
-one-line diagnostic — never a bare ``KeyError``/``IndexError`` that
-reads like the gate itself is broken.
+The gate is a table of rows (label, measured value, comparator,
+bound), so its tests are a table too: for every row a gate builds,
+one case mutates a healthy payload so that row fails, and checks that
+the failure names the row.  ``test_every_row_has_a_failing_case``
+keeps the two tables in step.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import re
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -20,28 +22,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
 import compare_bench  # noqa: E402
 
-
-def write_results(path: Path, workloads: dict[str, dict[str, float]]):
-    """A minimal pytest-benchmark JSON with the gate's naming scheme."""
-    benches = []
-    for workload, modes in workloads.items():
-        for mode, seconds in modes.items():
-            prefix = {
-                "legacy": "test_hotpath_legacy",
-                "compiled": "test_hotpath_compiled",
-            }[mode]
-            benches.append(
-                {
-                    "name": f"{prefix}[{workload}]",
-                    "stats": {"min": seconds},
-                }
-            )
-    path.write_text(json.dumps({"benchmarks": benches}))
-
-
-def write_baseline(path: Path, trajectory: list[dict]):
-    path.write_text(json.dumps({"version": 1, "trajectory": trajectory}))
-
+# ----------------------------------------------------------------------
+# Healthy payloads, one file set per gate.
+# ----------------------------------------------------------------------
 
 BASELINE_POINT = {
     "point": 1,
@@ -52,151 +35,6 @@ BASELINE_POINT = {
             "completed": 100,
         }
     },
-}
-
-
-def test_matching_results_pass(tmp_path):
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    write_results(
-        results,
-        {"saturated_demo": {"legacy": 1.0, "compiled": 0.1}},
-    )
-    write_baseline(baseline, [BASELINE_POINT])
-    assert compare_bench.main([str(results), str(baseline)]) == 0
-
-
-def test_empty_trajectory_fails_with_clear_message(tmp_path):
-    """An empty trajectory must exit with a diagnostic, not IndexError."""
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    write_results(results, {"saturated_demo": {"compiled": 0.1}})
-    write_baseline(baseline, [])
-    with pytest.raises(SystemExit) as excinfo:
-        compare_bench.main([str(results), str(baseline)])
-    assert "empty trajectory" in str(excinfo.value)
-
-
-def test_pointless_trajectory_fails_with_clear_message(tmp_path):
-    """A trajectory point with no benchmarks must not KeyError."""
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    write_results(results, {"saturated_demo": {"compiled": 0.1}})
-    write_baseline(baseline, [{"point": 0}])
-    with pytest.raises(SystemExit) as excinfo:
-        compare_bench.main([str(results), str(baseline)])
-    assert "records no benchmarks" in str(excinfo.value)
-
-
-def test_unknown_benchmark_name_fails_with_clear_message(tmp_path, capsys):
-    """A measured workload the trajectory has never seen is a
-    half-landed change — named explicitly, not silently skipped."""
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    write_results(
-        results,
-        {
-            "saturated_demo": {"legacy": 1.0, "compiled": 0.1},
-            "brand_new_workload": {"compiled": 0.5},
-        },
-    )
-    write_baseline(baseline, [BASELINE_POINT])
-    assert compare_bench.main([str(results), str(baseline)]) == 1
-    err = capsys.readouterr().err
-    assert "brand_new_workload" in err
-    assert "missing from the committed trajectory" in err
-
-
-def test_workload_missing_from_results_fails(tmp_path, capsys):
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    write_results(results, {})
-    write_baseline(baseline, [BASELINE_POINT])
-    assert compare_bench.main([str(results), str(baseline)]) == 1
-    assert "missing from results" in capsys.readouterr().err
-
-
-def test_compiled_regression_fails(tmp_path, capsys):
-    """Compiled time over tolerance x baseline fails even when the
-    legacy/compiled speedup still clears its floor."""
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    write_results(
-        results,
-        {"saturated_demo": {"legacy": 1.0, "compiled": 0.5}},
-    )
-    write_baseline(baseline, [BASELINE_POINT])
-    assert (
-        compare_bench.main(
-            [str(results), str(baseline), "--tolerance", "2.0"]
-        )
-        == 1
-    )
-    assert "saturated_demo" in capsys.readouterr().err
-
-
-def test_missing_compiled_measurement_fails(tmp_path, capsys):
-    """A legacy timing alone is only a calibration, never a pass."""
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    write_results(results, {"saturated_demo": {"legacy": 1.0}})
-    write_baseline(baseline, [BASELINE_POINT])
-    assert compare_bench.main([str(results), str(baseline)]) == 1
-    assert "missing from results" in capsys.readouterr().err
-
-
-def test_speedup_below_floor_fails(tmp_path, capsys):
-    """Within budget but no faster than the reference engine: the
-    same-machine speedup floor catches it."""
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    write_results(
-        results, {"saturated_demo": {"legacy": 0.1, "compiled": 0.1}}
-    )
-    write_baseline(baseline, [BASELINE_POINT])
-    assert compare_bench.main([str(results), str(baseline)]) == 1
-    assert "REGRESSED" in capsys.readouterr().out
-
-
-def test_baseline_entry_without_compiled_s_fails(tmp_path, capsys):
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    write_results(results, {"saturated_demo": {"compiled": 0.1}})
-    write_baseline(
-        baseline,
-        [{"point": 0, "benchmarks": {"saturated_demo": {"completed": 1}}}],
-    )
-    assert compare_bench.main([str(results), str(baseline)]) == 1
-    assert "no compiled_s" in capsys.readouterr().err
-
-
-def test_historical_fast_entries_stay_readable(tmp_path):
-    """Points recorded with the retired fast loop (``fast_s`` in the
-    baseline, ``test_hotpath[...]`` in old results) are ignored, not
-    rejected."""
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    write_results(
-        results, {"saturated_demo": {"legacy": 1.0, "compiled": 0.1}}
-    )
-    payload = json.loads(results.read_text())
-    payload["benchmarks"].append(
-        {"name": "test_hotpath[saturated_demo]", "stats": {"min": 0.25}}
-    )
-    results.write_text(json.dumps(payload))
-    point = json.loads(json.dumps(BASELINE_POINT))
-    point["benchmarks"]["saturated_demo"]["fast_s"] = 0.25
-    write_baseline(baseline, [point])
-    assert compare_bench.main([str(results), str(baseline)]) == 0
-
-
-# ----------------------------------------------------------------------
-# The --scale gate (perf point 2: bench_scale.py payloads).
-# ----------------------------------------------------------------------
-
-SCALE_POINT = {
-    "point": 2,
-    "benchmarks": BASELINE_POINT["benchmarks"],
     "scale": {
         "max_shard_overhead": 1.5,
         "tracemalloc_ceiling_mb": 16.0,
@@ -206,507 +44,394 @@ SCALE_POINT = {
 }
 
 
-def scale_case(n_jobs, *, sharded_s=None, heap_mb=2.2, rss_mb=34.0,
-               completed=None):
+def bench(engine: str, seconds: float, completed: int = 100,
+          workload: str = "saturated_demo") -> dict:
+    """One pytest-benchmark entry with the gate's naming scheme."""
+    return {
+        "name": f"test_hotpath_{engine}[{workload}]",
+        "stats": {"min": seconds},
+        "extra_info": {"completed": completed},
+    }
+
+
+def scale_case(n_jobs, *, heap_mb=2.2):
     wall_s = n_jobs / 40_000
     return {
         "n_jobs": n_jobs,
         "wall_s": wall_s,
-        "sharded_s": wall_s * 1.05 if sharded_s is None else sharded_s,
+        "sharded_s": wall_s * 1.05,
         "shards": 8,
-        "completed": n_jobs if completed is None else completed,
+        "completed": n_jobs,
         "jobs_per_s": 40_000,
         "tracemalloc_peak_mb": heap_mb,
-        "peak_rss_mb": rss_mb,
+        "peak_rss_mb": 34.0,
     }
 
 
-def write_scale(path: Path, cases: list[dict]):
-    path.write_text(json.dumps({"config": {}, "cases": cases}))
-
-
-def test_scale_only_invocation_passes(tmp_path, capsys):
-    """--scale works without a pytest-benchmark results file."""
-    baseline = tmp_path / "baseline.json"
-    scale = tmp_path / "scale.json"
-    write_baseline(baseline, [SCALE_POINT])
-    write_scale(scale, [scale_case(100_000), scale_case(1_000_000)])
-    assert compare_bench.main(
-        [str(baseline), "--scale", str(scale)]
-    ) == 0
-    assert "scale smoke ok" in capsys.readouterr().out
-
-
-def test_scale_gate_composes_with_perf_gate(tmp_path):
-    """Both positional results and --scale in one invocation."""
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    scale = tmp_path / "scale.json"
-    write_results(
-        results,
-        {"saturated_demo": {"legacy": 1.0, "compiled": 0.1}},
-    )
-    write_baseline(baseline, [SCALE_POINT])
-    write_scale(scale, [scale_case(100_000)])
-    assert compare_bench.main(
-        [str(results), str(baseline), "--scale", str(scale)]
-    ) == 0
-
-
-def test_scale_shard_overhead_regression_fails(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    scale = tmp_path / "scale.json"
-    write_baseline(baseline, [SCALE_POINT])
-    write_scale(
-        scale, [scale_case(100_000, sharded_s=100_000 / 40_000 * 2.0)]
-    )
-    assert compare_bench.main(
-        [str(baseline), "--scale", str(scale)]
-    ) == 1
-    assert "shard overhead" in capsys.readouterr().err
-
-
-def test_scale_memory_ceiling_regression_fails(tmp_path, capsys):
-    """A heap peak past the committed ceiling fails — the constant-
-    memory contract, gated absolutely."""
-    baseline = tmp_path / "baseline.json"
-    scale = tmp_path / "scale.json"
-    write_baseline(baseline, [SCALE_POINT])
-    write_scale(scale, [scale_case(100_000, heap_mb=64.0)])
-    assert compare_bench.main(
-        [str(baseline), "--scale", str(scale)]
-    ) == 1
-    assert "heap peak" in capsys.readouterr().err
-
-
-def test_scale_flatness_regression_fails(tmp_path, capsys):
-    """Heap growing with the job count — even under the ceiling — is a
-    streaming regression (completed jobs being retained again)."""
-    baseline = tmp_path / "baseline.json"
-    scale = tmp_path / "scale.json"
-    write_baseline(baseline, [SCALE_POINT])
-    write_scale(
-        scale,
-        [
-            scale_case(100_000, heap_mb=2.0),
-            scale_case(1_000_000, heap_mb=12.0),
-        ],
-    )
-    assert compare_bench.main(
-        [str(baseline), "--scale", str(scale)]
-    ) == 1
-    assert "flatness" in capsys.readouterr().err
-
-
-def test_scale_truncated_run_fails(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    scale = tmp_path / "scale.json"
-    write_baseline(baseline, [SCALE_POINT])
-    write_scale(scale, [scale_case(100_000, completed=99_000)])
-    assert compare_bench.main(
-        [str(baseline), "--scale", str(scale)]
-    ) == 1
-    assert "completed" in capsys.readouterr().err
-
-
-def test_scale_block_missing_fails_with_clear_message(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    scale = tmp_path / "scale.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    write_scale(scale, [scale_case(100_000)])
-    with pytest.raises(SystemExit) as excinfo:
-        compare_bench.main([str(baseline), "--scale", str(scale)])
-    assert "records no scale block" in str(excinfo.value)
-
-
-# ----------------------------------------------------------------------
-# The --tournament gate (estimation sanity invariants).
-# ----------------------------------------------------------------------
-
-
-def tournament_cell(noise, degradation, *, policy="maxit",
-                    scenario="baseline_poisson", rep=0, completed=50,
-                    est_completed=None):
-    oracle_tp = 2.0
+def tournament_cell(noise, degradation, *, rep=0, est_completed=50):
     return {
-        "scenario": scenario,
-        "policy": policy,
+        "scenario": "baseline_poisson",
+        "policy": "maxit",
         "noise": noise,
         "warmup_frac": 0.0,
         "rep": rep,
-        "oracle_throughput": oracle_tp,
-        "est_throughput": oracle_tp * (1.0 - degradation),
+        "oracle_throughput": 2.0,
+        "est_throughput": 2.0 * (1.0 - degradation),
         "tp_degradation": degradation,
-        "oracle_completed": completed,
-        "est_completed": (
-            completed if est_completed is None else est_completed
-        ),
+        "oracle_completed": 50,
+        "est_completed": est_completed,
     }
 
 
-def write_tournament(path: Path, cells: list[dict], *, wrap=False):
-    payload = {"noise_levels": sorted({c["noise"] for c in cells}),
-               "cells": cells}
-    if wrap:
-        payload = {"name": "policy_tournament", "rows": payload}
-    path.write_text(json.dumps(payload))
-
-
-def healthy_cells():
-    return [
-        tournament_cell(0.0, 0.0),
-        tournament_cell(0.0, 0.0, rep=1),
-        tournament_cell(0.4, 0.02),
-        tournament_cell(0.4, -0.01, rep=1),
-    ]
-
-
-def test_tournament_healthy_passes(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    tournament = tmp_path / "tournament.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    write_tournament(tournament, healthy_cells())
-    assert compare_bench.main(
-        [str(baseline), "--tournament", str(tournament)]
-    ) == 0
-    assert "tournament sanity ok" in capsys.readouterr().out
-
-
-def test_tournament_accepts_results_dir_wrapper(tmp_path):
-    """The runner's --results-dir file nests the payload under rows."""
-    baseline = tmp_path / "baseline.json"
-    tournament = tmp_path / "tournament.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    write_tournament(tournament, healthy_cells(), wrap=True)
-    assert compare_bench.main(
-        [str(baseline), "--tournament", str(tournament)]
-    ) == 0
-
-
-def test_tournament_zero_noise_drift_fails(tmp_path, capsys):
-    """A zero-noise cell that is not bit-identical to its oracle twin
-    is an estimation-stack bug, whatever its sign."""
-    baseline = tmp_path / "baseline.json"
-    tournament = tmp_path / "tournament.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    cells = healthy_cells()
-    cells[0] = tournament_cell(0.0, 1e-4)
-    write_tournament(tournament, cells)
-    assert compare_bench.main(
-        [str(baseline), "--tournament", str(tournament)]
-    ) == 1
-    assert "bit-identical" in capsys.readouterr().err
-
-
-def test_tournament_zero_noise_completion_drift_fails(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    tournament = tmp_path / "tournament.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    cells = healthy_cells()
-    cells[1] = tournament_cell(0.0, 0.0, rep=1, est_completed=49)
-    write_tournament(tournament, cells)
-    assert compare_bench.main(
-        [str(baseline), "--tournament", str(tournament)]
-    ) == 1
-    assert "49 vs 50" in capsys.readouterr().err
-
-
-def test_tournament_inverted_price_of_information_fails(tmp_path, capsys):
-    """Estimates systematically beating the oracle at high noise means
-    the oracle side of the pairing is broken."""
-    baseline = tmp_path / "baseline.json"
-    tournament = tmp_path / "tournament.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    cells = [
-        tournament_cell(0.0, 0.0),
-        tournament_cell(0.4, -0.10),
-        tournament_cell(0.4, -0.12, rep=1),
-    ]
-    write_tournament(tournament, cells)
-    assert compare_bench.main(
-        [str(baseline), "--tournament", str(tournament)]
-    ) == 1
-    assert "beat the oracle" in capsys.readouterr().err
-
-
-def test_tournament_slack_is_configurable(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    tournament = tmp_path / "tournament.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    cells = [
-        tournament_cell(0.0, 0.0),
-        tournament_cell(0.4, -0.10),
-    ]
-    write_tournament(tournament, cells)
-    assert compare_bench.main(
-        [str(baseline), "--tournament", str(tournament),
-         "--tournament-slack", "0.2"]
-    ) == 0
-
-
-def test_tournament_without_controls_fails(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    tournament = tmp_path / "tournament.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    write_tournament(tournament, [tournament_cell(0.4, 0.02)])
-    assert compare_bench.main(
-        [str(baseline), "--tournament", str(tournament)]
-    ) == 1
-    assert "no zero-noise control cells" in capsys.readouterr().err
-
-
-def test_tournament_without_noise_fails(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    tournament = tmp_path / "tournament.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    write_tournament(tournament, [tournament_cell(0.0, 0.0)])
-    assert compare_bench.main(
-        [str(baseline), "--tournament", str(tournament)]
-    ) == 1
-    assert "no noisy cells" in capsys.readouterr().err
-
-
-def test_tournament_empty_fails_with_clear_message(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    tournament = tmp_path / "tournament.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    tournament.write_text(json.dumps({"cells": []}))
-    with pytest.raises(SystemExit) as excinfo:
-        compare_bench.main([str(baseline), "--tournament", str(tournament)])
-    assert "no cells" in str(excinfo.value)
-
-
-# ----------------------------------------------------------------------
-# The --faults gate (fault-layer structural invariants).
-# ----------------------------------------------------------------------
-
-
-def fault_row(mode, *, scenario="baseline_poisson", dispatcher="jsq",
-              throughput=2.0, availability=1.0, completed=250,
-              turnaround=12.5, lost_work=0.0, crashes=0, retried=0,
-              abandoned=0, shed=0):
-    if mode.startswith("mtbf="):
-        fraction = float(mode[len("mtbf="):])
-        mtbf, mttr = fraction * 100.0, 5.0
-    else:
-        mtbf = mttr = 0.0
+def fault_row(mode, *, dispatcher="jsq", availability=1.0):
+    faulty = mode.startswith("mtbf=")
     return {
-        "scenario": scenario,
+        "scenario": "baseline_poisson",
         "dispatcher": dispatcher,
         "mode": mode,
-        "mtbf": mtbf,
-        "mttr": mttr,
+        "mtbf": float(mode[len("mtbf="):]) * 100.0 if faulty else 0.0,
+        "mttr": 5.0 if faulty else 0.0,
         "n_machines": 3,
         "n_jobs": 250,
-        "throughput": throughput,
-        "goodput": throughput - lost_work / 100.0,
-        "mean_turnaround": turnaround,
+        "throughput": 1.8 if faulty else 2.0,
+        "goodput": 1.72 if faulty else 2.0,
+        "mean_turnaround": 12.5,
         "availability": availability,
         "degraded_fraction": 0.0,
-        "lost_work": lost_work,
-        "crashes": crashes,
-        "retried": retried,
-        "abandoned": abandoned,
-        "shed": shed,
-        "completed": completed,
+        "lost_work": 8.0 if faulty else 0.0,
+        "crashes": 4 if faulty else 0,
+        "retried": 6 if faulty else 0,
+        "abandoned": 1 if faulty else 0,
+        "shed": 0,
+        "completed": 240 if faulty else 250,
         "engine": "compiled",
     }
 
 
-def healthy_fault_rows():
-    rows = []
-    for dispatcher in ("round_robin", "jsq"):
-        rows.append(fault_row("none", dispatcher=dispatcher))
-        rows.append(fault_row("zero", dispatcher=dispatcher))
-        for fraction, avail in ((0.08, 0.70), (0.25, 0.85), (0.75, 0.95)):
-            rows.append(fault_row(
-                f"mtbf={fraction:g}", dispatcher=dispatcher,
-                throughput=1.8, availability=avail, completed=240,
-                lost_work=8.0, crashes=4, retried=6, abandoned=1,
-            ))
-    return rows
+def healthy(gate: str) -> dict:
+    """``{"baseline": ..., gate: ...}``: the files one gate reads."""
+    inputs = {
+        "hotpath": {"benchmarks": [bench("legacy", 1.0),
+                                   bench("compiled", 0.1)]},
+        "scale": {"config": {},
+                  "cases": [scale_case(100_000), scale_case(1_000_000)]},
+        "tournament": {"noise_levels": [0.0, 0.4], "cells": [
+            tournament_cell(0.0, 0.0),
+            tournament_cell(0.0, 0.0, rep=1),
+            tournament_cell(0.4, 0.02),
+            tournament_cell(0.4, -0.01, rep=1),
+        ]},
+        "faults": [
+            fault_row(mode, dispatcher=dispatcher, availability=avail)
+            for dispatcher in ("round_robin", "jsq")
+            for mode, avail in (("none", 1.0), ("zero", 1.0),
+                                ("mtbf=0.08", 0.70), ("mtbf=0.25", 0.85),
+                                ("mtbf=0.75", 0.95))
+        ],
+    }
+    baseline = {"version": 1, "trajectory": [copy.deepcopy(BASELINE_POINT)]}
+    return {"baseline": baseline, gate: inputs[gate]}
 
 
-def write_faults(path: Path, rows: list[dict], *, wrap=False):
-    payload = {"name": "fault_sweep", "rows": rows} if wrap else rows
-    path.write_text(json.dumps(payload))
+def run_gate(tmp_path: Path, files: dict) -> int:
+    argv = []
+    for name, payload in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        argv += [f"--{name}", str(path)]
+    return compare_bench.main(argv)
 
 
-def test_faults_healthy_passes(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    faults = tmp_path / "faults.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    write_faults(faults, healthy_fault_rows())
-    assert compare_bench.main(
-        [str(baseline), "--faults", str(faults)]
-    ) == 0
-    assert "fault smoke ok" in capsys.readouterr().out
+def row_kind(label: str) -> str:
+    """A row label without its workload, case or noise level."""
+    return re.sub(r"\[[^\]]*\]", "[]", label)
 
 
-def test_faults_accepts_results_dir_wrapper(tmp_path):
-    """The runner's --results-dir file nests the rows under "rows"."""
-    baseline = tmp_path / "baseline.json"
-    faults = tmp_path / "faults.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    write_faults(faults, healthy_fault_rows(), wrap=True)
-    assert compare_bench.main(
-        [str(baseline), "--faults", str(faults)]
-    ) == 0
+def row_kinds(out: str) -> set[str]:
+    """Row kinds of the gate's report lines."""
+    return {
+        row_kind(line.split(": ")[0])
+        for line in out.splitlines()
+        if line.endswith(("   ok", "   REGRESSED"))
+    }
 
 
-def test_faults_zero_identity_drift_fails(tmp_path, capsys):
-    """A "zero" row deviating from its "none" twin on any outcome
-    column is an engine bug — the identity is structural."""
-    baseline = tmp_path / "baseline.json"
-    faults = tmp_path / "faults.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    rows = healthy_fault_rows()
-    for row in rows:
-        if row["mode"] == "zero" and row["dispatcher"] == "jsq":
-            row["throughput"] = 1.999999
-    write_faults(faults, rows)
-    assert compare_bench.main(
-        [str(baseline), "--faults", str(faults)]
-    ) == 1
+# ----------------------------------------------------------------------
+# One failing case per row.
+# ----------------------------------------------------------------------
+
+
+class Case(NamedTuple):
+    gate: str
+    row: str
+    mutate: Callable[[dict], None]
+
+
+def _set(*path_and_value):
+    """A mutation that assigns ``value`` at ``files[path...]``."""
+    *path, key, value = path_and_value
+
+    def mutate(files):
+        target = files
+        for step in path:
+            target = target[step]
+        target[key] = value
+
+    return mutate
+
+
+def _faults_where(mode, dispatcher=None, **changes):
+    def mutate(files):
+        for row in files["faults"]:
+            if row["mode"] == mode and dispatcher in (None, row["dispatcher"]):
+                row.update(changes)
+    return mutate
+
+
+def _drop_faults(keep):
+    def mutate(files):
+        files["faults"] = [r for r in files["faults"] if keep(r)]
+    return mutate
+
+
+def _tournament_cells(*cells):
+    return _set("tournament", "cells", list(cells))
+
+
+D = "hotpath[saturated_demo]"
+S = "scale[100,000 jobs]"
+
+CASES = {
+    # --hotpath
+    "no-workloads": Case("hotpath", "hotpath workloads",
+                         _set("hotpath", "benchmarks", [])),
+    "completed-differs": Case(
+        "hotpath", f"{D} completed",
+        _set("hotpath", "benchmarks", 1, bench("compiled", 0.1, 99))),
+    "legacy-completed-differs": Case(
+        "hotpath", f"{D} legacy completed",
+        _set("hotpath", "benchmarks", 0, bench("legacy", 1.0, 99))),
+    "speedup-below-floor": Case(
+        "hotpath", f"{D} speedup",
+        _set("hotpath", "benchmarks", 0, bench("legacy", 0.1))),
+    "legacy-drift-past-cap": Case(
+        "hotpath", f"{D} legacy_s",
+        _set("hotpath", "benchmarks", 0, bench("legacy", 5.0))),
+    "compiled-over-budget": Case(
+        "hotpath", f"{D} compiled_s",
+        _set("hotpath", "benchmarks", 1, bench("compiled", 0.5))),
+    "compiled-missing": Case(
+        "hotpath", f"{D} compiled_s",
+        _set("hotpath", "benchmarks", [bench("legacy", 1.0)])),
+    "baseline-without-compiled_s": Case(
+        "hotpath", f"{D} compiled_s",
+        _set("baseline", "trajectory", 0, "benchmarks", "saturated_demo",
+             {"completed": 100})),
+    "workload-unknown-to-baseline": Case(
+        "hotpath", "hotpath[brand_new] compiled_s",
+        _set("hotpath", "benchmarks", [
+            bench("legacy", 1.0), bench("compiled", 0.1),
+            bench("compiled", 0.5, workload="brand_new"),
+        ])),
+    "empty-trajectory": Case(
+        "hotpath", f"{D} completed", _set("baseline", "trajectory", [])),
+    "point-without-benchmarks": Case(
+        "hotpath", f"{D} completed",
+        _set("baseline", "trajectory", [{"point": 0}])),
+    # --scale
+    "no-cases": Case("scale", "scale cases", _set("scale", "cases", [])),
+    "shard-overhead": Case(
+        "scale", f"{S} shard overhead",
+        _set("scale", "cases", 0, "sharded_s", 100_000 / 40_000 * 2.0)),
+    "heap-ceiling": Case(
+        "scale", f"{S} heap peak MB",
+        _set("scale", "cases", 0, "tracemalloc_peak_mb", 16.5)),
+    "rss-ceiling": Case(
+        "scale", f"{S} rss peak MB",
+        _set("scale", "cases", 0, "peak_rss_mb", 81.0)),
+    "truncated-run": Case(
+        "scale", f"{S} completed",
+        _set("scale", "cases", 0, "completed", 99_000)),
+    "heap-grows-with-jobs": Case(
+        "scale", "scale[flatness] heap growth",
+        _set("scale", "cases", 1, "tracemalloc_peak_mb", 12.0)),
+    "no-scale-block": Case(
+        "scale", f"{S} shard overhead",
+        _set("baseline", "trajectory", 0, "scale", None)),
+    # --tournament
+    "no-cells": Case("tournament", "tournament cells",
+                     _tournament_cells()),
+    "no-controls": Case("tournament", "tournament[noise=0] control cells",
+                        _tournament_cells(tournament_cell(0.4, 0.02))),
+    "zero-noise-drift": Case(
+        "tournament", "tournament[noise=0] cells deviating from oracle",
+        _set("tournament", "cells", 0, tournament_cell(0.0, 1e-4))),
+    "zero-noise-completion-drift": Case(
+        "tournament", "tournament[noise=0] cells deviating from oracle",
+        _set("tournament", "cells", 1,
+             tournament_cell(0.0, 0.0, rep=1, est_completed=49))),
+    "zero-noise-nan": Case(
+        "tournament", "tournament[noise=0] cells deviating from oracle",
+        _set("tournament", "cells", 0, tournament_cell(0.0, float("nan")))),
+    "no-noisy-cells": Case("tournament", "tournament noisy cells",
+                           _tournament_cells(tournament_cell(0.0, 0.0))),
+    "estimates-beat-oracle": Case(
+        "tournament", "tournament[noise=0.4] mean degradation",
+        _tournament_cells(tournament_cell(0.0, 0.0),
+                          tournament_cell(0.4, -0.10),
+                          tournament_cell(0.4, -0.12, rep=1))),
+    # --faults
+    "no-rows": Case("faults", "faults rows", _set("faults", [])),
+    "missing-control-row": Case(
+        "faults", "faults[controls] cells missing a none/zero row",
+        _drop_faults(
+            lambda r: (r["mode"], r["dispatcher"]) != ("none", "jsq")
+        )),
+    "zero-identity-drift": Case(
+        "faults", "faults[zero identity] cells diverging from none",
+        _faults_where("zero", "jsq", throughput=1.999999)),
+    "zero-identity-counter-drift": Case(
+        "faults", "faults[zero identity] cells diverging from none",
+        _faults_where("zero", "round_robin", retried=1)),
+    "single-grid-point": Case(
+        "faults", "faults[availability] MTBF grid points",
+        _drop_faults(lambda r: r["mode"] in ("none", "zero", "mtbf=0.25"))),
+    "availability-falls-with-mtbf": Case(
+        "faults", "faults[availability] worst step up the MTBF grid",
+        _faults_where("mtbf=0.75", availability=0.80)),
+}
+
+
+@pytest.mark.parametrize("gate", list(compare_bench.GATES))
+def test_healthy_payload_passes(tmp_path, capsys, gate):
+    assert run_gate(tmp_path, healthy(gate)) == 0
+    title = compare_bench.GATES[gate][2]
+    assert f"{title} ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_mutated_payload_fails_naming_its_row(tmp_path, capsys, name):
+    case = CASES[name]
+    files = healthy(case.gate)
+    case.mutate(files)
+    assert run_gate(tmp_path, files) == 1
     err = capsys.readouterr().err
-    assert "bit-identical" in err
-    assert "throughput" in err
+    assert f"FAIL: {case.row}: " in err
+    assert f"{compare_bench.GATES[case.gate][2]} FAILED" in err
 
 
-def test_faults_zero_identity_counter_drift_fails(tmp_path, capsys):
-    """Even a single spurious retry under a default FaultConfig breaks
-    the identity — the counters are part of the contract."""
-    baseline = tmp_path / "baseline.json"
-    faults = tmp_path / "faults.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    rows = healthy_fault_rows()
-    for row in rows:
-        if row["mode"] == "zero" and row["dispatcher"] == "round_robin":
-            row["retried"] = 1
-    write_faults(faults, rows)
-    assert compare_bench.main(
-        [str(baseline), "--faults", str(faults)]
-    ) == 1
-    assert "retried" in capsys.readouterr().err
+@pytest.mark.parametrize("gate", list(compare_bench.GATES))
+def test_every_row_has_a_failing_case(tmp_path, capsys, gate):
+    run_gate(tmp_path, healthy(gate))
+    covered = {row_kind(c.row) for c in CASES.values() if c.gate == gate}
+    assert row_kinds(capsys.readouterr().out) == covered
 
 
-def test_faults_nan_turnaround_matches_itself(tmp_path):
-    """Saturated cells report turnaround as NaN on both sides of the
-    identity; NaN != NaN must not produce a spurious failure."""
-    baseline = tmp_path / "baseline.json"
-    faults = tmp_path / "faults.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    rows = healthy_fault_rows()
-    for row in rows:
-        if row["mode"] in ("none", "zero"):
-            row["mean_turnaround"] = float("nan")
-    write_faults(faults, rows)
-    assert compare_bench.main(
-        [str(baseline), "--faults", str(faults)]
-    ) == 0
+# ----------------------------------------------------------------------
+# Inputs, bounds and composition.
+# ----------------------------------------------------------------------
 
 
-def test_faults_missing_control_row_fails(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    faults = tmp_path / "faults.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    rows = [r for r in healthy_fault_rows()
-            if not (r["mode"] == "none" and r["dispatcher"] == "jsq")]
-    write_faults(faults, rows)
-    assert compare_bench.main(
-        [str(baseline), "--faults", str(faults)]
-    ) == 1
-    assert "missing its 'none' and/or 'zero' control row" in (
+def test_failure_detail_names_the_deviation(tmp_path, capsys):
+    files = healthy("faults")
+    _faults_where("zero", "jsq", throughput=1.999999)(files)
+    run_gate(tmp_path, files)
+    assert "baseline_poisson/jsq throughput none=2.0 zero=1.999999" in (
         capsys.readouterr().err
     )
 
 
-def test_faults_non_monotone_availability_fails(tmp_path, capsys):
-    """Mean availability dropping as MTBF grows (beyond the slack)
-    means the failure/repair processes are miscalibrated."""
-    baseline = tmp_path / "baseline.json"
-    faults = tmp_path / "faults.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    rows = healthy_fault_rows()
-    for row in rows:
-        if row["mode"] == "mtbf=0.75":
-            row["availability"] = 0.60
-    write_faults(faults, rows)
-    assert compare_bench.main(
-        [str(baseline), "--faults", str(faults)]
-    ) == 1
-    assert "not monotone" in capsys.readouterr().err
+def test_nan_turnaround_matches_itself(tmp_path):
+    """Saturated cells report turnaround as NaN on both sides of the
+    identity; NaN != NaN must not produce a spurious failure."""
+    files = healthy("faults")
+    for mode in ("none", "zero"):
+        _faults_where(mode, mean_turnaround=float("nan"))(files)
+    assert run_gate(tmp_path, files) == 0
 
 
-def test_faults_slack_is_configurable(tmp_path):
-    """A small availability dip inside the slack is stochastic wiggle,
-    not a regression."""
-    baseline = tmp_path / "baseline.json"
-    faults = tmp_path / "faults.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    rows = healthy_fault_rows()
-    for row in rows:
-        if row["mode"] == "mtbf=0.75":
-            row["availability"] = 0.80  # 0.05 below the 0.25 point
-    write_faults(faults, rows)
-    assert compare_bench.main(
-        [str(baseline), "--faults", str(faults)]
-    ) == 1
-    assert compare_bench.main(
-        [str(baseline), "--faults", str(faults), "--faults-slack", "0.1"]
-    ) == 0
+def test_availability_dip_inside_slack_passes(tmp_path):
+    files = healthy("faults")
+    dip = compare_bench.FAULTS_SLACK / 2
+    _faults_where("mtbf=0.75", availability=0.85 - dip)(files)
+    assert run_gate(tmp_path, files) == 0
 
 
-def test_faults_single_grid_point_fails(tmp_path, capsys):
-    """Monotonicity over one point is vacuous — the gate says so
-    instead of silently passing."""
-    baseline = tmp_path / "baseline.json"
-    faults = tmp_path / "faults.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    rows = [r for r in healthy_fault_rows()
-            if r["mode"] in ("none", "zero", "mtbf=0.25")]
-    write_faults(faults, rows)
-    assert compare_bench.main(
-        [str(baseline), "--faults", str(faults)]
-    ) == 1
-    assert "at least two MTBF grid points" in capsys.readouterr().err
+def test_estimates_beating_oracle_inside_slack_passes(tmp_path):
+    files = healthy("tournament")
+    margin = compare_bench.TOURNAMENT_SLACK / 2
+    _tournament_cells(tournament_cell(0.0, 0.0),
+                      tournament_cell(0.4, -margin))(files)
+    assert run_gate(tmp_path, files) == 0
 
 
-def test_faults_empty_fails_with_clear_message(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    faults = tmp_path / "faults.json"
-    write_baseline(baseline, [BASELINE_POINT])
-    faults.write_text(json.dumps([]))
+def test_slow_machine_scales_the_compiled_budget(tmp_path, capsys):
+    """A runner 1.8x slower on both engines passes; the row notes the
+    machine factor it applied."""
+    files = healthy("hotpath")
+    files["hotpath"]["benchmarks"] = [bench("legacy", 1.8),
+                                      bench("compiled", 0.35)]
+    assert run_gate(tmp_path, files) == 0
+    assert "machine factor 1.80" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gate", ["tournament", "faults"])
+def test_results_dir_wrapper_is_accepted(tmp_path, gate):
+    """The runner's --results-dir file nests the payload under rows."""
+    files = healthy(gate)
+    files[gate] = {"name": gate, "rows": files[gate]}
+    assert run_gate(tmp_path, files) == 0
+
+
+def test_historical_fast_entries_stay_readable(tmp_path):
+    """Points recorded with the retired fast loop (``fast_s`` in the
+    baseline, ``test_hotpath[...]`` in old results) are ignored, not
+    rejected."""
+    files = healthy("hotpath")
+    files["hotpath"]["benchmarks"].append(
+        {"name": "test_hotpath[saturated_demo]", "stats": {"min": 0.25}}
+    )
+    files["baseline"]["trajectory"][0]["benchmarks"]["saturated_demo"][
+        "fast_s"
+    ] = 0.25
+    assert run_gate(tmp_path, files) == 0
+
+
+@pytest.mark.parametrize("gate", ["tournament", "faults"])
+def test_gate_without_baseline_reads_none(tmp_path, gate):
+    files = healthy(gate)
+    del files["baseline"]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(files[gate]))
+    argv = [f"--{gate}", str(path), "--baseline", str(tmp_path / "absent")]
+    assert compare_bench.main(argv) == 0
+
+
+def test_gates_compose_and_all_report(tmp_path, capsys):
+    """One invocation runs every gate it is given; a failing gate does
+    not hide the verdicts of the others."""
+    files = {}
+    for gate in compare_bench.GATES:
+        files.update(healthy(gate))
+    assert run_gate(tmp_path, files) == 0
+    CASES["zero-noise-nan"].mutate(files)
+    assert run_gate(tmp_path, files) == 1
+    captured = capsys.readouterr()
+    for title in ("perf smoke", "scale smoke", "fault smoke"):
+        assert captured.out.count(f"{title} ok") == 2
+    assert "tournament sanity FAILED" in captured.err
+
+
+def test_unreadable_input_exits_with_clear_message(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
     with pytest.raises(SystemExit) as excinfo:
-        compare_bench.main([str(baseline), "--faults", str(faults)])
-    assert "no rows" in str(excinfo.value)
+        compare_bench.main(["--faults", str(path)])
+    assert f"cannot read {path}" in str(excinfo.value)
 
 
-def test_faults_composes_with_perf_gate(tmp_path):
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    faults = tmp_path / "faults.json"
-    write_results(
-        results,
-        {"saturated_demo": {"legacy": 1.0, "compiled": 0.1}},
-    )
-    write_baseline(baseline, [BASELINE_POINT])
-    write_faults(faults, healthy_fault_rows())
-    assert compare_bench.main(
-        [str(results), str(baseline), "--faults", str(faults)]
-    ) == 0
-
-
-def test_tournament_composes_with_perf_gate(tmp_path):
-    results = tmp_path / "results.json"
-    baseline = tmp_path / "baseline.json"
-    tournament = tmp_path / "tournament.json"
-    write_results(
-        results,
-        {"saturated_demo": {"legacy": 1.0, "compiled": 0.1}},
-    )
-    write_baseline(baseline, [BASELINE_POINT])
-    write_tournament(tournament, healthy_cells())
-    assert compare_bench.main(
-        [str(results), str(baseline), "--tournament", str(tournament)]
-    ) == 0
+def test_no_gate_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        compare_bench.main([])
+    assert excinfo.value.code == 2
+    assert "nothing to gate" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 #!/usr/bin/env python
-"""Docs check: README code snippets must execute, and the runner CLI
-must list every registered experiment.
+"""Docs check: README code snippets must execute, the runner CLI
+must list every registered experiment, and the docs name no script
+that does not exist.
 
 Run from the repository root::
 
@@ -9,7 +10,9 @@ Run from the repository root::
 Extracts every ```python fenced block from README.md and executes it in
 a fresh namespace (so snippets stay honest as the API evolves), then
 runs ``python -m repro.experiments --list`` and checks the registry is
-fully enumerated.  Exits non-zero on the first failure.
+fully enumerated, then checks that every ``tools/``, ``benchmarks/``,
+``examples/`` or ``perfbench/`` ``.py`` path named in :data:`DOCS`
+exists.  Exits non-zero on the first failure.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+
+#: Docs whose script paths must resolve, relative to the repo root.
+DOCS = ("README.md", "docs/architecture.md", ".claude/skills/verify/SKILL.md")
+
+_SCRIPT = re.compile(
+    r"(?<![\w./-])(?:tools|benchmarks|examples|perfbench)/[\w/]+\.py\b"
+)
 
 
 def check_readme_snippets() -> int:
@@ -69,8 +79,23 @@ def check_cli_list() -> int:
     return 0
 
 
+def check_script_paths(root: Path = ROOT) -> int:
+    dangling = [
+        f"{doc}: {path}"
+        for doc in DOCS
+        for path in sorted(set(_SCRIPT.findall((root / doc).read_text())))
+        if not (root / path).exists()
+    ]
+    if dangling:
+        print("FAIL: docs name scripts that do not exist:\n  "
+              + "\n  ".join(dangling))
+        return 1
+    print(f"ok: every script path named in {len(DOCS)} docs exists")
+    return 0
+
+
 def main() -> int:
-    return check_readme_snippets() or check_cli_list()
+    return check_readme_snippets() or check_cli_list() or check_script_paths()
 
 
 if __name__ == "__main__":
