@@ -14,6 +14,7 @@ inside the coschedule fixed point.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 __all__ = ["cache_shares", "share_allocator"]
@@ -30,6 +31,9 @@ def share_allocator(
 
     Returns ``allocate(pressures) -> shares`` for length-``n`` pressure
     vectors; see :func:`cache_shares` for the arguments and the model.
+    A negative pressure raises ``ValueError``; a NaN passes through, so
+    inside a contention map a non-finite iterate is left to the
+    fixed-point solver's check.
     """
     if total_mb <= 0.0:
         raise ValueError(f"total_mb must be positive, got {total_mb}")
@@ -85,6 +89,9 @@ def cache_shares(
     Returns:
         Per-job capacity allocations summing to ``total_mb``.
 
+    Raises:
+        ValueError: if a pressure is negative, NaN or infinite.
+
     A single job gets the whole cache.  With all-zero pressures the
     split is even (jobs that never miss do not fight for capacity, and
     their allocation is irrelevant to their performance).
@@ -92,6 +99,9 @@ def cache_shares(
     n = len(pressures)
     if n == 0:
         return []
+    for p in pressures:
+        if not math.isfinite(p):
+            raise ValueError(f"pressures must be finite, got {p}")
     allocate = share_allocator(
         n,
         total_mb,

@@ -3,12 +3,29 @@
 Both machine models solve a coschedule's steady state as the fixed point
 of a map over the state vector ``[ipc_1..n, share_1..n]`` (per-job IPC
 and LLC capacity share).  A :class:`ContentionMap` is that map for one
-coschedule: the machine model computes every term that does not depend
-on the state (full-window core CPIs, useful windows, the bus and cache
-constants, ...) once when it builds the map, and each evaluation then
-runs only the state-dependent equations.  The fixed-point iterate and
-the diagnostic evaluation are the same equations, so a simulation
-result's diagnostics are exactly the map's values at the fixed point.
+coschedule, built as a prepared kernel:
+
+* **State-independent terms are computed at build.**  The machine model
+  computes every term that does not depend on the state once, when it
+  builds the map: full-window core CPIs and MLPs, useful windows, the
+  bus, cache and fetch constants.  Each evaluation then runs only the
+  state-dependent float work.
+* **Clamps are NaN-faithful comparisons.**  ``min(a, b)`` is written
+  ``b if b < a else a`` and ``max(a, b)`` is written ``b if b > a else
+  a``: the same arguments in the same order, so a NaN, a ``-0.0`` or an
+  infinity comes out exactly as the builtin would return it, without
+  the builtin's call.
+* **Each formula has one copy.**  The map calls the jobs' own methods
+  (:meth:`~repro.microarch.params.JobTypeParams.llc_mpki`,
+  ``window_scaling``, ``core_cpi``, ``effective_mlp``) and the prepared
+  helpers of :mod:`~repro.microarch.membus`,
+  :mod:`~repro.microarch.cache`, :mod:`~repro.microarch.rob` and
+  :mod:`~repro.microarch.fetch`, which the public per-call helpers call
+  too; every data check still raises inside the map.
+
+The fixed-point iterate and the diagnostic evaluation are the same
+equations, so a simulation result's diagnostics are exactly the map's
+values at the fixed point.
 """
 
 from __future__ import annotations
@@ -23,59 +40,69 @@ class ContentionMap:
 
     Args:
         n: number of jobs in the coschedule.
-        equations: ``equations(ipcs, shares)`` returns a tuple whose
-            first two items are the next IPCs and shares (lists) and
-            whose remaining items are the model's diagnostics.
-        evaluation: the dataclass holding ``equations``' tuple, field
-            for field; list items are stored as tuples.
+        equations: ``equations(state)`` takes the state vector
+            ``[ipc_1..n, share_1..n]`` and returns a tuple whose first
+            item is the next state (a list of the same layout) and whose
+            remaining items are the model's diagnostics.
+        evaluation: the dataclass holding the next IPCs, the next shares
+            and then ``equations``' diagnostics, field for field; list
+            items are stored as tuples.
+
+    Attributes:
+        evaluations: how many times the map has been called as a
+            fixed-point map (:meth:`evaluate` does not count).
     """
 
-    __slots__ = ("n", "_equations", "_evaluation")
+    __slots__ = ("n", "evaluations", "_equations", "_evaluation")
 
     def __init__(self, n: int, equations: Callable, evaluation: type) -> None:
         self.n = n
+        self.evaluations = 0
         self._equations = equations
         self._evaluation = evaluation
 
     def __call__(self, state: Sequence[float]) -> list[float]:
         """The next iterate ``[ipc_1..n, share_1..n]`` from ``state``."""
-        n = self.n
-        if len(state) != 2 * n:
+        if len(state) != 2 * self.n:
             raise ValueError("state length mismatch with job count")
-        values = self._equations(state[:n], state[n:])
-        return values[0] + values[1]
+        self.evaluations += 1
+        return self._equations(state)[0]
 
     def evaluate(self, ipcs: Sequence[float], shares: Sequence[float]):
         """All of the model's outputs at the given estimates."""
-        if len(ipcs) != self.n or len(shares) != self.n:
+        n = self.n
+        if len(ipcs) != n or len(shares) != n:
             raise ValueError("state length mismatch with job count")
+        following, *diagnostics = self._equations([*ipcs, *shares])
         return self._evaluation(
+            tuple(following[:n]),
+            tuple(following[n:]),
             *(
                 tuple(value) if isinstance(value, list) else value
-                for value in self._equations(ipcs, shares)
-            )
+                for value in diagnostics
+            ),
         )
 
 
 def llc_misses(
     curves: Sequence[Callable[[float], float]],
-    ipcs: Sequence[float],
-    shares: Sequence[float],
+    state: Sequence[float],
 ) -> tuple[list[float], float]:
-    """Per-job LLC MPKI at the given shares, and the total miss rate.
+    """Per-job LLC MPKI at the state's shares, and the total miss rate.
 
     Args:
         curves: each job's miss curve
             (:meth:`~repro.microarch.params.JobTypeParams.llc_mpki`).
-        ipcs: per-job IPC estimates.
-        shares: per-job LLC capacity shares.
+        state: ``[ipc_1..n, share_1..n]`` for the ``n = len(curves)``
+            jobs.
 
     Returns:
         ``(mpkis, misses_per_cycle)``, the second being the sum over
         jobs of IPC x MPKI / 1000, added up left to right.
     """
-    mpkis = [curve(share) for curve, share in zip(curves, shares)]
+    n = len(curves)
+    mpkis = [curve(share) for curve, share in zip(curves, state[n:])]
     misses = 0.0
-    for ipc, mpki in zip(ipcs, mpkis):
+    for ipc, mpki in zip(state, mpkis):
         misses += ipc * mpki
     return mpkis, misses / 1000.0

@@ -19,6 +19,7 @@ determines how much of a *rival* each co-runner is:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 from repro.microarch.config import FetchPolicy
@@ -44,13 +45,14 @@ def rival_weigher(
         waste = 1.0 / (1.0 + strength)
 
     def weigh(activities: Sequence[float]) -> list[float]:
+        weights = []
         for a in activities:
             if not -1e-9 <= a <= 1.0 + 1e-9:
                 raise ValueError(f"activity out of [0, 1]: {a}")
-        return [
-            min(1.0, max(0.0, a) + waste * (1.0 - max(0.0, a)))
-            for a in activities
-        ]
+            a = a if a > 0.0 else 0.0
+            c = a + waste * (1.0 - a)
+            weights.append(c if c < 1.0 else 1.0)
+        return weights
 
     return weigh
 
@@ -104,34 +106,43 @@ def water_fill(
     water-filling).  The result never exceeds a thread's demand and the
     total never exceeds ``capacity``.
 
-    Used for dispatch-width sharing: demands are the IPCs each thread
-    could sustain without the width constraint; the allocation is the
-    IPC it actually achieves.  When total demand exceeds the width, the
-    sum of allocations equals the width — the *linear bottleneck* of
-    Section V.C.1b emerges exactly here.
+    Used for ICOUNT's dynamic ROB sharing
+    (:func:`repro.microarch.rob.window_allocator`): demands are the
+    threads' occupancy demands and the capacity is the ROB size.
+
+    Weights are added left to right, so the split does not depend on
+    the Python version's ``sum()``.
+
+    Raises:
+        ValueError: on a length mismatch, or a demand, weight or
+            capacity that is negative, NaN or infinite.
     """
     n = len(demands)
     if len(weights) != n:
         raise ValueError(f"length mismatch: {n} demands vs {len(weights)} weights")
-    if capacity < 0.0:
-        raise ValueError("capacity must be non-negative")
-    if any(d < 0.0 for d in demands):
-        raise ValueError("demands must be non-negative")
-    if any(w < 0.0 for w in weights):
-        raise ValueError("weights must be non-negative")
-
-    allocation = [0.0] * n
-    active = [i for i in range(n) if demands[i] > 0.0]
-    remaining = float(capacity)
-
+    inf = math.inf
+    if not 0.0 <= capacity < inf:
+        raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
+    for d in demands:
+        if not 0.0 <= d < inf:
+            raise ValueError(f"demands must be finite and >= 0, got {d}")
     # Threads with zero weight only receive capacity left over after all
     # positively weighted threads are satisfied; treat them as epsilon
     # weight to keep the loop uniform.
     epsilon = 1e-12
-    effective = [max(w, epsilon) for w in weights]
+    effective = []
+    for w in weights:
+        if not 0.0 <= w < inf:
+            raise ValueError(f"weights must be finite and >= 0, got {w}")
+        effective.append(epsilon if epsilon > w else w)
 
+    allocation = [0.0] * n
+    active = [i for i in range(n) if demands[i] > 0.0]
+    remaining = float(capacity)
     while active and remaining > 1e-15:
-        weight_sum = sum(effective[i] for i in active)
+        weight_sum = 0.0
+        for i in active:
+            weight_sum += effective[i]
         satisfied = [
             i
             for i in active

@@ -15,6 +15,7 @@ slots.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 __all__ = ["bus_model", "bus_utilization", "bus_queueing_delay"]
@@ -35,7 +36,9 @@ def bus_model(
         ``model(miss_rate_per_cycle) -> (utilization, queueing_delay)``,
         where the miss rate is the sum over jobs of IPC x MPKI / 1000,
         the utilization is clamped below 1 and the delay is the expected
-        cycles a miss waits for the bus.
+        cycles a miss waits for the bus.  A negative miss rate raises
+        ``ValueError``; a NaN passes through, so inside a contention map
+        a non-finite iterate is left to the fixed-point solver's check.
     """
     if service_cycles <= 0.0:
         raise ValueError("service time must be positive")
@@ -43,10 +46,23 @@ def bus_model(
     def model(miss_rate_per_cycle: float) -> tuple[float, float]:
         if miss_rate_per_cycle < 0.0:
             raise ValueError("miss rate must be non-negative")
-        u = min(miss_rate_per_cycle * service_cycles, max_utilization)
+        u = miss_rate_per_cycle * service_cycles
+        u = max_utilization if max_utilization < u else u
         return u, service_cycles * u / (2.0 * (1.0 - u))
 
     return model
+
+
+def _checked_model(
+    miss_rate_per_cycle: float, service_cycles: float, max_utilization: float
+) -> tuple[float, float]:
+    """:func:`bus_model` at one finite miss rate."""
+    if not math.isfinite(miss_rate_per_cycle):
+        raise ValueError(
+            f"miss rate must be finite, got {miss_rate_per_cycle}"
+        )
+    model = bus_model(service_cycles, max_utilization=max_utilization)
+    return model(miss_rate_per_cycle)
 
 
 def bus_utilization(
@@ -56,9 +72,10 @@ def bus_utilization(
     max_utilization: float = 0.95,
 ) -> float:
     """Bus utilization for a total miss rate, clamped below 1
-    (see :func:`bus_model`)."""
-    model = bus_model(service_cycles, max_utilization=max_utilization)
-    return model(miss_rate_per_cycle)[0]
+    (see :func:`bus_model`); a non-finite miss rate raises ``ValueError``."""
+    return _checked_model(
+        miss_rate_per_cycle, service_cycles, max_utilization
+    )[0]
 
 
 def bus_queueing_delay(
@@ -68,6 +85,7 @@ def bus_queueing_delay(
     max_utilization: float = 0.95,
 ) -> float:
     """Expected queueing delay (cycles) a miss waits for the bus
-    (see :func:`bus_model`)."""
-    model = bus_model(service_cycles, max_utilization=max_utilization)
-    return model(miss_rate_per_cycle)[1]
+    (see :func:`bus_model`); a non-finite miss rate raises ``ValueError``."""
+    return _checked_model(
+        miss_rate_per_cycle, service_cycles, max_utilization
+    )[1]

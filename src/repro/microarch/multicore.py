@@ -70,19 +70,22 @@ def multicore_iteration(
         for job, scale in zip(jobs, scales)
     ]
     mlps = [job.effective_mlp(scale) for job, scale in zip(jobs, scales)]
+    indices = range(n)
 
-    def equations(ipcs: Sequence[float], shares: Sequence[float]):
-        mpkis, misses = llc_misses(curves, ipcs, shares)
+    def equations(state: Sequence[float]):
+        mpkis, misses = llc_misses(curves, state)
         utilization, delay = bus(misses)
         latency = memory_latency + delay
-        next_ipcs = []
-        for core_cpi, mlp, mpki in zip(core_cpis, mlps, mpkis):
-            cpi = core_cpi + mpki / 1000.0 * latency / mlp
-            next_ipcs.append(min(1.0 / cpi, width))
-        next_shares = split(
-            [a * m / 1000.0 for a, m in zip(next_ipcs, mpkis)]
-        )
-        return next_ipcs, next_shares, mpkis, latency, utilization
+        following = []
+        pressures = []
+        for i in indices:
+            mpki = mpkis[i]
+            rate = 1.0 / (core_cpis[i] + mpki / 1000.0 * latency / mlps[i])
+            ipc = width if width < rate else rate
+            following.append(ipc)
+            pressures.append(ipc * mpki / 1000.0)
+        following += split(pressures)
+        return following, mpkis, latency, utilization
 
     return ContentionMap(n, equations, MulticoreEvaluation)
 

@@ -112,7 +112,8 @@ class JobTypeParams:
         """Fraction of full ILP/MLP available with ``window`` ROB entries."""
         if window <= 0.0:
             return 0.0
-        return min(1.0, window / float(self.w_need))
+        scale = window / float(self.w_need)
+        return scale if scale < 1.0 else 1.0
 
     def core_cpi(self, scale: float, branch_penalty_cycles: float) -> float:
         """Dispatch-and-front-end CPI at a window scaling (see

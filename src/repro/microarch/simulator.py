@@ -126,20 +126,13 @@ def simulate_coschedule(
         if machine.is_smt
         else multicore_iteration(machine, jobs)
     )
-    evaluations = 0
-
-    def counted(state):
-        nonlocal evaluations
-        evaluations += 1
-        return iterate(state)
-
     start = [1.0] * n + [machine.llc_mb / n] * n
     fixed_point = None
     failures: list[str] = []
     for damping in _DAMPING_LADDER:
         try:
             fixed_point = solve_fixed_point(
-                counted,
+                iterate,
                 start,
                 damping=damping,
                 tolerance=1e-10,
@@ -172,5 +165,5 @@ def simulate_coschedule(
         memory_latency=evaluation.memory_latency,
         bus_utilization=evaluation.bus_utilization,
         iterations=fixed_point.iterations,
-        evaluations=evaluations,
+        evaluations=iterate.evaluations,
     )

@@ -107,16 +107,19 @@ def smt_iteration(
     rivals_of = [[j for j in range(n) if j != i] for i in range(n)]
     indices = range(n)
 
-    def equations(ipcs: Sequence[float], shares: Sequence[float]):
-        mpkis, misses = llc_misses(curves, ipcs, shares)
+    def equations(state: Sequence[float]):
+        mpkis, misses = llc_misses(curves, state)
         utilization, delay = bus(misses)
         latency = memory_latency + delay
 
         # Pass A: provisional stall fractions with full windows, used
         # only to drive the ROB partitioning.
+        exposures = []
         provisional_stalls = []
         for i in indices:
-            t_mem = mpkis[i] / 1000.0 * latency / mlps[i]
+            exposure = mpkis[i] / 1000.0 * latency
+            exposures.append(exposure)
+            t_mem = exposure / mlps[i]
             provisional_stalls.append(t_mem / (full_cpis[i] + t_mem))
         windows = allocate_windows(provisional_stalls)
 
@@ -126,7 +129,7 @@ def smt_iteration(
         # schedule (a thread slowed by slot competition is active a
         # larger fraction of the time) rather than the unconstrained
         # demand.
-        t_execs = []
+        rates = []
         t_mems = []
         stall_fractions = []
         activities = []
@@ -134,11 +137,14 @@ def smt_iteration(
         for i in indices:
             job = jobs[i]
             scale = job.window_scaling(windows[i])
-            t_exec = job.core_cpi(scale, penalty) * smt_factor
-            t_mem = mpkis[i] / 1000.0 * latency / job.effective_mlp(scale)
-            t_execs.append(t_exec)
+            rate = 1.0 / (job.core_cpi(scale, penalty) * smt_factor)
+            mlp = job.effective_mlp(scale)
+            rates.append(rate)
+            t_mem = exposures[i] / mlp
             t_mems.append(t_mem)
-            stall = min(0.99, max(0.0, t_mem * ipcs[i]))
+            stall = t_mem * state[i]
+            stall = stall if stall > 0.0 else 0.0
+            stall = stall if stall < 0.99 else 0.99
             stall_fractions.append(stall)
             activity = 1.0 - stall
             activities.append(activity)
@@ -147,22 +153,24 @@ def smt_iteration(
 
         # Mean-field dispatch-slot competition with front-end
         # fragmentation.
-        eta = 1.0 / (1.0 + fragmentation * max(0.0, expected_active - 1.0))
-        allocation = []
+        excess = expected_active - 1.0
+        eta = 1.0 / (1.0 + fragmentation * (excess if excess > 0.0 else 0.0))
+        eta_width = eta * width
+        following = []
+        pressures = []
         for i in indices:
             rivals = 0.0
             for j in rivals_of[i]:
                 rivals += weights[j]
-            share = eta * width / (1.0 + rivals)
-            active_rate = min(1.0 / t_execs[i], share)
-            allocation.append(1.0 / (1.0 / active_rate + t_mems[i]))
-
-        next_shares = split(
-            [a * m / 1000.0 for a, m in zip(allocation, mpkis)]
-        )
+            share = eta_width / (1.0 + rivals)
+            rate = rates[i]
+            active_rate = share if share < rate else rate
+            ipc = 1.0 / (1.0 / active_rate + t_mems[i])
+            following.append(ipc)
+            pressures.append(ipc * mpkis[i] / 1000.0)
+        following += split(pressures)
         return (
-            allocation,
-            next_shares,
+            following,
             mpkis,
             windows,
             stall_fractions,

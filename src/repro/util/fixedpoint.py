@@ -117,7 +117,8 @@ def solve_fixed_point(
         # or infinite, and either fails the ``< inf`` test below.
         residual = 0.0
         for new, old in zip(fx, x):
-            term = abs(new - old) / max(1.0, abs(old))
+            scale = abs(old)
+            term = abs(new - old) / (scale if scale > 1.0 else 1.0)
             if term > residual or term != term:
                 residual = term
         if not residual < math.inf:

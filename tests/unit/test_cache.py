@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.microarch.cache import cache_shares
+from repro.microarch.cache import cache_shares, share_allocator
 
 pressures = st.lists(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
@@ -40,6 +42,18 @@ class TestCacheShares:
 
     def test_empty_input(self):
         assert cache_shares([], 4.0) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_pressure_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cache_shares([bad, 1.0], 8.0)
+
+    def test_allocator_passes_nan_through(self):
+        """Inside a contention map a NaN is left to the fixed-point
+        solver, whose non-finite-iterate error moves the damping ladder
+        on to its next rung."""
+        shares = share_allocator(2, 8.0)([math.nan, 1.0])
+        assert all(math.isnan(share) for share in shares)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,6 +104,26 @@ class TestWaterFill:
             water_fill([1.0], [-1.0], 4.0)
         with pytest.raises(ValueError):
             water_fill([1.0], [1.0], -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_raise(self, bad):
+        with pytest.raises(ValueError, match="demands"):
+            water_fill([bad, 1.0], [1, 1], 2.0)
+        with pytest.raises(ValueError, match="weights"):
+            water_fill([1.0, 1.0], [bad, 1.0], 2.0)
+        with pytest.raises(ValueError, match="capacity"):
+            water_fill([1.0, 1.0], [1, 1], bad)
+
+    def test_weights_add_left_to_right(self):
+        """The split is Python 3.11's on every version: 3.12's
+        compensated ``sum()`` would give 0.16666666666666669,
+        0.33333333333333337 and 0.5 here."""
+        alloc = water_fill([5.0, 5.0, 5.0], [0.1, 0.2, 0.3], 1.0)
+        assert alloc == [
+            0.16666666666666666,
+            0.3333333333333333,
+            0.4999999999999999,
+        ]
 
     @given(demands_st, st.floats(min_value=0.0, max_value=10.0))
     def test_capacity_and_demand_caps(self, demands, capacity):

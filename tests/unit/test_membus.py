@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.microarch.membus import bus_queueing_delay, bus_utilization
+from repro.microarch.membus import (
+    bus_model,
+    bus_queueing_delay,
+    bus_utilization,
+)
 
 
 class TestBusUtilization:
@@ -24,6 +30,20 @@ class TestBusUtilization:
             bus_utilization(-0.1, 20.0)
         with pytest.raises(ValueError):
             bus_utilization(0.1, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_miss_rate_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bus_utilization(bad, 20.0)
+        with pytest.raises(ValueError, match="finite"):
+            bus_queueing_delay(bad, 20.0)
+
+    def test_model_passes_nan_through(self):
+        """Inside a contention map a NaN is left to the fixed-point
+        solver, whose non-finite-iterate error moves the damping ladder
+        on to its next rung."""
+        utilization, delay = bus_model(20.0)(math.nan)
+        assert math.isnan(utilization) and math.isnan(delay)
 
 
 class TestBusQueueingDelay:
