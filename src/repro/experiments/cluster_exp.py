@@ -22,6 +22,7 @@ the window) — hence the two-sided tolerance on both comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from repro.core.multimachine import (
@@ -32,17 +33,15 @@ from repro.core.workload import Workload
 from repro.experiments.common import (
     ExperimentContext,
     format_table,
+    make_cluster,
+    run_cells,
     sample_workloads,
-    snapshot_rates,
 )
 from repro.experiments.registry import Experiment, RunOptions, register
 from repro.microarch.rates import RateSource, infer_contexts
-from repro.queueing.cluster import Cluster
-from repro.queueing.dispatch import make_dispatcher
 from repro.queueing.engine import run_system
 from repro.queueing.job import Job
 from repro.queueing.schedulers import make_scheduler
-from repro.queueing.sharding import parallel_map
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -131,16 +130,21 @@ class ClusterComparison:
         )
 
 
-def _compare_workload(payload: tuple) -> ClusterComparison:
-    """One workload's full comparison from a pure-data payload.
-
-    Module-level so :func:`repro.queueing.sharding.parallel_map` can
-    pickle it for the ``jobs`` fan-out; the serial path calls it too,
-    so both paths run the identical code.
-    """
-    rates, workload, p = payload
-    k = p["contexts"]
-    n_machines = p["n_machines"]
+def _compare_workload(
+    rates: RateSource,
+    workload: Workload,
+    *,
+    contexts: int,
+    n_machines: int,
+    scheduler: str,
+    dispatcher: str,
+    jobs_per_machine: int,
+    backlog_per_machine: int,
+    tolerance: float,
+    seed: int,
+) -> ClusterComparison:
+    """One workload's full comparison: the experiment's grid cell."""
+    k = contexts
     joint = joint_optimal_throughput(
         rates, workload, n_machines, contexts=k
     )
@@ -148,38 +152,30 @@ def _compare_workload(payload: tuple) -> ClusterComparison:
         rates, workload, n_machines, contexts=k
     )
 
-    schedulers = [
-        make_scheduler(p["scheduler"], rates, k, workload=workload)
-        for _ in range(n_machines)
-    ]
-    cluster = Cluster(
-        rates,
-        schedulers,
-        make_dispatcher(
-            p["dispatcher"], rates=rates, workload=workload, contexts=k
-        ),
+    cluster = make_cluster(
+        rates, workload, scheduler, dispatcher, n_machines, k
     )
     cluster_metrics = cluster.run(
         balanced_saturated_jobs(
             workload.types,
-            n_machines * p["jobs_per_machine"],
-            seed=p["seed"],
+            n_machines * jobs_per_machine,
+            seed=seed,
         ),
         stop_when_fewer_than=n_machines * k,
-        keep_in_system=p["backlog_per_machine"],
+        keep_in_system=backlog_per_machine,
     )
 
     independent = sum(
         run_system(
             rates,
-            make_scheduler(p["scheduler"], rates, k, workload=workload),
+            make_scheduler(scheduler, rates, k, workload=workload),
             balanced_saturated_jobs(
                 workload.types,
-                p["jobs_per_machine"],
-                seed=p["seed"] + machine + 1,
+                jobs_per_machine,
+                seed=seed + machine + 1,
             ),
             stop_when_fewer_than=k,
-            keep_in_system=p["backlog_per_machine"],
+            keep_in_system=backlog_per_machine,
         ).throughput
         for machine in range(n_machines)
     )
@@ -187,13 +183,13 @@ def _compare_workload(payload: tuple) -> ClusterComparison:
     return ClusterComparison(
         workload_label=workload.label(),
         n_machines=n_machines,
-        scheduler=p["scheduler"],
-        dispatcher=p["dispatcher"],
+        scheduler=scheduler,
+        dispatcher=dispatcher,
         joint_lp_throughput=joint.throughput,
         reduced_lp_throughput=reduced.throughput,
         cluster_throughput=cluster_metrics.throughput,
         independent_throughput=independent,
-        tolerance=p["tolerance"],
+        tolerance=tolerance,
         memo_stats=cluster.last_memo_stats,
     )
 
@@ -219,29 +215,25 @@ def compute_cluster(
     a saturated M-machine cluster simulation, and M independent
     saturated single-machine simulations whose throughputs sum.
 
-    Workload cells share nothing, so ``jobs > 1`` fans them out over
-    worker processes (each receives a frozen
-    :func:`~repro.experiments.common.snapshot_rates` table covering its
-    workload, keeping results bit-identical to a serial run).
+    Workload cells share nothing, so ``jobs > 1`` fans them out through
+    :func:`~repro.experiments.common.run_cells` (bit-identical to a
+    serial run).
     """
     k = infer_contexts(rates, contexts)
-    params = {
-        "contexts": k,
-        "n_machines": n_machines,
-        "scheduler": scheduler,
-        "dispatcher": dispatcher,
-        "jobs_per_machine": jobs_per_machine,
-        "backlog_per_machine": backlog_per_machine,
-        "tolerance": tolerance,
-        "seed": seed,
-    }
-    if jobs > 1 and len(workloads) > 1:
-        payloads = [
-            (snapshot_rates(rates, w.types, k), w, params)
-            for w in workloads
-        ]
-        return parallel_map(_compare_workload, payloads, jobs)
-    return [_compare_workload((rates, w, params)) for w in workloads]
+    cell = partial(
+        _compare_workload,
+        contexts=k,
+        n_machines=n_machines,
+        scheduler=scheduler,
+        dispatcher=dispatcher,
+        jobs_per_machine=jobs_per_machine,
+        backlog_per_machine=backlog_per_machine,
+        tolerance=tolerance,
+        seed=seed,
+    )
+    return run_cells(
+        cell, rates, [(w,) for w in workloads], contexts=k, jobs=jobs
+    )
 
 
 def run(

@@ -1,4 +1,4 @@
-"""Shared experiment plumbing: contexts, sampling, table rendering.
+"""Shared experiment plumbing: contexts, sampling, grid cells, tables.
 
 An :class:`ExperimentContext` bundles the rate sources for both paper
 machines with the workload list.  When built with ``cache_path`` the
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
+from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload, all_workloads
 from repro.microarch.benchmarks import BENCHMARK_NAMES
 from repro.microarch.config import quad_core_machine, smt_machine
@@ -24,6 +25,10 @@ from repro.microarch.rate_cache import (
     RateCacheStore,
 )
 from repro.microarch.rates import RateSource, RateTable, TableRates
+from repro.queueing.cluster import Cluster, ClusterMetrics
+from repro.queueing.dispatch import make_dispatcher
+from repro.queueing.schedulers import make_scheduler
+from repro.queueing.sharding import parallel_map
 from repro.util.multiset import multisets
 from repro.util.rng import make_rng
 
@@ -32,6 +37,10 @@ __all__ = [
     "default_context",
     "sample_workloads",
     "snapshot_rates",
+    "run_cells",
+    "make_cluster",
+    "cluster_capacity",
+    "utilization_fairness",
     "format_table",
 ]
 
@@ -153,6 +162,81 @@ def snapshot_rates(
         for combo in multisets(roster, size)
     ]
     return TableRates({c: rates.type_rates(c) for c in coschedules})
+
+
+def _run_cell(payload: tuple) -> object:
+    fn, rates, cell = payload
+    return fn(rates, *cell)
+
+
+def run_cells(
+    fn: Callable[..., object],
+    rates: RateSource,
+    cells: Sequence[tuple],
+    *,
+    contexts: int,
+    jobs: int,
+) -> list:
+    """``[fn(rates, *cell) for cell in cells]``: every experiment grid's
+    one fan-out path.
+
+    A cell's first element is its :class:`~repro.core.workload.Workload`;
+    bind shared keyword arguments into ``fn`` with
+    :func:`functools.partial`.  With ``jobs > 1`` and several cells,
+    :func:`~repro.queueing.sharding.parallel_map` sends each worker
+    ``fn`` (it must pickle), its cell, and a :func:`snapshot_rates`
+    table of its workload (one per distinct workload): the exact floats
+    the serial path queries, so results are bit-identical to it.
+    """
+    if jobs <= 1 or len(cells) <= 1:
+        return [fn(rates, *cell) for cell in cells]
+    frozen = {
+        w: snapshot_rates(rates, w.types, contexts)
+        for w in dict.fromkeys(cell[0] for cell in cells)
+    }
+    return parallel_map(
+        _run_cell, [(fn, frozen[cell[0]], cell) for cell in cells], jobs
+    )
+
+
+def make_cluster(
+    rates: RateSource,
+    workload: Workload,
+    scheduler: str,
+    dispatcher: str,
+    n_machines: int,
+    contexts: int,
+) -> Cluster:
+    """``n_machines`` identical machines running ``scheduler`` behind
+    ``dispatcher``: the cluster every cluster experiment's cell runs."""
+    return Cluster(
+        rates,
+        [
+            make_scheduler(scheduler, rates, contexts, workload=workload)
+            for _ in range(n_machines)
+        ],
+        make_dispatcher(
+            dispatcher, rates=rates, workload=workload, contexts=contexts
+        ),
+    )
+
+
+def cluster_capacity(
+    rates: RateSource, workload: Workload, n_machines: int, contexts: int
+) -> float:
+    """The cluster's LP work rate: M x the single-machine optimum."""
+    return n_machines * optimal_throughput(
+        rates, workload, contexts=contexts
+    ).throughput
+
+
+def utilization_fairness(metrics: ClusterMetrics) -> float:
+    """Per-machine utilization balance: min/max across machines."""
+    utils = [m.utilization for m in metrics.per_machine]
+    top = max(utils)
+    if top <= 0.0:
+        return 1.0
+    return min(utils) / top
 
 
 def sample_workloads(

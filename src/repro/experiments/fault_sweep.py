@@ -30,26 +30,28 @@ regardless of its traffic shape.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
-from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload
 from repro.experiments.common import (
     ExperimentContext,
+    cluster_capacity,
     format_table,
+    make_cluster,
+    run_cells,
     sample_workloads,
-    snapshot_rates,
 )
-from repro.experiments.registry import Experiment, RunOptions, register
+from repro.experiments.registry import (
+    Experiment,
+    RunOptions,
+    cell_seed,
+    register,
+)
 from repro.microarch.rates import RateSource, infer_contexts
-from repro.queueing.cluster import Cluster
-from repro.queueing.dispatch import make_dispatcher
 from repro.queueing.faults import FaultConfig
 from repro.queueing.scenarios import Scenario, get_scenario
-from repro.queueing.schedulers import make_scheduler
-from repro.queueing.sharding import parallel_map
 
 __all__ = [
     "FAULT_SCENARIOS",
@@ -133,12 +135,6 @@ class FaultOutcome:
     completed: int
 
 
-def _cell_seed(base: int, scenario: str, dispatcher: str) -> int:
-    """Deterministic per-cell seed, stable under sweep reordering."""
-    tag = f"{scenario}:{dispatcher}".encode()
-    return (base * 1_000_003 + zlib.crc32(tag)) % 2**31
-
-
 def fault_config_for(
     mtbf_fraction: float, duration: float, *, seed: int
 ) -> FaultConfig:
@@ -181,47 +177,40 @@ def run_fault_cell(
     """Run one (scenario, dispatcher, fault mode) cell.
 
     ``mode`` is ``"none"``, ``"zero"``, or ``"mtbf=<fraction>"``.
-    The offered load is normalized exactly as in the scenario sweep,
-    so the ``none`` row of a cell matches the scenario sweep's cell
-    and the fault rows are deltas attributable to faults alone.
+    The offered load is normalized and the arrival stream seeded
+    (``cell_seed(seed, scenario.name)``) exactly as in the scenario
+    sweep, so the ``none`` row of a cell matches the scenario sweep's
+    cell, every dispatcher and fault mode of a scenario sees the same
+    stream, and the fault rows are deltas attributable to faults alone.
     """
     k = infer_contexts(rates, contexts)
     if capacity is None:
-        capacity = n_machines * optimal_throughput(
-            rates, workload, contexts=k
-        ).throughput
+        capacity = cluster_capacity(rates, workload, n_machines, k)
     count = scenario.n_jobs if n_jobs is None else n_jobs
     mean_rate = scenario.offered_rate(capacity)
-    cell_seed = _cell_seed(seed, scenario.name, dispatcher)
+    stream_seed = cell_seed(seed, scenario.name)
     duration = scenario.expected_duration(count, capacity)
     if mode == "none":
         faults: FaultConfig | None = None
         mtbf = mttr = 0.0
     elif mode == "zero":
-        faults = FaultConfig(seed=cell_seed)
+        faults = FaultConfig(seed=stream_seed)
         mtbf = mttr = 0.0
     elif mode.startswith("mtbf="):
         fraction = float(mode[len("mtbf="):])
-        faults = fault_config_for(fraction, duration, seed=cell_seed)
+        faults = fault_config_for(fraction, duration, seed=stream_seed)
         mtbf, mttr = faults.mtbf, faults.mttr
     else:
         raise ValueError(f"unknown fault mode {mode!r}")
 
-    cluster = Cluster(
-        rates,
-        [
-            make_scheduler(scheduler, rates, k, workload=workload)
-            for _ in range(n_machines)
-        ],
-        make_dispatcher(
-            dispatcher, rates=rates, workload=workload, contexts=k
-        ),
+    cluster = make_cluster(
+        rates, workload, scheduler, dispatcher, n_machines, k
     )
     metrics = cluster.run(
         scenario.build_jobs(
             workload.types,
             mean_rate=mean_rate,
-            seed=cell_seed,
+            seed=stream_seed,
             n_jobs=count,
         ),
         faults=faults,
@@ -257,14 +246,6 @@ def run_fault_cell(
     )
 
 
-def _cell_worker(payload: tuple) -> FaultOutcome:
-    """Spawn-safe cell runner over a frozen rate snapshot."""
-    rates, workload, scenario, dispatcher, mode, kwargs = payload
-    return run_fault_cell(
-        rates, workload, scenario, dispatcher, mode, **kwargs
-    )
-
-
 def compute_fault_sweep(
     rates: RateSource,
     workload: Workload,
@@ -282,44 +263,31 @@ def compute_fault_sweep(
     """The full chaos grid: scenarios × dispatchers × fault modes.
 
     Each cell runs ``none``, ``zero``, then the faulty MTBF grid.
-    Cells share nothing, so ``jobs > 1`` fans them out over processes
-    (bit-identical to a serial sweep — workers get a frozen
-    :func:`snapshot_rates` table).
+    Cells share nothing, so ``jobs > 1`` fans them out through
+    :func:`~repro.experiments.common.run_cells` (bit-identical to a
+    serial sweep).
     """
     k = infer_contexts(rates, contexts)
-    capacity = n_machines * optimal_throughput(
-        rates, workload, contexts=k
-    ).throughput
+    capacity = cluster_capacity(rates, workload, n_machines, k)
     modes = ["none", "zero"] + [
         f"mtbf={fraction:g}" for fraction in mtbf_fractions
     ]
+    cell = partial(
+        run_fault_cell,
+        n_machines=n_machines,
+        scheduler=scheduler,
+        n_jobs=n_jobs,
+        seed=seed,
+        contexts=k,
+        capacity=capacity,
+    )
     cells = [
-        (get_scenario(name), dispatcher, mode)
+        (workload, get_scenario(name), dispatcher, mode)
         for name in scenarios
         for dispatcher in dispatchers
         for mode in modes
     ]
-    kwargs = {
-        "n_machines": n_machines,
-        "scheduler": scheduler,
-        "n_jobs": n_jobs,
-        "seed": seed,
-        "contexts": k,
-        "capacity": capacity,
-    }
-    if jobs > 1 and len(cells) > 1:
-        frozen = snapshot_rates(rates, workload.types, k)
-        payloads = [
-            (frozen, workload, scenario, dispatcher, mode, kwargs)
-            for scenario, dispatcher, mode in cells
-        ]
-        return parallel_map(_cell_worker, payloads, jobs)
-    return [
-        run_fault_cell(
-            rates, workload, scenario, dispatcher, mode, **kwargs
-        )
-        for scenario, dispatcher, mode in cells
-    ]
+    return run_cells(cell, rates, cells, contexts=k, jobs=jobs)
 
 
 def run(

@@ -15,11 +15,17 @@ throughput, averaged over workloads.  The paper's pattern:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from repro.core.workload import Workload
-from repro.experiments.common import ExperimentContext, format_table, sample_workloads
-from repro.microarch.rates import RateTable
+from repro.experiments.common import (
+    ExperimentContext,
+    format_table,
+    run_cells,
+    sample_workloads,
+)
+from repro.microarch.rates import RateSource, infer_contexts
 from repro.queueing.experiment import run_latency_experiment
 from repro.experiments.registry import Experiment, RunOptions, register
 
@@ -47,30 +53,36 @@ class Figure5Cell:
 
 
 def compute_figure5(
-    rates: RateTable,
+    rates: RateSource,
     workloads: Sequence[Workload],
     *,
     schedulers: Sequence[str] = SCHEDULERS,
     loads: Sequence[float] = LOADS,
     n_jobs: int = 6_000,
     seed: int = 0,
+    contexts: int | None = None,
+    jobs: int = 1,
 ) -> list[Figure5Cell]:
-    """Run the latency experiment grid and average over workloads."""
+    """Run the latency experiment grid and average over workloads.
+
+    ``jobs > 1`` fans the (load, workload, scheduler) runs out through
+    :func:`~repro.experiments.common.run_cells`, bit-identically.
+    """
+    k = infer_contexts(rates, contexts)
+    run = partial(run_latency_experiment, n_jobs=n_jobs, seed=seed, contexts=k)
+    grid = [
+        (workload, name, load)
+        for load in loads
+        for workload in workloads
+        for name in schedulers
+    ]
+    runs = iter(run_cells(run, rates, grid, contexts=k, jobs=jobs))
     cells = []
     for load in loads:
         per_scheduler: dict[str, list] = {name: [] for name in schedulers}
-        for workload in workloads:
+        for _ in workloads:
             for name in schedulers:
-                per_scheduler[name].append(
-                    run_latency_experiment(
-                        rates,
-                        workload,
-                        name,
-                        load=load,
-                        n_jobs=n_jobs,
-                        seed=seed,
-                    )
-                )
+                per_scheduler[name].append(next(runs))
         baseline = per_scheduler.get("fcfs")
         for name in schedulers:
             results = per_scheduler[name]
@@ -104,6 +116,7 @@ def run(
     max_workloads: int = 24,
     n_jobs: int = 6_000,
     seed: int = 0,
+    jobs: int = 1,
 ) -> list[Figure5Cell]:
     """Figure 5 on a deterministic workload subsample.
 
@@ -114,7 +127,11 @@ def run(
     """
     workloads = sample_workloads(context.workloads, max_workloads, seed=seed)
     return compute_figure5(
-        context.rates_for(config), workloads, n_jobs=n_jobs, seed=seed
+        context.rates_for(config),
+        workloads,
+        n_jobs=n_jobs,
+        seed=seed,
+        jobs=jobs,
     )
 
 
@@ -142,6 +159,7 @@ def _registry_run(context: ExperimentContext, options: RunOptions) -> list[Figur
         context,
         max_workloads=options.workloads(24),
         seed=options.seed_for("figure5"),
+        jobs=options.jobs,
     )
 
 

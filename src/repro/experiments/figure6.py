@@ -11,13 +11,19 @@ the LP maximum almost exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from repro.core.fcfs import fcfs_throughput
 from repro.core.optimal import optimal_throughput, worst_throughput
 from repro.core.workload import Workload
-from repro.experiments.common import ExperimentContext, format_table, sample_workloads
-from repro.microarch.rates import RateTable
+from repro.experiments.common import (
+    ExperimentContext,
+    format_table,
+    run_cells,
+    sample_workloads,
+)
+from repro.microarch.rates import RateSource, infer_contexts
 from repro.queueing.experiment import run_saturation_experiment
 from repro.experiments.registry import Experiment, RunOptions, register
 
@@ -38,44 +44,61 @@ class Figure6Point:
     fcfs_analytic_relative: float
 
 
+def _saturation_point(
+    rates: RateSource,
+    workload: Workload,
+    *,
+    contexts: int,
+    n_jobs: int,
+    seed: int,
+) -> Figure6Point:
+    """One workload's saturation throughputs: the figure's grid cell."""
+    achieved = {
+        name: run_saturation_experiment(
+            rates, workload, name, n_jobs=n_jobs, seed=seed, contexts=contexts
+        ).throughput
+        for name in ("fcfs", "maxit", "srpt", "maxtp")
+    }
+    base = achieved["fcfs"]
+
+    def relative(bound) -> float:
+        return bound(rates, workload, contexts=contexts).throughput / base
+
+    return Figure6Point(
+        workload_label=workload.label(),
+        fcfs_throughput=base,
+        maxit_relative=achieved["maxit"] / base,
+        srpt_relative=achieved["srpt"] / base,
+        maxtp_relative=achieved["maxtp"] / base,
+        lp_maximum_relative=relative(optimal_throughput),
+        lp_minimum_relative=relative(worst_throughput),
+        fcfs_analytic_relative=relative(fcfs_throughput),
+    )
+
+
 def compute_figure6(
-    rates: RateTable,
+    rates: RateSource,
     workloads: Sequence[Workload],
     *,
     n_jobs: int = 3_000,
     seed: int = 0,
+    contexts: int | None = None,
+    jobs: int = 1,
 ) -> list[Figure6Point]:
     """Run the saturation experiment for every scheduler and workload.
 
     Points are sorted by increasing LP-maximum headroom, matching the
-    paper's x-axis ordering.
+    paper's x-axis ordering.  ``jobs > 1`` fans the workloads out
+    through :func:`~repro.experiments.common.run_cells`, bit-identically.
     """
-    points = []
-    for workload in workloads:
-        base = run_saturation_experiment(
-            rates, workload, "fcfs", n_jobs=n_jobs, seed=seed
-        ).throughput
-        results = {
-            name: run_saturation_experiment(
-                rates, workload, name, n_jobs=n_jobs, seed=seed
-            ).throughput
-            for name in ("maxit", "srpt", "maxtp")
-        }
-        points.append(
-            Figure6Point(
-                workload_label=workload.label(),
-                fcfs_throughput=base,
-                maxit_relative=results["maxit"] / base,
-                srpt_relative=results["srpt"] / base,
-                maxtp_relative=results["maxtp"] / base,
-                lp_maximum_relative=optimal_throughput(rates, workload).throughput
-                / base,
-                lp_minimum_relative=worst_throughput(rates, workload).throughput
-                / base,
-                fcfs_analytic_relative=fcfs_throughput(rates, workload).throughput
-                / base,
-            )
-        )
+    k = infer_contexts(rates, contexts)
+    points = run_cells(
+        partial(_saturation_point, contexts=k, n_jobs=n_jobs, seed=seed),
+        rates,
+        [(workload,) for workload in workloads],
+        contexts=k,
+        jobs=jobs,
+    )
     points.sort(key=lambda p: p.lp_maximum_relative)
     return points
 
@@ -87,11 +110,16 @@ def run(
     max_workloads: int = 30,
     n_jobs: int = 3_000,
     seed: int = 0,
+    jobs: int = 1,
 ) -> list[Figure6Point]:
     """Figure 6 on a deterministic workload subsample."""
     workloads = sample_workloads(context.workloads, max_workloads, seed=seed)
     return compute_figure6(
-        context.rates_for(config), workloads, n_jobs=n_jobs, seed=seed
+        context.rates_for(config),
+        workloads,
+        n_jobs=n_jobs,
+        seed=seed,
+        jobs=jobs,
     )
 
 
@@ -127,6 +155,7 @@ def _registry_run(context: ExperimentContext, options: RunOptions) -> list[Figur
         context,
         max_workloads=options.workloads(30),
         seed=options.seed_for("figure6"),
+        jobs=options.jobs,
     )
 
 

@@ -30,26 +30,30 @@ actually pays.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
-from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload
 from repro.experiments.common import (
     ExperimentContext,
+    cluster_capacity,
     format_table,
+    make_cluster,
+    run_cells,
     sample_workloads,
-    snapshot_rates,
+    utilization_fairness,
 )
-from repro.experiments.registry import Experiment, RunOptions, register
+from repro.experiments.registry import (
+    Experiment,
+    RunOptions,
+    cell_seed,
+    register,
+)
 from repro.microarch.rates import RateSource, infer_contexts
-from repro.queueing.cluster import Cluster, ClusterMetrics
-from repro.queueing.dispatch import make_dispatcher
+from repro.queueing.cluster import ClusterMetrics
 from repro.queueing.estimation import EstimationConfig
 from repro.queueing.scenarios import Scenario, all_scenarios, get_scenario
-from repro.queueing.schedulers import make_scheduler
-from repro.queueing.sharding import parallel_map
 
 __all__ = [
     "POLICIES",
@@ -174,22 +178,6 @@ class SummaryRow:
     mean_fairness_delta: float
 
 
-def _fairness(metrics: ClusterMetrics) -> float:
-    """Per-machine utilization balance: min/max across machines."""
-    utils = [m.utilization for m in metrics.per_machine]
-    top = max(utils)
-    if top <= 0.0:
-        return 1.0
-    return min(utils) / top
-
-
-def _pair_seed(base: int, name: str, rep: int) -> int:
-    """Deterministic stream seed shared by both runs of a pair."""
-    return (
-        (base + 7919 * rep) * 1_000_003 + zlib.crc32(name.encode())
-    ) % 2**31
-
-
 def _run_once(
     rates: RateSource,
     workload: Workload,
@@ -214,15 +202,8 @@ def _run_once(
         n_jobs=n_jobs,
     )
     duration = scenario.expected_duration(n_jobs, capacity)
-    cluster = Cluster(
-        rates,
-        [
-            make_scheduler(scheduler, rates, k, workload=workload)
-            for _ in range(n_machines)
-        ],
-        make_dispatcher(
-            dispatcher, rates=rates, workload=workload, contexts=k
-        ),
+    cluster = make_cluster(
+        rates, workload, scheduler, dispatcher, n_machines, k
     )
     metrics = cluster.run(
         jobs,
@@ -263,10 +244,8 @@ def run_tournament_cell(
     scheduler, dispatcher = POLICIES[policy]
     k = infer_contexts(rates, contexts)
     if capacity is None:
-        capacity = n_machines * optimal_throughput(
-            rates, workload, contexts=k
-        ).throughput
-    stream_seed = _pair_seed(seed, scenario.name, rep)
+        capacity = cluster_capacity(rates, workload, n_machines, k)
+    stream_seed = cell_seed(seed + 7919 * rep, scenario.name)
     common = dict(
         k=k,
         capacity=capacity,
@@ -280,7 +259,7 @@ def run_tournament_cell(
             rates, workload, scenario, scheduler, dispatcher,
             rate_source="oracle", estimation=None, **common,
         )
-        oracle_fair = _fairness(oracle_metrics)
+        oracle_fair = utilization_fairness(oracle_metrics)
     else:
         oracle_metrics, oracle_fair = oracle
     prior = "oracle" if noise == 0.0 else "single_run"
@@ -295,7 +274,7 @@ def run_tournament_cell(
         ),
         **common,
     )
-    est_fair = _fairness(est_metrics)
+    est_fair = utilization_fairness(est_metrics)
 
     o_tp, e_tp = oracle_metrics.throughput, est_metrics.throughput
     degradation = (o_tp - e_tp) / o_tp if o_tp > 0.0 else 0.0
@@ -332,22 +311,6 @@ def run_tournament_cell(
     )
 
 
-def _group_worker(payload: tuple) -> list[TournamentCell]:
-    """All cells of one (scenario, policy) group (spawn-safe).
-
-    Module-level so :func:`repro.queueing.sharding.parallel_map` can
-    pickle it; the payload carries a
-    :func:`~repro.experiments.common.snapshot_rates` table, so a
-    worker computes the exact floats of an in-process run.  Grouping
-    by (scenario, policy) keeps the oracle-run sharing inside one
-    worker.
-    """
-    rates, workload, scenario_name, policy, kwargs = payload
-    return _run_group(
-        rates, workload, get_scenario(scenario_name), policy, **kwargs
-    )
-
-
 def _run_group(
     rates: RateSource,
     workload: Workload,
@@ -363,7 +326,8 @@ def _run_group(
     contexts: int,
     capacity: float,
 ) -> list[TournamentCell]:
-    """Every cell of one (scenario, policy) group.
+    """Every cell of one (scenario, policy) group, the tournament's
+    grid cell.
 
     The oracle run of a (warmup, rep) pair is shared across the noise
     levels — it does not depend on the noise — so a group costs
@@ -380,12 +344,12 @@ def _run_group(
                 capacity=capacity,
                 n_machines=n_machines,
                 n_jobs=n_jobs,
-                stream_seed=_pair_seed(seed, scenario.name, rep),
+                stream_seed=cell_seed(seed + 7919 * rep, scenario.name),
                 warmup_frac=warmup_frac,
                 rate_source="oracle",
                 estimation=None,
             )
-            oracle = (oracle_metrics, _fairness(oracle_metrics))
+            oracle = (oracle_metrics, utilization_fairness(oracle_metrics))
             for noise in noise_levels:
                 cells.append(run_tournament_cell(
                     rates, workload, scenario, policy, noise,
@@ -480,19 +444,19 @@ def compute_tournament(
 
     Returns a JSON-ready payload: the grid axes, every paired cell,
     and the per-(policy, noise, warm-up) summary rows.  ``jobs > 1``
-    fans the independent (scenario, policy) groups out over worker
-    processes (cells keep grid order and every float matches a serial
-    run — workers receive a frozen :func:`snapshot_rates` table).
+    fans the independent (scenario, policy) groups out through
+    :func:`~repro.experiments.common.run_cells` (cells keep grid order
+    and every float matches a serial run).  Grouping by (scenario,
+    policy) keeps each oracle run shared across its noise levels.
     """
     k = infer_contexts(rates, contexts)
-    capacity = n_machines * optimal_throughput(
-        rates, workload, contexts=k
-    ).throughput
+    capacity = cluster_capacity(rates, workload, n_machines, k)
     scenario_list = list(
         scenarios if scenarios is not None else all_scenarios()
     )
     policy_list = list(policies if policies is not None else POLICIES)
-    group_kwargs = dict(
+    group = partial(
+        _run_group,
         noise_levels=tuple(noise_levels),
         warmup_fracs=tuple(warmup_fracs),
         n_seeds=n_seeds,
@@ -503,29 +467,12 @@ def compute_tournament(
         capacity=capacity,
     )
     groups = [
-        (scenario, policy)
+        (workload, scenario, policy)
         for scenario in scenario_list
         for policy in policy_list
     ]
-    if jobs > 1 and len(groups) > 1:
-        frozen = snapshot_rates(rates, workload.types, k)
-        payloads = [
-            (frozen, workload, scenario.name, policy, group_kwargs)
-            for scenario, policy in groups
-        ]
-        cells = [
-            cell
-            for group in parallel_map(_group_worker, payloads, jobs)
-            for cell in group
-        ]
-    else:
-        cells = [
-            cell
-            for scenario, policy in groups
-            for cell in _run_group(
-                rates, workload, scenario, policy, **group_kwargs
-            )
-        ]
+    results = run_cells(group, rates, groups, contexts=k, jobs=jobs)
+    cells = [cell for group_cells in results for cell in group_cells]
     return {
         "policies": {p: POLICIES[p] for p in policy_list},
         "scenarios": [s.name for s in scenario_list],

@@ -29,6 +29,7 @@ from typing import Callable, Mapping, Sequence
 __all__ = [
     "Experiment",
     "RunOptions",
+    "cell_seed",
     "register",
     "get",
     "names",
@@ -64,6 +65,13 @@ EXPERIMENT_MODULES: tuple[str, ...] = (
 _KINDS = ("figure", "table", "section", "analysis")
 
 
+def cell_seed(base: int, label: str) -> int:
+    """The one seed rule: experiments seed from (CLI seed, name), grid
+    cells from (experiment seed, label), so no seed depends on cell
+    order or on the worker process that runs the cell."""
+    return (base * 1_000_003 + zlib.crc32(label.encode())) % 2**31
+
+
 @dataclass(frozen=True)
 class RunOptions:
     """CLI-level knobs shared by every experiment.
@@ -97,7 +105,7 @@ class RunOptions:
     def seed_for(self, name: str) -> int:
         """Deterministic per-experiment seed (stable across runs and
         across ``--jobs`` worker assignment)."""
-        return (self.seed * 1_000_003 + zlib.crc32(name.encode())) % 2**31
+        return cell_seed(self.seed, name)
 
     def workloads(self, default: int | None) -> int | None:
         """Effective workload cap given an experiment's default."""

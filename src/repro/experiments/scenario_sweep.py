@@ -19,35 +19,34 @@ the dispatcher-level quantity the cluster metrics expose directly.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload
 from repro.experiments.common import (
     ExperimentContext,
+    cluster_capacity,
     format_table,
+    make_cluster,
+    run_cells,
     sample_workloads,
-    snapshot_rates,
+    utilization_fairness,
 )
-from repro.experiments.registry import Experiment, RunOptions, register
+from repro.experiments.registry import (
+    Experiment,
+    RunOptions,
+    cell_seed,
+    register,
+)
 from repro.microarch.rates import RateSource, infer_contexts
-from repro.queueing.cluster import Cluster, ClusterMetrics
-from repro.queueing.dispatch import make_dispatcher
 from repro.queueing.scenarios import Scenario, all_scenarios
-from repro.queueing.schedulers import make_scheduler
-from repro.queueing.sharding import (
-    parallel_map,
-    plan_boundaries,
-    run_sharded,
-)
+from repro.queueing.sharding import plan_boundaries, run_sharded
 
 __all__ = [
     "DISPATCHERS",
     "ScenarioOutcome",
-    "snapshot_rates",
     "compute_scenario_sweep",
     "run",
     "render",
@@ -97,20 +96,6 @@ class ScenarioOutcome:
     engine_stats: dict | None = None
 
 
-def _fairness(metrics: ClusterMetrics) -> float:
-    """Per-machine utilization balance: min/max across machines."""
-    utils = [m.utilization for m in metrics.per_machine]
-    top = max(utils)
-    if top <= 0.0:
-        return 1.0
-    return min(utils) / top
-
-
-def _scenario_seed(base: int, name: str) -> int:
-    """Deterministic per-scenario seed (stable across sweep order)."""
-    return (base * 1_000_003 + zlib.crc32(name.encode())) % 2**31
-
-
 def run_scenario(
     rates: RateSource,
     workload: Workload,
@@ -137,49 +122,43 @@ def run_scenario(
     segments (boundaries from the scenario's expected duration —
     stream length over mean rate, or backlog work over cluster
     capacity when saturated); ``checkpoint_dir`` additionally writes a
-    crash-safe checkpoint after every shard and resumes from one left
+    crash-safe checkpoint after every shard, in the cell's own
+    ``scenario__dispatcher`` subdirectory, and resumes from one left
     by a killed run.  Both change only where the run can pause:
-    metrics are bit-identical to the unsharded cell.
+    metrics are bit-identical to the unsharded cell.  The stream seed
+    is ``cell_seed(seed, scenario.name)``, shared by every dispatcher.
     """
     k = infer_contexts(rates, contexts)
     if capacity is None:
-        capacity = n_machines * optimal_throughput(
-            rates, workload, contexts=k
-        ).throughput
+        capacity = cluster_capacity(rates, workload, n_machines, k)
     count = scenario.n_jobs if n_jobs is None else n_jobs
     mean_rate = scenario.offered_rate(capacity)
-    cell_seed = _scenario_seed(seed, scenario.name)
+    stream_seed = cell_seed(seed, scenario.name)
 
     def build_stream():
         return scenario.build_jobs(
             workload.types,
             mean_rate=mean_rate,
-            seed=cell_seed,
+            seed=stream_seed,
             n_jobs=count,
         )
 
-    schedulers = [
-        make_scheduler(scheduler, rates, k, workload=workload)
-        for _ in range(n_machines)
-    ]
-    cluster = Cluster(
-        rates,
-        schedulers,
-        make_dispatcher(
-            dispatcher, rates=rates, workload=workload, contexts=k
-        ),
+    cluster = make_cluster(
+        rates, workload, scheduler, dispatcher, n_machines, k
     )
     limits = scenario.admission_limits(n_machines, k)
     if shards > 1 or checkpoint_dir is not None:
         # Only checkpoint spacing depends on the duration estimate.
         duration = scenario.expected_duration(count, capacity)
+        cell_dir = None
         if checkpoint_dir is not None:
-            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+            cell_dir = Path(checkpoint_dir) / f"{scenario.name}__{dispatcher}"
+            cell_dir.mkdir(parents=True, exist_ok=True)
         sharded = run_sharded(
             cluster,
             build_stream,
             boundaries=plan_boundaries(max(shards, 1), duration),
-            checkpoint_dir=checkpoint_dir,
+            checkpoint_dir=cell_dir,
             **limits,
         )
         metrics = sharded.metrics
@@ -197,23 +176,12 @@ def run_scenario(
         ),
         utilization=metrics.utilization,
         empty_fraction=metrics.empty_fraction,
-        fairness=_fairness(metrics),
+        fairness=utilization_fairness(metrics),
         completed=metrics.completed,
         shards=max(shards, 1),
         memo_stats=cluster.last_memo_stats,
         engine_stats=cluster.last_engine_stats,
     )
-
-
-def _cell_worker(payload: tuple) -> ScenarioOutcome:
-    """Run one sweep cell from a pure-data payload (spawn-safe).
-
-    Module-level so :func:`repro.queueing.sharding.parallel_map` can
-    pickle it; the payload carries a :func:`snapshot_rates` table, so
-    a worker computes the exact floats of an in-process run.
-    """
-    rates, workload, scenario, dispatcher, kwargs = payload
-    return run_scenario(rates, workload, scenario, dispatcher, **kwargs)
 
 
 def compute_scenario_sweep(
@@ -237,61 +205,33 @@ def compute_scenario_sweep(
     the memo stats.
 
     The (scenario, dispatcher) cells share nothing, so ``jobs > 1``
-    fans them out over worker processes (results keep sweep order and
-    every float is identical to a serial run — workers receive a
-    frozen :func:`snapshot_rates` table).  ``shards`` /
-    ``checkpoint_dir`` apply per cell (each cell checkpoints in its own
-    ``scenario__dispatcher`` subdirectory, so a killed sweep resumes
-    every unfinished cell from its last completed shard).
+    fans them out through :func:`~repro.experiments.common.run_cells`
+    (results keep sweep order and every float is identical to a serial
+    run).  ``shards`` / ``checkpoint_dir`` apply per cell (see
+    :func:`run_scenario`), so a killed sweep resumes every unfinished
+    cell from its last completed shard.
     """
     k = infer_contexts(rates, contexts)
-    capacity = n_machines * optimal_throughput(
-        rates, workload, contexts=k
-    ).throughput
+    capacity = cluster_capacity(rates, workload, n_machines, k)
+    cell = partial(
+        run_scenario,
+        n_machines=n_machines,
+        scheduler=scheduler,
+        n_jobs=n_jobs,
+        seed=seed,
+        contexts=k,
+        capacity=capacity,
+        shards=shards,
+        checkpoint_dir=checkpoint_dir,
+    )
     cells = [
-        (scenario, dispatcher)
+        (workload, scenario, dispatcher)
         for scenario in (
             scenarios if scenarios is not None else all_scenarios()
         )
         for dispatcher in dispatchers
     ]
-
-    def cell_kwargs(scenario: Scenario, dispatcher: str) -> dict:
-        return {
-            "n_machines": n_machines,
-            "scheduler": scheduler,
-            "n_jobs": n_jobs,
-            "seed": seed,
-            "contexts": k,
-            "capacity": capacity,
-            "shards": shards,
-            "checkpoint_dir": (
-                str(
-                    Path(checkpoint_dir)
-                    / f"{scenario.name}__{dispatcher}"
-                )
-                if checkpoint_dir is not None
-                else None
-            ),
-        }
-
-    if jobs > 1 and len(cells) > 1:
-        frozen = snapshot_rates(rates, workload.types, k)
-        payloads = [
-            (frozen, workload, scenario, dispatcher, cell_kwargs(scenario, dispatcher))
-            for scenario, dispatcher in cells
-        ]
-        return parallel_map(_cell_worker, payloads, jobs)
-    return [
-        run_scenario(
-            rates,
-            workload,
-            scenario,
-            dispatcher,
-            **cell_kwargs(scenario, dispatcher),
-        )
-        for scenario, dispatcher in cells
-    ]
+    return run_cells(cell, rates, cells, contexts=k, jobs=jobs)
 
 
 def run(

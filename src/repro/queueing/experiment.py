@@ -92,8 +92,8 @@ def run_latency_experiment(
     rates: RateSource,
     workload: Workload,
     scheduler_name: str,
-    *,
     load: float,
+    *,
     n_jobs: int = 20_000,
     warmup_fraction: float = 0.1,
     mean_size: float = 1.0,

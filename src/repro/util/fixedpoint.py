@@ -11,7 +11,8 @@ before its iteration budget is spent, in two cases:
 * **Non-finite iterate.** The first NaN or infinite map value or
   residual ends the solve at that iteration.  Blended into the iterate,
   a NaN or infinity stays there for any damping below 1, so the solve
-  could only spin out its budget.
+  could only spin out its budget.  A non-finite start vector is
+  rejected up front (``ValueError``), so every map sees finite states.
 * **Stalled contraction.** The best (lowest) residual is tracked per
   window of ``_STALL_WINDOW`` iterations.  At the end of every window
   from the second on, the solve is abandoned if that window's best
@@ -90,7 +91,8 @@ def solve_fixed_point(
             residual stops contracting (see the module docstring).  The
             message names which.
         ValueError: if damping is outside (0, 1], tolerance is negative
-            or NaN, max_iterations is below 1, or start is empty.
+            or NaN, max_iterations is below 1, or start is empty or
+            holds a NaN or infinite entry.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
@@ -101,6 +103,8 @@ def solve_fixed_point(
     x = [float(v) for v in start]
     if not x:
         raise ValueError("start vector must be non-empty")
+    if not all(math.isfinite(v) for v in x):
+        raise ValueError(f"start vector must be finite, got {x}")
 
     keep = 1.0 - damping
     residual = math.inf

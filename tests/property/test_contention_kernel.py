@@ -499,9 +499,16 @@ def test_map_counts_its_fixed_point_calls():
 def test_nan_state_is_the_solvers_failure(machine):
     """A NaN reaching the map comes out as a NaN iterate, not as a
     helper's ``ValueError``, so the solver names it and the damping
-    ladder moves on to its next rung."""
+    ladder moves on to its next rung.  A NaN *start* vector never
+    reaches the map: the solver rejects it as an argument error."""
     _, kernel, _ = build(machine, ("mcf", "sjeng"))
     state = [1.0, 1.0, math.nan, 1.0]
     assert any(math.isnan(v) for v in kernel(state))
-    with pytest.raises(ConvergenceError, match="non-finite iterate"):
+    with pytest.raises(ValueError, match="start vector must be finite"):
         solve_fixed_point(kernel, state)
+
+    def poisoned(x):
+        return kernel([x[0], x[1], math.nan, x[3]])
+
+    with pytest.raises(ConvergenceError, match="non-finite iterate"):
+        solve_fixed_point(poisoned, [1.0] * 4)

@@ -7,6 +7,10 @@ import math
 import pytest
 
 from repro.errors import ConvergenceError
+from repro.microarch.benchmarks import default_roster
+from repro.microarch.config import quad_core_machine, smt_machine
+from repro.microarch.multicore import multicore_iteration
+from repro.microarch.smt_core import smt_iteration
 from repro.util import fixedpoint
 from repro.util.fixedpoint import solve_fixed_point
 
@@ -86,6 +90,31 @@ class TestSolveFixedPoint:
         result = solve_fixed_point(lambda x: [0.5], [0.0], damping=1.0,
                                    tolerance=0.0)
         assert result.value == (0.5,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, bad):
+        mapped = counting(lambda x: list(x))
+        with pytest.raises(ValueError, match="start vector must be finite"):
+            solve_fixed_point(mapped, [1.0, bad])
+        assert mapped.calls == 0
+
+    @pytest.mark.parametrize(
+        "machine, iteration",
+        [
+            (smt_machine(), smt_iteration),  # dynamic-ROB SMT map
+            (quad_core_machine(), multicore_iteration),
+        ],
+        ids=["smt4", "quad"],
+    )
+    def test_non_finite_start_rejected_for_every_machine(
+        self, machine, iteration
+    ):
+        # Every contention map fails the same way on a bad start vector,
+        # before any map sees it.
+        roster = default_roster()
+        iterate = iteration(machine, [roster["mcf"], roster["sjeng"]])
+        with pytest.raises(ValueError, match="start vector must be finite"):
+            solve_fixed_point(iterate, [1.0, 1.0, math.nan, 1.0])
 
     def test_dimension_change_rejected(self):
         with pytest.raises(ValueError):
