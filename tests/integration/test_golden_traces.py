@@ -45,6 +45,7 @@ crash-level regression cannot silently produce fresh goldens.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,13 @@ def diff_payload(
         for i, (e, a) in enumerate(zip(expected, actual)):
             lines.extend(diff_payload(e, a, f"{path}[{i}]"))
     elif isinstance(expected, float) and isinstance(actual, (int, float)):
+        if not (math.isfinite(expected) and math.isfinite(actual)):
+            # NaN matches only NaN, and an infinity only itself.
+            if expected != actual and not (
+                math.isnan(expected) and math.isnan(actual)
+            ):
+                lines.append(f"  {path}: {actual!r} != expected {expected!r}")
+            return lines
         scale = max(abs(expected), abs(actual), 1e-300)
         if abs(expected - actual) / scale > REL_TOL:
             lines.append(
