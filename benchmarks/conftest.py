@@ -14,16 +14,13 @@ same format the experiment runner writes, so ``python -m
 repro.experiments all`` warms the benchmarks and vice versa.  Cache
 statistics are printed when the session ends.
 
-Workload samples are deterministic; pass ``--benchmark-only`` to run
-these without the unit suite.  Benchmarks can also assert against
-structured runner output: point ``REPRO_RESULTS_DIR`` at a directory
-produced by ``python -m repro.experiments all --results-dir ...`` and
-use the ``runner_results`` fixture.
+Workload samples are deterministic.  pytest's default pattern does not
+collect ``bench_*.py``, so name the files:
+``python -m pytest benchmarks/bench_*.py --benchmark-only``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Iterator
@@ -59,21 +56,3 @@ def context() -> Iterator[ExperimentContext]:
     if saved is not None:
         print(f"\n{stats.render()}; {saved} entries persisted to {path}")
 
-
-@pytest.fixture(scope="session")
-def runner_results() -> dict[str, dict]:
-    """Structured JSON results emitted by the experiment runner.
-
-    Skips unless ``REPRO_RESULTS_DIR`` points at a directory written by
-    ``python -m repro.experiments ... --results-dir DIR``.
-    """
-    root = os.environ.get("REPRO_RESULTS_DIR")
-    if not root:
-        pytest.skip("REPRO_RESULTS_DIR not set")
-    results = {
-        path.stem: json.loads(path.read_text())
-        for path in sorted(Path(root).glob("*.json"))
-    }
-    if not results:
-        pytest.skip(f"no runner results under {root}")
-    return results

@@ -66,7 +66,6 @@ def heterogeneity_table(
     workload: Workload,
     *,
     contexts: int | None = None,
-    backend: str = "simplex",
 ) -> HeterogeneityTable:
     """Compute Table II (per-heterogeneity fractions) for one workload."""
     machine = getattr(rates, "machine", None)
@@ -76,8 +75,8 @@ def heterogeneity_table(
 
     coschedules = workload.coschedules(k)
     fcfs = fcfs_throughput(rates, workload, contexts=k)
-    best = optimal_throughput(rates, workload, contexts=k, backend=backend)
-    worst = worst_throughput(rates, workload, contexts=k, backend=backend)
+    best = optimal_throughput(rates, workload, contexts=k)
+    worst = worst_throughput(rates, workload, contexts=k)
 
     groups: dict[int, list[tuple[str, ...]]] = {}
     for s in coschedules:

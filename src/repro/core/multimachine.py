@@ -65,7 +65,6 @@ def joint_optimal_throughput(
     n_machines: int,
     *,
     contexts: int | None = None,
-    backend: str = "simplex",
 ) -> MultiMachineSchedule:
     """Solve the explicit joint LP over M identical machines.
 
@@ -114,7 +113,7 @@ def joint_optimal_throughput(
         )
     )
 
-    solution = model.solve(backend=backend)
+    solution = model.solve()
     if not solution.is_optimal:
         raise SolverError(
             f"joint multi-machine LP terminated {solution.status.value}"
@@ -141,13 +140,12 @@ def reduced_optimal_throughput(
     n_machines: int,
     *,
     contexts: int | None = None,
-    backend: str = "simplex",
 ) -> MultiMachineSchedule:
     """The paper's reduction: every machine runs the 1-machine optimum."""
     if n_machines <= 0:
         raise WorkloadError(f"n_machines must be positive, got {n_machines}")
     single: OptimalSchedule = optimal_throughput(
-        rates, workload, contexts=contexts, backend=backend
+        rates, workload, contexts=contexts
     )
     return MultiMachineSchedule(
         workload=workload,

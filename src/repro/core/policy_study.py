@@ -135,7 +135,6 @@ def run_policy_study(
     *,
     roster: Mapping[str, JobTypeParams] | None = None,
     policies: Sequence[tuple[FetchPolicy, RobPolicy]] = ALL_POLICIES,
-    backend: str = "simplex",
 ) -> PolicyStudy:
     """Run the Section-VII policy comparison over the given workloads."""
     results = []
@@ -148,9 +147,7 @@ def run_policy_study(
         for workload in workloads:
             label = workload.label()
             fcfs_tp[label] = fcfs_throughput(rates, workload).throughput
-            optimal_tp[label] = optimal_throughput(
-                rates, workload, backend=backend
-            ).throughput
+            optimal_tp[label] = optimal_throughput(rates, workload).throughput
         results.append(
             PolicyResult(
                 fetch=fetch, rob=rob, fcfs_tp=fcfs_tp, optimal_tp=optimal_tp

@@ -51,12 +51,7 @@ def instruction_rate_view(
     return TableRates(table)
 
 
-def compare_units(
-    rates: RateTable,
-    workload,
-    *,
-    backend: str = "simplex",
-) -> dict[str, dict[str, float]]:
+def compare_units(rates: RateTable, workload) -> dict[str, dict[str, float]]:
     """Optimal/FCFS/worst throughput under both units of work.
 
     Returns ``{"weighted": {...}, "instruction": {...}}`` with keys
@@ -73,9 +68,9 @@ def compare_units(
     }
     out: dict[str, dict[str, float]] = {}
     for unit, view in views.items():
-        best = optimal_throughput(view, workload, contexts=k, backend=backend)
+        best = optimal_throughput(view, workload, contexts=k)
         base = fcfs_throughput(view, workload, contexts=k)
-        worst = worst_throughput(view, workload, contexts=k, backend=backend)
+        worst = worst_throughput(view, workload, contexts=k)
         out[unit] = {
             "optimal": best.throughput,
             "fcfs": base.throughput,

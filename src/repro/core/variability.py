@@ -174,7 +174,6 @@ def workload_variability(
     workload: Workload,
     *,
     contexts: int | None = None,
-    backend: str = "simplex",
 ) -> WorkloadVariability:
     """Compute all Figure-1 quantities for one workload."""
     machine = getattr(rates, "machine", None)
@@ -190,10 +189,6 @@ def workload_variability(
         job_variations=job_wipc_stats(rates, workload, k),
         inst_tp_stats=summarize(inst_tp),
         fcfs_tp=fcfs_throughput(rates, workload, contexts=k).throughput,
-        optimal_tp=optimal_throughput(
-            rates, workload, contexts=k, backend=backend
-        ).throughput,
-        worst_tp=worst_throughput(
-            rates, workload, contexts=k, backend=backend
-        ).throughput,
+        optimal_tp=optimal_throughput(rates, workload, contexts=k).throughput,
+        worst_tp=worst_throughput(rates, workload, contexts=k).throughput,
     )

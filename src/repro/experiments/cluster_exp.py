@@ -237,24 +237,19 @@ def compute_cluster(
 
 
 def run(
-    context: ExperimentContext,
-    *,
-    config: str = "smt",
-    max_workloads: int = 2,
-    n_machines: int = 3,
-    jobs_per_machine: int = 400,
-    seed: int = 0,
-    jobs: int = 1,
+    context: ExperimentContext, options: RunOptions
 ) -> list[ClusterComparison]:
     """The cluster validation on a deterministic workload subsample."""
-    workloads = sample_workloads(context.workloads, max_workloads, seed=seed)
+    seed = options.seed_for("cluster_exp")
+    workloads = sample_workloads(
+        context.workloads, options.workloads(2), seed=seed
+    )
     return compute_cluster(
-        context.rates_for(config),
+        context.smt_rates,
         workloads,
-        n_machines=n_machines,
-        jobs_per_machine=jobs_per_machine,
+        jobs_per_machine=160 if options.quick else 400,
         seed=seed,
-        jobs=jobs,
+        jobs=options.jobs,
     )
 
 
@@ -311,22 +306,10 @@ def render(comparisons: list[ClusterComparison]) -> str:
     return table + verdict
 
 
-def _registry_run(
-    context: ExperimentContext, options: RunOptions
-) -> list[ClusterComparison]:
-    return run(
-        context,
-        max_workloads=options.workloads(2),
-        jobs_per_machine=160 if options.quick else 400,
-        seed=options.seed_for("cluster_exp"),
-        jobs=options.jobs,
-    )
-
-
 register(Experiment(
     name="cluster_exp",
     kind="analysis",
     title="Sec. III-D — simulated M-machine cluster vs the reduction",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

@@ -87,16 +87,14 @@ def compute_fairness_cf(
     return outcomes
 
 
-def run(
-    context: ExperimentContext,
-    *,
-    config: str = "smt",
-    max_workloads: int = 60,
-    seed: int = 0,
-) -> list[FairnessOutcome]:
+def run(context: ExperimentContext, options: RunOptions) -> list[FairnessOutcome]:
     """The counterfactual on a deterministic workload subsample."""
-    workloads = sample_workloads(context.workloads, max_workloads, seed=seed)
-    return compute_fairness_cf(context.rates_for(config), workloads)
+    workloads = sample_workloads(
+        context.workloads,
+        options.workloads(60),
+        seed=options.seed_for("fairness"),
+    )
+    return compute_fairness_cf(context.smt_rates, workloads)
 
 
 def render(outcomes: list[FairnessOutcome]) -> str:
@@ -128,18 +126,10 @@ def render(outcomes: list[FairnessOutcome]) -> str:
     return summary + "\n" + table
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[FairnessOutcome]:
-    return run(
-        context,
-        max_workloads=options.workloads(60),
-        seed=options.seed_for("fairness"),
-    )
-
-
 register(Experiment(
     name="fairness",
     kind="analysis",
     title="Sec. V.D — fairness counterfactual",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

@@ -291,23 +291,17 @@ def compute_fault_sweep(
 
 
 def run(
-    context: ExperimentContext,
-    *,
-    config: str = "smt",
-    n_machines: int = 3,
-    n_jobs: int | None = None,
-    seed: int = 0,
-    jobs: int = 1,
+    context: ExperimentContext, options: RunOptions
 ) -> list[FaultOutcome]:
     """The chaos sweep on one deterministically sampled workload."""
+    seed = options.seed_for("fault_sweep")
     workload = sample_workloads(context.workloads, 1, seed=seed)[0]
     return compute_fault_sweep(
-        context.rates_for(config),
+        context.smt_rates,
         workload,
-        n_machines=n_machines,
-        n_jobs=n_jobs,
+        n_jobs=250 if options.quick else None,
         seed=seed,
-        jobs=jobs,
+        jobs=options.jobs,
     )
 
 
@@ -369,22 +363,11 @@ def render(outcomes: list[FaultOutcome]) -> str:
     return table + summary
 
 
-def _registry_run(
-    context: ExperimentContext, options: RunOptions
-) -> list[FaultOutcome]:
-    return run(
-        context,
-        n_jobs=250 if options.quick else None,
-        seed=options.seed_for("fault_sweep"),
-        jobs=options.jobs,
-    )
-
-
 register(Experiment(
     name="fault_sweep",
     kind="analysis",
     title="Fault sweep — chaos harness: failures/repairs x scenarios x "
     "dispatch policies",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

@@ -79,7 +79,7 @@ def compute_figure1(
     return bars, reports
 
 
-def run(context: ExperimentContext) -> list[Figure1Bars]:
+def run(context: ExperimentContext, options: RunOptions) -> list[Figure1Bars]:
     """Compute Figure 1 for both machine configurations."""
     return [
         compute_figure1(context.smt_rates, context.workloads, config="smt")[0],
@@ -134,14 +134,10 @@ def render(bars_list: list[Figure1Bars]) -> str:
     return table + "\n" + "\n".join(charts)
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[Figure1Bars]:
-    return run(context)
-
-
 register(Experiment(
     name="figure1",
     kind="figure",
     title="Fig. 1 — IPC / inst-TP / avg-TP variability bars",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

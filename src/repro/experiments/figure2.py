@@ -69,7 +69,7 @@ def compute_figure2(
     )
 
 
-def run(context: ExperimentContext) -> list[Figure2Series]:
+def run(context: ExperimentContext, options: RunOptions) -> list[Figure2Series]:
     """Compute Figure 2 for both machine configurations."""
     return [
         compute_figure2(context.smt_rates, context.workloads, config="smt"),
@@ -117,14 +117,10 @@ def render(series_list: list[Figure2Series]) -> str:
     return summary + "\n" + "\n".join(details)
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[Figure2Series]:
-    return run(context)
-
-
 register(Experiment(
     name="figure2",
     kind="figure",
     title="Fig. 2 — optimal-vs-worst vs FCFS-vs-worst scatter",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

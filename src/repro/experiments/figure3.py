@@ -67,7 +67,7 @@ def compute_figure3(
     )
 
 
-def run(context: ExperimentContext) -> list[Figure3Series]:
+def run(context: ExperimentContext, options: RunOptions) -> list[Figure3Series]:
     """Compute Figure 3 for both machine configurations."""
     return [
         compute_figure3(context.smt_rates, context.workloads, config="smt"),
@@ -102,14 +102,10 @@ def render(series_list: list[Figure3Series]) -> str:
     return summary + "\n" + "\n".join(details)
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[Figure3Series]:
-    return run(context)
-
-
 register(Experiment(
     name="figure3",
     kind="figure",
     title="Fig. 3 — linear-bottleneck error vs TP variability",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

@@ -16,7 +16,7 @@ from repro.experiments.common import format_table
 from repro.queueing.mmk import MMKQueue
 from repro.experiments.registry import Experiment, RunOptions, register
 
-__all__ = ["Figure4Example", "CurvePoint", "compute_example", "compute_curves", "render"]
+__all__ = ["Figure4Example", "CurvePoint", "compute_example", "compute_curves", "run", "render"]
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,8 @@ def render(example: Figure4Example, curve: list[CurvePoint]) -> str:
     return header + "\n" + table
 
 
-def _registry_run(context, options: RunOptions) -> tuple:
+def run(context, options: RunOptions) -> tuple:
+    """The worked example and the curves (analytic; no rates used)."""
     return compute_example(), compute_curves()
 
 
@@ -140,6 +141,6 @@ register(Experiment(
     name="figure4",
     kind="figure",
     title="Fig. 4 — M/M/4 turnaround vs arrival rate",
-    run=_registry_run,
+    run=run,
     render=_registry_render,
 ))

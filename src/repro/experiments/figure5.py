@@ -109,15 +109,7 @@ def compute_figure5(
     return cells
 
 
-def run(
-    context: ExperimentContext,
-    *,
-    config: str = "smt",
-    max_workloads: int = 24,
-    n_jobs: int = 6_000,
-    seed: int = 0,
-    jobs: int = 1,
-) -> list[Figure5Cell]:
+def run(context: ExperimentContext, options: RunOptions) -> list[Figure5Cell]:
     """Figure 5 on a deterministic workload subsample.
 
     The paper averages over all 495 workloads; the discrete-event grid
@@ -125,13 +117,12 @@ def run(
     expensive part of the reproduction, so the default samples 24
     workloads — enough for stable ordering of the schedulers.
     """
-    workloads = sample_workloads(context.workloads, max_workloads, seed=seed)
+    seed = options.seed_for("figure5")
+    workloads = sample_workloads(
+        context.workloads, options.workloads(24), seed=seed
+    )
     return compute_figure5(
-        context.rates_for(config),
-        workloads,
-        n_jobs=n_jobs,
-        seed=seed,
-        jobs=jobs,
+        context.smt_rates, workloads, seed=seed, jobs=options.jobs
     )
 
 
@@ -154,19 +145,10 @@ def render(cells: list[Figure5Cell]) -> str:
     )
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[Figure5Cell]:
-    return run(
-        context,
-        max_workloads=options.workloads(24),
-        seed=options.seed_for("figure5"),
-        jobs=options.jobs,
-    )
-
-
 register(Experiment(
     name="figure5",
     kind="figure",
     title="Fig. 5 — TT / utilization / empty fraction, 4 schedulers",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

@@ -103,23 +103,14 @@ def compute_figure6(
     return points
 
 
-def run(
-    context: ExperimentContext,
-    *,
-    config: str = "smt",
-    max_workloads: int = 30,
-    n_jobs: int = 3_000,
-    seed: int = 0,
-    jobs: int = 1,
-) -> list[Figure6Point]:
+def run(context: ExperimentContext, options: RunOptions) -> list[Figure6Point]:
     """Figure 6 on a deterministic workload subsample."""
-    workloads = sample_workloads(context.workloads, max_workloads, seed=seed)
+    seed = options.seed_for("figure6")
+    workloads = sample_workloads(
+        context.workloads, options.workloads(30), seed=seed
+    )
     return compute_figure6(
-        context.rates_for(config),
-        workloads,
-        n_jobs=n_jobs,
-        seed=seed,
-        jobs=jobs,
+        context.smt_rates, workloads, seed=seed, jobs=options.jobs
     )
 
 
@@ -150,19 +141,10 @@ def render(points: list[Figure6Point]) -> str:
     return table + means
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[Figure6Point]:
-    return run(
-        context,
-        max_workloads=options.workloads(30),
-        seed=options.seed_for("figure6"),
-        jobs=options.jobs,
-    )
-
-
 register(Experiment(
     name="figure6",
     kind="figure",
     title="Fig. 6 — achieved saturation throughput per workload",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

@@ -87,16 +87,14 @@ def compute_makespan(
     return cells
 
 
-def run(
-    context: ExperimentContext,
-    *,
-    config: str = "smt",
-    max_workloads: int = 10,
-    seed: int = 0,
-) -> list[MakespanCell]:
+def run(context: ExperimentContext, options: RunOptions) -> list[MakespanCell]:
     """The makespan comparison on a deterministic workload subsample."""
-    workloads = sample_workloads(context.workloads, max_workloads, seed=seed)
-    return compute_makespan(context.rates_for(config), workloads)
+    workloads = sample_workloads(
+        context.workloads,
+        options.workloads(10),
+        seed=options.seed_for("makespan"),
+    )
+    return compute_makespan(context.smt_rates, workloads)
 
 
 def render(cells: list[MakespanCell]) -> str:
@@ -122,18 +120,10 @@ def render(cells: list[MakespanCell]) -> str:
     )
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[MakespanCell]:
-    return run(
-        context,
-        max_workloads=options.workloads(10),
-        seed=options.seed_for("makespan"),
-    )
-
-
 register(Experiment(
     name="makespan",
     kind="analysis",
     title="Sec. II — small-set makespan (LJF vs symbiosis-aware)",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

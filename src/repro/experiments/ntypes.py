@@ -63,21 +63,9 @@ def compute_ntypes(
     return points
 
 
-def run(
-    context: ExperimentContext,
-    *,
-    config: str = "smt",
-    n_values: Sequence[int] = (2, 3, 4, 6, 8),
-    max_workloads_per_n: int = 60,
-    seed: int = 0,
-) -> list[NTypesPoint]:
-    """The N-sweep on one machine configuration."""
-    return compute_ntypes(
-        context.rates_for(config),
-        n_values=n_values,
-        max_workloads_per_n=max_workloads_per_n,
-        seed=seed,
-    )
+def run(context: ExperimentContext, options: RunOptions) -> list[NTypesPoint]:
+    """The N-sweep on the SMT configuration."""
+    return compute_ntypes(context.smt_rates, seed=options.seed_for("ntypes"))
 
 
 def render(points: list[NTypesPoint]) -> str:
@@ -96,14 +84,10 @@ def render(points: list[NTypesPoint]) -> str:
     )
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[NTypesPoint]:
-    return run(context, seed=options.seed_for("ntypes"))
-
-
 register(Experiment(
     name="ntypes",
     kind="analysis",
     title="Sec. V.B — optimal gain vs number of job types",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

@@ -488,37 +488,28 @@ def compute_tournament(
     }
 
 
-def run(
-    context: ExperimentContext,
-    *,
-    config: str = "smt",
-    scenarios: Sequence[str] | None = None,
-    noise_levels: Sequence[float] = NOISE_LEVELS,
-    warmup_fracs: Sequence[float] = WARMUP_FRACS,
-    n_seeds: int = 2,
-    n_machines: int = 2,
-    n_jobs: int = 240,
-    seed: int = 0,
-    jobs: int = 1,
-) -> dict:
-    """The tournament on one deterministically sampled workload."""
+def run(context: ExperimentContext, options: RunOptions) -> dict:
+    """The tournament on one deterministically sampled workload; the
+    quick grid is two scenarios, the control and the loudest noise,
+    one warm-up and one seed."""
+    seed = options.seed_for("policy_tournament")
     workload = sample_workloads(context.workloads, 1, seed=seed)[0]
-    scenario_objs = (
-        [get_scenario(name) for name in scenarios]
-        if scenarios is not None
-        else None
-    )
+    if not options.quick:
+        return compute_tournament(
+            context.smt_rates, workload, seed=seed, jobs=options.jobs
+        )
     return compute_tournament(
-        context.rates_for(config),
+        context.smt_rates,
         workload,
-        scenarios=scenario_objs,
-        noise_levels=noise_levels,
-        warmup_fracs=warmup_fracs,
-        n_seeds=n_seeds,
-        n_machines=n_machines,
-        n_jobs=n_jobs,
+        scenarios=[
+            get_scenario(name) for name in ("baseline_poisson", "skewed_types")
+        ],
+        noise_levels=(0.0, 0.4),
+        warmup_fracs=(0.0,),
+        n_seeds=1,
+        n_jobs=120,
         seed=seed,
-        jobs=jobs,
+        jobs=options.jobs,
     )
 
 
@@ -621,30 +612,11 @@ def render(result: Mapping) -> str:
     )
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> dict:
-    if options.quick:
-        return run(
-            context,
-            scenarios=["baseline_poisson", "skewed_types"],
-            noise_levels=(0.0, 0.4),
-            warmup_fracs=(0.0,),
-            n_seeds=1,
-            n_jobs=120,
-            seed=options.seed_for("policy_tournament"),
-            jobs=options.jobs,
-        )
-    return run(
-        context,
-        seed=options.seed_for("policy_tournament"),
-        jobs=options.jobs,
-    )
-
-
 register(Experiment(
     name="policy_tournament",
     kind="analysis",
     title="Policy tournament — oracle vs. estimated rates, price of "
     "information",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

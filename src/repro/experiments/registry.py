@@ -6,7 +6,8 @@ section / analysis), paper reference, and two callables:
 
 * ``run(context, options)`` — compute the artifact's result object
   from an :class:`~repro.experiments.common.ExperimentContext` and the
-  CLI-level :class:`RunOptions`;
+  CLI-level :class:`RunOptions` (the module's only entry; its
+  ``compute_*`` functions are the library API);
 * ``render(result)`` — produce the textual rows/series the paper
   reports.
 
@@ -15,7 +16,7 @@ The registry is what makes ``python -m repro.experiments`` work:
 :func:`register` at import time), ``--list`` walks :func:`all_experiments`,
 and the parallel runner fans registered names out to worker processes.
 Results additionally pass through :func:`to_jsonable` so every artifact
-can be emitted as structured JSON for the benchmark suite.
+can be emitted as structured JSON (``--results-dir``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import dataclasses
 import importlib
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 __all__ = [
     "Experiment",

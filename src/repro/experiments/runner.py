@@ -14,8 +14,7 @@ with ``--no-cache``): the first run pays for the microarch simulator
 sweep, every later run — including each ``--jobs`` worker process —
 reloads the entries and skips the simulator entirely.  Cache hit/miss
 statistics are printed after every artifact, and ``--results-dir``
-additionally emits one structured JSON file per artifact for the
-benchmark suite.
+additionally emits one structured JSON file per artifact.
 
 The full 495-workload run of the analytic artifacts (table1/figure1/
 figure2/figure3/table2/ntypes/fairness) takes tens of seconds; the

@@ -235,27 +235,19 @@ def compute_scenario_sweep(
 
 
 def run(
-    context: ExperimentContext,
-    *,
-    config: str = "smt",
-    n_machines: int = 3,
-    n_jobs: int | None = None,
-    seed: int = 0,
-    jobs: int = 1,
-    shards: int = 1,
-    checkpoint_dir: str | None = None,
+    context: ExperimentContext, options: RunOptions
 ) -> list[ScenarioOutcome]:
     """The sweep on one deterministically sampled workload."""
+    seed = options.seed_for("scenario_sweep")
     workload = sample_workloads(context.workloads, 1, seed=seed)[0]
     return compute_scenario_sweep(
-        context.rates_for(config),
+        context.smt_rates,
         workload,
-        n_machines=n_machines,
-        n_jobs=n_jobs,
+        n_jobs=400 if options.quick else None,
         seed=seed,
-        jobs=jobs,
-        shards=shards,
-        checkpoint_dir=checkpoint_dir,
+        jobs=options.jobs,
+        shards=options.shards,
+        checkpoint_dir=options.checkpoint_dir,
     )
 
 
@@ -321,24 +313,11 @@ def render(outcomes: list[ScenarioOutcome]) -> str:
     return table + summary
 
 
-def _registry_run(
-    context: ExperimentContext, options: RunOptions
-) -> list[ScenarioOutcome]:
-    return run(
-        context,
-        n_jobs=400 if options.quick else None,
-        seed=options.seed_for("scenario_sweep"),
-        jobs=options.jobs,
-        shards=options.shards,
-        checkpoint_dir=options.checkpoint_dir,
-    )
-
-
 register(Experiment(
     name="scenario_sweep",
     kind="analysis",
     title="Scenario sweep — nonstationary & trace-driven workloads x "
     "dispatch policies",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

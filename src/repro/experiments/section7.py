@@ -66,20 +66,18 @@ def compute_section7(workloads: Sequence[Workload]) -> Section7Summary:
     )
 
 
-def run(
-    context: ExperimentContext,
-    *,
-    max_workloads: int | None = None,
-    seed: int = 0,
-) -> Section7Summary:
+def run(context: ExperimentContext, options: RunOptions) -> Section7Summary:
     """Section VII on the context's workloads (optionally subsampled).
 
     Note: this builds four fresh rate tables (one per policy pair), so
     it re-simulates the coschedule sweep four times.
     """
     workloads = context.workloads
-    if max_workloads is not None and max_workloads < len(workloads):
-        workloads = sample_workloads(workloads, max_workloads, seed=seed)
+    cap = options.workloads(None)
+    if cap is not None and cap < len(workloads):
+        workloads = sample_workloads(
+            workloads, cap, seed=options.seed_for("section7")
+        )
     return compute_section7(workloads)
 
 
@@ -112,18 +110,10 @@ def render(summary: Section7Summary) -> str:
     return "\n".join(lines)
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> Section7Summary:
-    return run(
-        context,
-        max_workloads=options.workloads(None),
-        seed=options.seed_for("section7"),
-    )
-
-
 register(Experiment(
     name="section7",
     kind="section",
     title="Sec. VII — fetch/ROB policy study",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

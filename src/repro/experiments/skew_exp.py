@@ -76,16 +76,14 @@ def compute_skew(
     return points
 
 
-def run(
-    context: ExperimentContext,
-    *,
-    config: str = "smt",
-    max_workloads: int = 30,
-    seed: int = 0,
-) -> list[SkewPoint]:
+def run(context: ExperimentContext, options: RunOptions) -> list[SkewPoint]:
     """The skew sweep on a deterministic workload subsample."""
-    workloads = sample_workloads(context.workloads, max_workloads, seed=seed)
-    return compute_skew(context.rates_for(config), workloads)
+    workloads = sample_workloads(
+        context.workloads,
+        options.workloads(30),
+        seed=options.seed_for("skew"),
+    )
+    return compute_skew(context.smt_rates, workloads)
 
 
 def render(points: list[SkewPoint]) -> str:
@@ -110,18 +108,10 @@ def render(points: list[SkewPoint]) -> str:
     )
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[SkewPoint]:
-    return run(
-        context,
-        max_workloads=options.workloads(30),
-        seed=options.seed_for("skew"),
-    )
-
-
 register(Experiment(
     name="skew",
     kind="analysis",
     title="Sec. III-D — work-share skew vs symbiotic headroom",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

@@ -15,7 +15,7 @@ from repro.experiments.figure1 import compute_figure1
 from repro.experiments.figure2 import compute_figure2
 from repro.experiments.registry import Experiment, RunOptions, register
 
-__all__ = ["HeadlineNumbers", "compute_summary", "render"]
+__all__ = ["HeadlineNumbers", "compute_summary", "run", "render"]
 
 _PAPER = {
     "smt": {
@@ -103,7 +103,8 @@ def render(numbers: list[HeadlineNumbers]) -> str:
     )
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[HeadlineNumbers]:
+def run(context: ExperimentContext, options: RunOptions) -> list[HeadlineNumbers]:
+    """The headline numbers over the context's workloads."""
     return compute_summary(context)
 
 
@@ -111,6 +112,6 @@ register(Experiment(
     name="summary",
     kind="analysis",
     title="Abstract — headline digest, measured vs paper",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

@@ -15,7 +15,7 @@ from repro.experiments.common import ExperimentContext, format_table
 from repro.microarch.benchmarks import default_roster
 from repro.experiments.registry import Experiment, RunOptions, register
 
-__all__ = ["Table1Row", "compute_table1", "render"]
+__all__ = ["Table1Row", "compute_table1", "run", "render"]
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ def render(rows: list[Table1Row]) -> str:
     )
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[Table1Row]:
+def run(context: ExperimentContext, options: RunOptions) -> list[Table1Row]:
+    """Table I from the context's rate sources."""
     return compute_table1(context)
 
 
@@ -74,6 +75,6 @@ register(Experiment(
     name="table1",
     kind="table",
     title="Table I — benchmark roster",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

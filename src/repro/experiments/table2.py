@@ -64,7 +64,7 @@ def compute_table2(
     ]
 
 
-def run(context: ExperimentContext) -> list[Table2Row]:
+def run(context: ExperimentContext, options: RunOptions) -> list[Table2Row]:
     """Compute Table II for both machine configurations."""
     return compute_table2(
         context.smt_rates, context.workloads, config="smt"
@@ -91,14 +91,10 @@ def render(rows: list[Table2Row]) -> str:
     )
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[Table2Row]:
-    return run(context)
-
-
 register(Experiment(
     name="table2",
     kind="table",
     title="Table II — coschedule fractions by heterogeneity",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

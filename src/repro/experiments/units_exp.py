@@ -47,16 +47,14 @@ def compute_units(
     return comparisons
 
 
-def run(
-    context: ExperimentContext,
-    *,
-    config: str = "smt",
-    max_workloads: int = 20,
-    seed: int = 0,
-) -> list[UnitComparison]:
+def run(context: ExperimentContext, options: RunOptions) -> list[UnitComparison]:
     """The unit check on a deterministic workload subsample."""
-    workloads = sample_workloads(context.workloads, max_workloads, seed=seed)
-    return compute_units(context.rates_for(config), workloads)
+    workloads = sample_workloads(
+        context.workloads,
+        options.workloads(20),
+        seed=options.seed_for("units"),
+    )
+    return compute_units(context.smt_rates, workloads)
 
 
 def render(comparisons: list[UnitComparison]) -> str:
@@ -79,18 +77,10 @@ def render(comparisons: list[UnitComparison]) -> str:
     )
 
 
-def _registry_run(context: ExperimentContext, options: RunOptions) -> list[UnitComparison]:
-    return run(
-        context,
-        max_workloads=options.workloads(20),
-        seed=options.seed_for("units"),
-    )
-
-
 register(Experiment(
     name="units",
     kind="analysis",
     title="Sec. III-B — raw-instruction unit-of-work check",
-    run=_registry_run,
+    run=run,
     render=render,
 ))

@@ -1051,6 +1051,8 @@ def run_loop(
             # after the no-progress check so a stuck run raises here
             # exactly as it would unpaused.
             if pause_at is not None and new_clock > pause_at:
+                # The next segment runs this pass again; count it there.
+                events -= 1
                 return LoopState(
                     clock=clock,
                     last_arrival=last_arrival,

@@ -192,7 +192,6 @@ class SymbiosisAffinityDispatcher(Dispatcher):
         workload: Workload,
         *,
         contexts: int | None = None,
-        backend: str = "simplex",
         slack: int = 1,
     ) -> None:
         if slack < 0:
@@ -200,7 +199,6 @@ class SymbiosisAffinityDispatcher(Dispatcher):
         self.workload = workload
         self.slack = slack
         self._contexts = contexts
-        self._backend = backend
         # Compiled per-run view: the affinity table flattened onto the
         # run codec's type ids (row-major n x n list-of-lists), so the
         # per-queue scoring loop is two list indexes per queued job
@@ -222,9 +220,7 @@ class SymbiosisAffinityDispatcher(Dispatcher):
         schedulers (:func:`~repro.queueing.ratememo.optimal_schedule`).
         A bound run codec re-flattens immediately.
         """
-        schedule = optimal_schedule(
-            rates, self.workload, self._contexts, self._backend
-        )
+        schedule = optimal_schedule(rates, self.workload, self._contexts)
         self.fractions: dict[tuple[str, ...], float] = dict(schedule.fractions)
         affinity: dict[tuple[str, str], float] = {}
         for coschedule, fraction in self.fractions.items():
@@ -338,7 +334,6 @@ def make_dispatcher(
     rates: RateSource | None = None,
     workload: Workload | None = None,
     contexts: int | None = None,
-    backend: str = "simplex",
 ) -> Dispatcher:
     """Factory: build a dispatcher by name.
 
@@ -356,9 +351,7 @@ def make_dispatcher(
                 "the affinity dispatcher needs rates and workload for "
                 "its offline LP phase"
             )
-        return SymbiosisAffinityDispatcher(
-            rates, workload, contexts=contexts, backend=backend
-        )
+        return SymbiosisAffinityDispatcher(rates, workload, contexts=contexts)
     raise WorkloadError(
         f"unknown dispatcher {name!r}; choose round_robin, jsq, or affinity"
     )

@@ -43,8 +43,8 @@ the rate lookups happen in the order a fresh enumeration would make
 them — the estimator cold-starts the same coschedules either way.
 
 The LP layer (:meth:`optimal`) memoizes the Section-IV LP optimum
-over the memo's own rates, keyed on (workload, context count,
-backend).  Every offline-solved policy of a run re-solves the same LP
+over the memo's own rates, keyed on (workload, context count).
+Every offline-solved policy of a run re-solves the same LP
 at each re-optimization round; through :func:`optimal_schedule` they
 share one solve per distinct LP.  The LP's rate-free structure is
 kept by :mod:`repro.core.optimal` itself, so a solve reads only rates.
@@ -279,7 +279,7 @@ class RunRateMemo:
         self._shapes: dict[tuple[str, ...], _ProbeShape] = {}
         #: This epoch's priced candidates, shared by every set holding one.
         self._priced: dict[tuple[str, ...], ProbeCandidate] = {}
-        self._optimal: dict[tuple[Workload, int, str], OptimalSchedule] = {}
+        self._optimal: dict[tuple[Workload, int], OptimalSchedule] = {}
         #: Candidate sets priced from a kept enumeration (re-priced
         #: after a :meth:`clear` instead of re-enumerated).
         self.repriced_sets = 0
@@ -480,10 +480,10 @@ class RunRateMemo:
     # LP layer (offline-solved policies: MAXTP, affinity dispatch)
     # ------------------------------------------------------------------
     def optimal(
-        self, workload: Workload, contexts: int | None, backend: str
+        self, workload: Workload, contexts: int | None
     ) -> OptimalSchedule:
         """:func:`~repro.core.optimal.optimal_throughput` over this
-        memo's rates, solved once per (workload, contexts, backend).
+        memo's rates, solved once per (workload, contexts).
 
         ``contexts`` is normalized through
         :func:`~repro.microarch.rates.infer_contexts` first, so a
@@ -493,12 +493,10 @@ class RunRateMemo:
         schedule is the one a fresh solve would return.  Callers copy
         what they keep; the schedule itself is never mutated.
         """
-        key = (workload, infer_contexts(self, contexts), backend)
+        key = (workload, infer_contexts(self, contexts))
         schedule = self._optimal.get(key)
         if schedule is None:
-            schedule = optimal_throughput(
-                self, workload, contexts=key[1], backend=backend
-            )
+            schedule = optimal_throughput(self, workload, contexts=key[1])
             self._optimal[key] = schedule
             self.lp_solves += 1
         return schedule
@@ -553,10 +551,7 @@ class RunRateMemo:
 
 
 def optimal_schedule(
-    rates: RateSource,
-    workload: Workload,
-    contexts: int | None,
-    backend: str,
+    rates: RateSource, workload: Workload, contexts: int | None
 ) -> OptimalSchedule:
     """The LP optimum an offline-solved policy follows.
 
@@ -567,7 +562,5 @@ def optimal_schedule(
     construction, and the end-of-run restore on the cluster's source).
     """
     if isinstance(rates, RunRateMemo):
-        return rates.optimal(workload, contexts, backend)
-    return optimal_throughput(
-        rates, workload, contexts=contexts, backend=backend
-    )
+        return rates.optimal(workload, contexts)
+    return optimal_throughput(rates, workload, contexts=contexts)

@@ -225,17 +225,11 @@ class MaxTpScheduler(Scheduler):
     name = "maxtp"
 
     def __init__(
-        self,
-        rates: RateSource,
-        contexts: int,
-        workload: Workload,
-        *,
-        backend: str = "simplex",
+        self, rates: RateSource, contexts: int, workload: Workload
     ) -> None:
         super().__init__(rates, contexts)
         self.workload = workload
-        self._backend = backend
-        schedule = optimal_schedule(rates, workload, contexts, backend)
+        schedule = optimal_schedule(rates, workload, contexts)
         self.target_fractions: dict[tuple[str, ...], float] = dict(
             schedule.fractions
         )
@@ -286,9 +280,7 @@ class MaxTpScheduler(Scheduler):
         a run memo the solve is shared with every other policy of the
         round (:func:`~repro.queueing.ratememo.optimal_schedule`).
         """
-        schedule = optimal_schedule(
-            rates, self.workload, self.contexts, self._backend
-        )
+        schedule = optimal_schedule(rates, self.workload, self.contexts)
         fractions = dict(schedule.fractions)
         self.time_in = {s: self.time_in.get(s, 0.0) for s in fractions}
         self.target_fractions = fractions

@@ -10,6 +10,7 @@ every engine.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,10 +22,12 @@ import pytest
 from repro.core.workload import Workload
 from repro.errors import CheckpointError, SimulationError
 from repro.experiments.registry import to_jsonable
+from repro.experiments.scenario_sweep import run_scenario
 from repro.microarch.rates import TableRates
 from repro.queueing.checkpoint import CHECKPOINT_FORMAT, load
 from repro.queueing.cluster import Cluster
 from repro.queueing.dispatch import JoinShortestQueueDispatcher
+from repro.queueing.hotpath import synthetic_rates
 from repro.queueing.scenarios import get_scenario
 from repro.queueing.schedulers import make_scheduler
 from repro.queueing.sharding import (
@@ -105,6 +108,30 @@ class TestShardedEqualsMonolithic:
         )
         assert out.shards_run == 4
         assert not (tmp_path / CHECKPOINT_NAME).exists()
+
+    def test_scenario_outcome_ignores_the_shard_count(self):
+        # Engine and memo counters included: a pass that stops at a
+        # shard boundary is counted once, by the segment that runs it.
+        rates, names = synthetic_rates(n_types=4, contexts=2)
+        outcomes = [
+            dataclasses.asdict(
+                run_scenario(
+                    rates,
+                    Workload.of(*names),
+                    get_scenario("baseline_poisson"),
+                    "round_robin",
+                    n_jobs=200,
+                    contexts=2,
+                    shards=shards,
+                )
+            )
+            for shards in (1, 2, 4)
+        ]
+        assert outcomes[0]["engine_stats"]["events"] == 401
+        for outcome in outcomes:
+            outcome.pop("shards")
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
 
 
 # Driver executed in fresh subprocesses: "mono" runs the plain cluster,

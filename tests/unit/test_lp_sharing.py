@@ -3,9 +3,9 @@ per published estimate epoch, and the shared solve changes nothing.
 
 MAXTP's ``reoptimize`` and the affinity dispatcher's ``rebuild`` both
 get their schedule from :meth:`RunRateMemo.optimal` when handed the
-run's memo.  The memo keys on (workload, inferred contexts, backend)
-and is dropped at every estimator publish together with the rates it
-was solved from.
+run's memo.  The memo keys on (workload, inferred contexts) and is
+dropped at every estimator publish together with the rates it was
+solved from.
 """
 
 from __future__ import annotations
@@ -146,10 +146,8 @@ class TestSharedSolve:
     def test_same_run_as_solving_every_time(self, engine, monkeypatch):
         shared = _maxtp_affinity_run(engine)
 
-        def always_solve(self, workload, contexts, backend):
-            return optimal_throughput(
-                self, workload, contexts=contexts, backend=backend
-            )
+        def always_solve(self, workload, contexts):
+            return optimal_throughput(self, workload, contexts=contexts)
 
         monkeypatch.setattr(RunRateMemo, "optimal", always_solve)
         solved = _maxtp_affinity_run(engine)
@@ -166,9 +164,9 @@ class TestMemoKey:
         memo = RunRateMemo(rates)
         four = Workload.of(*names)
         three = Workload.of(*names[:3])
-        base = memo.optimal(four, CONTEXTS, "simplex")
-        other_workload = memo.optimal(three, CONTEXTS, "simplex")
-        other_contexts = memo.optimal(four, 2, "simplex")
+        base = memo.optimal(four, CONTEXTS)
+        other_workload = memo.optimal(three, CONTEXTS)
+        other_contexts = memo.optimal(four, 2)
         assert solves["n"] == 3
         assert len({id(base), id(other_workload), id(other_contexts)}) == 3
         for schedule, workload, contexts in (
@@ -179,18 +177,18 @@ class TestMemoKey:
             fresh = optimal_throughput(rates, workload, contexts=contexts)
             assert schedule.fractions == fresh.fractions
         # Inferred contexts normalize onto the explicit count.
-        assert memo.optimal(four, None, "simplex") is base
-        assert memo.optimal(Workload.of(*names), CONTEXTS, "simplex") is base
+        assert memo.optimal(four, None) is base
+        assert memo.optimal(Workload.of(*names), CONTEXTS) is base
         assert solves["n"] == 3 + 3
 
     def test_clear_drops_the_solve(self, solves):
         rates, names = _rates()
         memo = RunRateMemo(rates)
         workload = Workload.of(*names)
-        first = memo.optimal(workload, CONTEXTS, "simplex")
+        first = memo.optimal(workload, CONTEXTS)
         memo.clear()
         assert solves["n"] == 1
-        again = memo.optimal(workload, CONTEXTS, "simplex")
+        again = memo.optimal(workload, CONTEXTS)
         assert again is not first
         assert solves["n"] == 2
         assert again.fractions == first.fractions
