@@ -64,8 +64,13 @@ def compute_ntypes(
 
 
 def run(context: ExperimentContext, options: RunOptions) -> list[NTypesPoint]:
-    """The N-sweep on the SMT configuration."""
-    return compute_ntypes(context.smt_rates, seed=options.seed_for("ntypes"))
+    """The N-sweep on the SMT configuration, sampling at most
+    ``options.workloads(60)`` workloads per N."""
+    return compute_ntypes(
+        context.smt_rates,
+        max_workloads_per_n=options.workloads(60),
+        seed=options.seed_for("ntypes"),
+    )
 
 
 def render(points: list[NTypesPoint]) -> str:

@@ -47,19 +47,32 @@ def share_allocator(
     floor = floor_fraction * total_mb
     distributable = total_mb - n * floor
 
+    if n == 1:
+
+        def allocate(pressures: Sequence[float]) -> list[float]:
+            for p in pressures:
+                if p < 0.0:
+                    raise ValueError("pressures must be non-negative")
+            return [total_mb]
+
+        return allocate
+
     def allocate(pressures: Sequence[float]) -> list[float]:
+        # One pass checks, raises to the power and adds left to right.
+        scaled = []
+        total_pressure = 0.0
         for p in pressures:
             if p < 0.0:
                 raise ValueError("pressures must be non-negative")
-        if n == 1:
-            return [total_mb]
-        scaled = [p**exponent for p in pressures]
-        total_pressure = 0.0
-        for p in scaled:
+            p **= exponent
+            scaled.append(p)
             total_pressure += p
         if total_pressure <= 0.0:
             return [even] * n
-        return [floor + distributable * p / total_pressure for p in scaled]
+        shares = []
+        for p in scaled:
+            shares.append(floor + distributable * p / total_pressure)
+        return shares
 
     return allocate
 

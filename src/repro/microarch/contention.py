@@ -15,13 +15,20 @@ coschedule, built as a prepared kernel:
   a``: the same arguments in the same order, so a NaN, a ``-0.0`` or an
   infinity comes out exactly as the builtin would return it, without
   the builtin's call.
-* **Each formula has one copy.**  The map calls the jobs' own methods
-  (:meth:`~repro.microarch.params.JobTypeParams.llc_mpki`,
-  ``window_scaling``, ``core_cpi``, ``effective_mlp``) and the prepared
-  helpers of :mod:`~repro.microarch.membus`,
-  :mod:`~repro.microarch.cache`, :mod:`~repro.microarch.rob` and
-  :mod:`~repro.microarch.fetch`, which the public per-call helpers call
-  too; every data check still raises inside the map.
+* **Each formula has one copy, evaluated for all jobs in one call.**
+  The per-job formulas are prepared for the coschedule's jobs
+  (:func:`~repro.microarch.params.llc_mpki_of`, ``window_scaling_of``,
+  ``core_cpi_of``, ``effective_mlp_of``), and so are the shared
+  resources (:func:`~repro.microarch.membus.bus_model`,
+  :func:`~repro.microarch.cache.share_allocator`,
+  :func:`~repro.microarch.rob.window_allocator`,
+  :func:`~repro.microarch.fetch.rival_weigher`).  The jobs' methods and
+  the public per-call helpers call the same prepared functions, so no
+  formula is written twice; every data check still raises inside the
+  map.
+* **Interpreter work is kept off the evaluation.**  Loops run over
+  ranges built once and index their lists, never over a fresh ``zip``
+  or comprehension.
 
 The fixed-point iterate and the diagnostic evaluation are the same
 equations, so a simulation result's diagnostics are exactly the map's
@@ -32,7 +39,9 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-__all__ = ["ContentionMap", "llc_misses"]
+from repro.microarch.params import JobTypeParams, llc_mpki_of
+
+__all__ = ["ContentionMap", "llc_miss_model"]
 
 
 class ContentionMap:
@@ -84,25 +93,26 @@ class ContentionMap:
         )
 
 
-def llc_misses(
-    curves: Sequence[Callable[[float], float]],
-    state: Sequence[float],
-) -> tuple[list[float], float]:
-    """Per-job LLC MPKI at the state's shares, and the total miss rate.
+def llc_miss_model(
+    jobs: Sequence[JobTypeParams],
+) -> Callable[[Sequence[float]], tuple[list[float], float]]:
+    """The LLC miss traffic of one coschedule.
 
-    Args:
-        curves: each job's miss curve
-            (:meth:`~repro.microarch.params.JobTypeParams.llc_mpki`).
-        state: ``[ipc_1..n, share_1..n]`` for the ``n = len(curves)``
-            jobs.
-
-    Returns:
-        ``(mpkis, misses_per_cycle)``, the second being the sum over
-        jobs of IPC x MPKI / 1000, added up left to right.
+    Returns ``misses(state) -> (mpkis, misses_per_cycle)`` over the
+    state vector ``[ipc_1..n, share_1..n]`` of the ``n = len(jobs)``
+    jobs: each job's LLC MPKI at its share
+    (:func:`~repro.microarch.params.llc_mpki_of`), and the sum over jobs
+    of IPC x MPKI / 1000, added up left to right.
     """
-    n = len(curves)
-    mpkis = [curve(share) for curve, share in zip(curves, state[n:])]
-    misses = 0.0
-    for ipc, mpki in zip(state, mpkis):
-        misses += ipc * mpki
-    return mpkis, misses / 1000.0
+    n = len(jobs)
+    mpkis_at = llc_mpki_of(jobs)
+    indices = range(n)
+
+    def misses(state: Sequence[float]) -> tuple[list[float], float]:
+        mpkis = mpkis_at(state[n:])
+        total = 0.0
+        for i in indices:
+            total += state[i] * mpkis[i]
+        return mpkis, total / 1000.0
+
+    return misses

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from repro.microarch.config import FetchPolicy
 
-__all__ = ["rival_weigher", "rival_weights", "water_fill"]
+__all__ = ["rival_weigher", "rival_weights", "water_fill", "water_filler"]
 
 
 def rival_weigher(
@@ -94,6 +94,79 @@ def rival_weights(
     return weigh(activities)
 
 
+def water_filler(
+    weights: Sequence[float],
+) -> Callable[[Sequence[float], float], list[float]]:
+    """:func:`water_fill` for fixed weights, checked once.
+
+    Returns ``fill(demands, capacity) -> allocation`` for demand vectors
+    as long as ``weights``; see :func:`water_fill` for the model.
+
+    Raises:
+        ValueError: on a weight that is negative, NaN or infinite; the
+            returned ``fill`` raises on a length mismatch, or a demand
+            or capacity that is negative, NaN or infinite.
+    """
+    n = len(weights)
+    inf = math.inf
+    # Threads with zero weight only receive capacity left over after all
+    # positively weighted threads are satisfied; treat them as epsilon
+    # weight to keep the loop uniform.
+    epsilon = 1e-12
+    effective = []
+    for w in weights:
+        if not 0.0 <= w < inf:
+            raise ValueError(f"weights must be finite and >= 0, got {w}")
+        effective.append(epsilon if epsilon > w else w)
+    indices = range(n)
+
+    def fill(demands: Sequence[float], capacity: float) -> list[float]:
+        if len(demands) != n:
+            raise ValueError(
+                f"length mismatch: {len(demands)} demands vs {n} weights"
+            )
+        if not 0.0 <= capacity < inf:
+            raise ValueError(
+                f"capacity must be finite and >= 0, got {capacity}"
+            )
+        for d in demands:
+            if not 0.0 <= d < inf:
+                raise ValueError(f"demands must be finite and >= 0, got {d}")
+        # A pending thread has received nothing yet, so its unmet demand
+        # is its whole demand.  Each pass grants every pending demand
+        # that fits its weighted share of the remainder (all judged
+        # against the same remainder, granted in thread order) or, when
+        # none fits, splits the remainder by weight and ends.
+        allocation = [0.0] * n
+        pending = []
+        for i in indices:
+            if demands[i] > 0.0:
+                pending.append(i)
+        remaining = float(capacity)
+        while pending and remaining > 1e-15:
+            weight_sum = 0.0
+            for i in pending:
+                weight_sum += effective[i]
+            granted = []
+            unmet = []
+            for i in pending:
+                if demands[i] <= remaining * effective[i] / weight_sum + 1e-15:
+                    granted.append(i)
+                else:
+                    unmet.append(i)
+            if not granted:
+                for i in pending:
+                    allocation[i] = remaining * effective[i] / weight_sum
+                break
+            for i in granted:
+                allocation[i] = demands[i]
+                remaining -= demands[i]
+            pending = unmet
+        return allocation
+
+    return fill
+
+
 def water_fill(
     demands: Sequence[float],
     weights: Sequence[float],
@@ -107,8 +180,9 @@ def water_fill(
     total never exceeds ``capacity``.
 
     Used for ICOUNT's dynamic ROB sharing
-    (:func:`repro.microarch.rob.window_allocator`): demands are the
-    threads' occupancy demands and the capacity is the ROB size.
+    (:func:`repro.microarch.rob.window_allocator`, through
+    :func:`water_filler`): demands are the threads' occupancy demands
+    and the capacity is the ROB size.
 
     Weights are added left to right, so the split does not depend on
     the Python version's ``sum()``.
@@ -117,46 +191,8 @@ def water_fill(
         ValueError: on a length mismatch, or a demand, weight or
             capacity that is negative, NaN or infinite.
     """
-    n = len(demands)
-    if len(weights) != n:
-        raise ValueError(f"length mismatch: {n} demands vs {len(weights)} weights")
-    inf = math.inf
-    if not 0.0 <= capacity < inf:
-        raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
-    for d in demands:
-        if not 0.0 <= d < inf:
-            raise ValueError(f"demands must be finite and >= 0, got {d}")
-    # Threads with zero weight only receive capacity left over after all
-    # positively weighted threads are satisfied; treat them as epsilon
-    # weight to keep the loop uniform.
-    epsilon = 1e-12
-    effective = []
-    for w in weights:
-        if not 0.0 <= w < inf:
-            raise ValueError(f"weights must be finite and >= 0, got {w}")
-        effective.append(epsilon if epsilon > w else w)
-
-    allocation = [0.0] * n
-    active = [i for i in range(n) if demands[i] > 0.0]
-    remaining = float(capacity)
-    while active and remaining > 1e-15:
-        weight_sum = 0.0
-        for i in active:
-            weight_sum += effective[i]
-        satisfied = [
-            i
-            for i in active
-            if demands[i] - allocation[i]
-            <= remaining * effective[i] / weight_sum + 1e-15
-        ]
-        if satisfied:
-            for i in satisfied:
-                grant = demands[i] - allocation[i]
-                allocation[i] = demands[i]
-                remaining -= grant
-                active.remove(i)
-        else:
-            for i in active:
-                allocation[i] += remaining * effective[i] / weight_sum
-            remaining = 0.0
-    return allocation
+    if len(weights) != len(demands):
+        raise ValueError(
+            f"length mismatch: {len(demands)} demands vs {len(weights)} weights"
+        )
+    return water_filler(weights)(demands, capacity)

@@ -25,9 +25,14 @@ from typing import Sequence
 
 from repro.microarch.cache import share_allocator
 from repro.microarch.config import MachineConfig
-from repro.microarch.contention import ContentionMap, llc_misses
+from repro.microarch.contention import ContentionMap, llc_miss_model
 from repro.microarch.membus import bus_model
-from repro.microarch.params import JobTypeParams
+from repro.microarch.params import (
+    JobTypeParams,
+    core_cpi_of,
+    effective_mlp_of,
+    window_scaling_of,
+)
 
 __all__ = ["MulticoreEvaluation", "evaluate_multicore", "multicore_iteration"]
 
@@ -62,18 +67,15 @@ def multicore_iteration(
     split = share_allocator(
         n, machine.llc_mb, floor_fraction=machine.cache_share_floor
     )
-    curves = [job.llc_mpki for job in jobs]
+    llc_misses = llc_miss_model(jobs)
     # Every job owns a private core, so its window is the full ROB.
-    scales = [job.window_scaling(float(machine.rob_size)) for job in jobs]
-    core_cpis = [
-        job.core_cpi(scale, machine.branch_penalty_cycles)
-        for job, scale in zip(jobs, scales)
-    ]
-    mlps = [job.effective_mlp(scale) for job, scale in zip(jobs, scales)]
+    scales = window_scaling_of(jobs)([float(machine.rob_size)] * n)
+    core_cpis = core_cpi_of(jobs, machine.branch_penalty_cycles)(scales)
+    mlps = effective_mlp_of(jobs)(scales)
     indices = range(n)
 
     def equations(state: Sequence[float]):
-        mpkis, misses = llc_misses(curves, state)
+        mpkis, misses = llc_misses(state)
         utilization, delay = bus(misses)
         latency = memory_latency + delay
         following = []

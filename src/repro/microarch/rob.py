@@ -23,21 +23,38 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.microarch.config import FetchPolicy, RobPolicy
-from repro.microarch.fetch import water_fill
+from repro.microarch.fetch import water_filler
 from repro.microarch.params import JobTypeParams
 
 __all__ = ["occupancy_demand", "window_allocator", "window_shares"]
 
 
-def _demand(
-    useful: float, stall_fraction: float, rob_size: int, icount: bool
-) -> float:
-    """Occupancy demand of a thread whose useful window is ``useful``."""
-    if not 0.0 <= stall_fraction <= 1.0:
-        raise ValueError(f"stall fraction out of [0, 1]: {stall_fraction}")
-    if icount:
-        return useful * (1.0 + 0.25 * stall_fraction)
-    return (1.0 - stall_fraction) * useful + stall_fraction * float(rob_size)
+def _demand_model(
+    useful: Sequence[float], rob_size: int, icount: bool
+) -> Callable[[Sequence[float]], list[float]]:
+    """``demands(stall_fractions)``: the occupancy demands of threads
+    whose useful windows are ``useful``."""
+    full = float(rob_size)
+    indices = range(len(useful))
+
+    def demands(stall_fractions: Sequence[float]) -> list[float]:
+        values = []
+        for i in indices:
+            stall_fraction = stall_fractions[i]
+            if not 0.0 <= stall_fraction <= 1.0:
+                raise ValueError(
+                    f"stall fraction out of [0, 1]: {stall_fraction}"
+                )
+            if icount:
+                values.append(useful[i] * (1.0 + 0.25 * stall_fraction))
+            else:
+                values.append(
+                    (1.0 - stall_fraction) * useful[i]
+                    + stall_fraction * full
+                )
+        return values
+
+    return demands
 
 
 def occupancy_demand(
@@ -52,12 +69,12 @@ def occupancy_demand(
     (plus a small overshoot growing with stall time).  With round-robin
     fetch, stall periods let the thread run away toward the full ROB.
     """
-    return _demand(
-        float(min(job.w_need, rob_size)),
-        stall_fraction,
+    demands = _demand_model(
+        (float(min(job.w_need, rob_size)),),
         rob_size,
         fetch_policy is FetchPolicy.ICOUNT,
     )
+    return demands((stall_fraction,))[0]
 
 
 def window_allocator(
@@ -78,16 +95,15 @@ def window_allocator(
         even = rob_size / n
         return lambda stall_fractions: [even] * n
 
-    useful = [float(min(job.w_need, rob_size)) for job in jobs]
     icount = fetch_policy is FetchPolicy.ICOUNT
+    demands_at = _demand_model(
+        [float(min(job.w_need, rob_size)) for job in jobs], rob_size, icount
+    )
     capacity = float(rob_size)
-    ones = [1.0] * n
+    fill = water_filler([1.0] * n)
 
     def allocate(stall_fractions: Sequence[float]) -> list[float]:
-        demands = [
-            _demand(u, sf, rob_size, icount)
-            for u, sf in zip(useful, stall_fractions)
-        ]
+        demands = demands_at(stall_fractions)
         total = 0.0
         for d in demands:
             total += d
@@ -100,7 +116,7 @@ def window_allocator(
         # ICOUNT keeps demands honest, so over-subscription resolves like
         # a fair allocator: small demands are met in full, big ones split
         # the remainder — never below the static share.
-        return water_fill(demands, ones, capacity)
+        return fill(demands, capacity)
 
     return allocate
 

@@ -42,10 +42,15 @@ from typing import Sequence
 
 from repro.microarch.cache import share_allocator
 from repro.microarch.config import MachineConfig
-from repro.microarch.contention import ContentionMap, llc_misses
+from repro.microarch.contention import ContentionMap, llc_miss_model
 from repro.microarch.fetch import rival_weigher
 from repro.microarch.membus import bus_model
-from repro.microarch.params import JobTypeParams
+from repro.microarch.params import (
+    JobTypeParams,
+    core_cpi_of,
+    effective_mlp_of,
+    window_scaling_of,
+)
 from repro.microarch.rob import window_allocator
 
 __all__ = ["SmtEvaluation", "evaluate_smt", "smt_iteration"]
@@ -97,18 +102,20 @@ def smt_iteration(
     split = share_allocator(
         n, machine.llc_mb, floor_fraction=machine.cache_share_floor
     )
-    curves = [job.llc_mpki for job in jobs]
+    llc_misses = llc_miss_model(jobs)
     mlps = [job.mlp for job in jobs]
-    # Pass A runs every job at the full ROB.
-    full_cpis = [
-        job.core_cpi(job.window_scaling(rob), penalty) for job in jobs
-    ]
+    window_scalings = window_scaling_of(jobs)
+    core_cpis = core_cpi_of(jobs, penalty)
+    effective_mlps = effective_mlp_of(jobs)
+    # Pass A runs every job at the full ROB, pass B at its allocated
+    # window.
+    full_cpis = core_cpis(window_scalings([rob] * n))
     smt_factor = 1.0 + machine.smt_overhead * (n - 1)
     rivals_of = [[j for j in range(n) if j != i] for i in range(n)]
     indices = range(n)
 
     def equations(state: Sequence[float]):
-        mpkis, misses = llc_misses(curves, state)
+        mpkis, misses = llc_misses(state)
         utilization, delay = bus(misses)
         latency = memory_latency + delay
 
@@ -129,18 +136,14 @@ def smt_iteration(
         # schedule (a thread slowed by slot competition is active a
         # larger fraction of the time) rather than the unconstrained
         # demand.
-        rates = []
+        scales = window_scalings(windows)
+        window_mlps = effective_mlps(scales)
         t_mems = []
         stall_fractions = []
         activities = []
         expected_active = 0.0
         for i in indices:
-            job = jobs[i]
-            scale = job.window_scaling(windows[i])
-            rate = 1.0 / (job.core_cpi(scale, penalty) * smt_factor)
-            mlp = job.effective_mlp(scale)
-            rates.append(rate)
-            t_mem = exposures[i] / mlp
+            t_mem = exposures[i] / window_mlps[i]
             t_mems.append(t_mem)
             stall = t_mem * state[i]
             stall = stall if stall > 0.0 else 0.0
@@ -156,6 +159,7 @@ def smt_iteration(
         excess = expected_active - 1.0
         eta = 1.0 / (1.0 + fragmentation * (excess if excess > 0.0 else 0.0))
         eta_width = eta * width
+        cpis = core_cpis(scales)
         following = []
         pressures = []
         for i in indices:
@@ -163,7 +167,7 @@ def smt_iteration(
             for j in rivals_of[i]:
                 rivals += weights[j]
             share = eta_width / (1.0 + rivals)
-            rate = rates[i]
+            rate = 1.0 / (cpis[i] * smt_factor)
             active_rate = share if share < rate else rate
             ipc = 1.0 / (1.0 / active_rate + t_mems[i])
             following.append(ipc)

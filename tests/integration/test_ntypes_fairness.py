@@ -6,7 +6,8 @@ import pytest
 
 from repro.experiments.common import sample_workloads
 from repro.experiments.fairness_cf import compute_fairness_cf
-from repro.experiments.ntypes import compute_ntypes
+from repro.experiments.ntypes import compute_ntypes, run
+from repro.experiments.registry import RunOptions
 
 
 class TestNTypesShape:
@@ -27,6 +28,12 @@ class TestNTypesShape:
     def test_no_explosive_growth_with_n(self, points):
         by_n = {p.n_types: p.mean_gain for p in points}
         assert by_n[8] < 3 * max(by_n[4], 0.01)
+
+    def test_run_honours_the_workload_cap(self, context):
+        """``--max-workloads`` (and ``--quick``) cap the sample per N."""
+        points = run(context, RunOptions(max_workloads=5))
+        assert [p.n_types for p in points] == [2, 3, 4, 6, 8]
+        assert all(1 <= p.workloads <= 5 for p in points)
 
 
 class TestFairnessShape:
