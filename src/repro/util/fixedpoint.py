@@ -110,27 +110,39 @@ def solve_fixed_point(
     residual = math.inf
     window_best = math.inf
     previous_best = math.inf
+    size = len(x)
+    indices = range(size)
     for iteration in range(1, max_iterations + 1):
         fx = func(x)
-        if len(fx) != len(x):
+        if len(fx) != size:
             raise ValueError(
-                f"fixed-point map changed dimension: {len(x)} -> {len(fx)}"
+                f"fixed-point map changed dimension: {size} -> {len(fx)}"
             )
-        # One pass for the relative max-norm residual and finiteness: a
-        # non-finite map value makes its term, and so the residual, NaN
-        # or infinite, and either fails the ``< inf`` test below.
+        # One pass for the relative max-norm residual, finiteness and
+        # the blended iterate: a non-finite map value makes its term,
+        # and so the residual, NaN or infinite, and either fails the
+        # ``< inf`` test below before the blend is used.
         residual = 0.0
-        for new, old in zip(fx, x):
-            scale = abs(old)
-            term = abs(new - old) / (scale if scale > 1.0 else 1.0)
+        blended = []
+        for i in indices:
+            new = fx[i]
+            old = x[i]
+            # |new - old| / max(1, |old|); a division by 1 changes
+            # nothing, so it is left out.
+            term = abs(new - old)
+            if old > 1.0:
+                term /= old
+            elif old < -1.0:
+                term /= -old
             if term > residual or term != term:
                 residual = term
+            blended.append(keep * old + damping * new)
         if not residual < math.inf:
             raise ConvergenceError(
                 f"non-finite iterate at iteration {iteration} "
                 f"(residual {residual:.3e})"
             )
-        x = [keep * old + damping * new for new, old in zip(fx, x)]
+        x = blended
         if residual <= tolerance:
             return FixedPointResult(
                 value=tuple(x), iterations=iteration, residual=residual
