@@ -21,7 +21,7 @@ from repro.experiments.cluster_exp import compute_cluster
 from repro.experiments.fault_sweep import compute_fault_sweep, run_fault_cell
 from repro.experiments.figure5 import compute_figure5
 from repro.experiments.figure6 import compute_figure6
-from repro.experiments.policy_tournament import compute_tournament
+from repro.experiments.policy_tournament import POLICIES, compute_tournament
 from repro.experiments.registry import RunOptions, cell_seed, to_jsonable
 from repro.experiments.scenario_sweep import (
     compute_scenario_sweep,
@@ -151,14 +151,14 @@ class TestCellSeed:
 
 
 @pytest.mark.parametrize(
-    "scenario, dispatcher",
+    "scenario, dispatcher, policy",
     [
-        ("baseline_poisson", "round_robin"),
-        ("bursty_mmpp", "jsq"),
-        ("heavy_tail", "affinity"),
+        ("baseline_poisson", "round_robin", "maxit"),
+        ("bursty_mmpp", "jsq", "srpt"),
+        ("heavy_tail", "affinity", "affinity"),
     ],
 )
-def test_fault_free_cell_matches_scenario_sweep(scenario, dispatcher):
+def test_fault_free_cell_matches_scenario_sweep(scenario, dispatcher, policy):
     args = (RATES, WORKLOAD, get_scenario(scenario), dispatcher)
     kwargs = dict(n_jobs=120, seed=5, contexts=K)
     faulted = run_fault_cell(*args, "none", **kwargs)
@@ -166,8 +166,41 @@ def test_fault_free_cell_matches_scenario_sweep(scenario, dispatcher):
     for name in ("scenario", "dispatcher", "n_machines", "n_jobs",
                  "throughput", "completed"):
         assert getattr(faulted, name) == getattr(swept, name), name
-    assert (
-        faulted.mean_turnaround == swept.mean_turnaround
-        or math.isnan(faulted.mean_turnaround)
-        and math.isnan(swept.mean_turnaround)
+    assert same_turnaround(faulted.mean_turnaround, swept.mean_turnaround)
+
+    # The tournament's oracle half is the scenario sweep's cell for the
+    # policy's scheduler and dispatcher (its rep 0 seeds with ``seed``).
+    scheduler, policy_dispatcher = POLICIES[policy]
+    oracle = compute_tournament(
+        RATES,
+        WORKLOAD,
+        scenarios=[get_scenario(scenario)],
+        policies=[policy],
+        noise_levels=(0.0,),
+        warmup_fracs=(0.0,),
+        n_seeds=1,
+        n_machines=2,
+        **kwargs,
+    )["cells"][0]
+    swept = run_scenario(
+        RATES,
+        WORKLOAD,
+        get_scenario(scenario),
+        policy_dispatcher,
+        scheduler=scheduler,
+        n_machines=2,
+        **kwargs,
     )
+    assert oracle.oracle_throughput == swept.throughput
+    assert oracle.oracle_completed == swept.completed
+    assert oracle.oracle_fairness == swept.fairness
+    assert same_turnaround(
+        math.nan if oracle.oracle_turnaround is None
+        else oracle.oracle_turnaround,
+        swept.mean_turnaround,
+    )
+
+
+def same_turnaround(a: float, b: float) -> bool:
+    """Equal, or both NaN (no job completed)."""
+    return a == b or math.isnan(a) and math.isnan(b)
