@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload, all_workloads
@@ -24,11 +24,19 @@ from repro.microarch.rate_cache import (
     CacheStats,
     RateCacheStore,
 )
-from repro.microarch.rates import RateSource, RateTable, TableRates
+from repro.experiments.registry import cell_seed
+from repro.microarch.rates import (
+    RateSource,
+    RateTable,
+    TableRates,
+    infer_contexts,
+)
 from repro.queueing.cluster import Cluster, ClusterMetrics
 from repro.queueing.dispatch import make_dispatcher
+from repro.queueing.job import Job
+from repro.queueing.scenarios import Scenario
 from repro.queueing.schedulers import make_scheduler
-from repro.queueing.sharding import parallel_map
+from repro.queueing.sharding import parallel_map, plan_boundaries, run_sharded
 from repro.util.multiset import multisets
 from repro.util.rng import make_rng
 
@@ -40,6 +48,8 @@ __all__ = [
     "run_cells",
     "make_cluster",
     "cluster_capacity",
+    "ScenarioCell",
+    "scenario_cell",
     "utilization_fairness",
     "format_table",
 ]
@@ -228,6 +238,133 @@ def cluster_capacity(
     return n_machines * optimal_throughput(
         rates, workload, contexts=contexts
     ).throughput
+
+
+@dataclass(frozen=True)
+class ScenarioCell:
+    """One scenario's arrival stream offered to one cluster size: the
+    cell every cluster experiment runs its schedulers and dispatchers on.
+
+    Build it with :func:`scenario_cell`, which fixes the stream; every
+    :meth:`run` replays that exact stream, so runs of one cell differ
+    only in the policies and run knobs they are given.
+    """
+
+    rates: RateSource
+    workload: Workload
+    scenario: Scenario
+    n_machines: int
+    contexts: int
+    capacity: float
+    n_jobs: int
+    mean_rate: float
+    stream_seed: int
+
+    @property
+    def duration(self) -> float:
+        """The run's expected length (see
+        :meth:`~repro.queueing.scenarios.Scenario.expected_duration`):
+        the time scale of shard boundaries, warm-ups and fault rates."""
+        return self.scenario.expected_duration(self.n_jobs, self.capacity)
+
+    def run(
+        self,
+        scheduler: str,
+        dispatcher: str,
+        *,
+        shards: int = 1,
+        checkpoint_dir: Path | str | None = None,
+        **config: Any,
+    ) -> tuple[ClusterMetrics, Cluster]:
+        """Run the cell's stream on ``n_machines`` machines running
+        ``scheduler`` behind ``dispatcher``.
+
+        The keyword arguments are :class:`~repro.queueing.cluster.RunConfig`
+        fields; the scenario's admission limits are added to them.
+        ``shards > 1`` splits the run into deterministic time-slice
+        segments (boundaries from :attr:`duration`); ``checkpoint_dir``
+        also writes a crash-safe checkpoint after every shard, in the
+        cell's own ``scenario__dispatcher`` subdirectory, and resumes
+        from one left by a killed run.  Both change only where the run
+        can pause: metrics are bit-identical to the unsharded run.
+
+        Returns the run's metrics and the cluster that ran it, whose
+        ``last_*_stats`` describe the run.
+        """
+
+        def stream() -> Iterator[Job]:
+            return self.scenario.build_jobs(
+                self.workload.types,
+                mean_rate=self.mean_rate,
+                seed=self.stream_seed,
+                n_jobs=self.n_jobs,
+            )
+
+        cluster = make_cluster(
+            self.rates,
+            self.workload,
+            scheduler,
+            dispatcher,
+            self.n_machines,
+            self.contexts,
+        )
+        config.update(
+            self.scenario.admission_limits(self.n_machines, self.contexts)
+        )
+        if shards <= 1 and checkpoint_dir is None:
+            return cluster.run(stream(), **config), cluster
+        cell_dir = None
+        if checkpoint_dir is not None:
+            cell_dir = Path(checkpoint_dir) / (
+                f"{self.scenario.name}__{dispatcher}"
+            )
+            cell_dir.mkdir(parents=True, exist_ok=True)
+        sharded = run_sharded(
+            cluster,
+            stream,
+            boundaries=plan_boundaries(max(shards, 1), self.duration),
+            checkpoint_dir=cell_dir,
+            **config,
+        )
+        return sharded.metrics, cluster
+
+
+def scenario_cell(
+    rates: RateSource,
+    workload: Workload,
+    scenario: Scenario,
+    *,
+    n_machines: int,
+    n_jobs: int | None = None,
+    seed: int = 0,
+    contexts: int | None = None,
+    capacity: float | None = None,
+) -> ScenarioCell:
+    """The one rule for a cluster experiment's cell.
+
+    ``n_jobs`` defaults to the scenario's own stream length.  The mean
+    job rate is ``scenario.offered_rate(capacity)``, where ``capacity``
+    is M x the single-machine LP optimum (computed here when not given;
+    pass it when sweeping to solve the LP once), so every non-saturated
+    scenario offers the same fraction of cluster capacity in work
+    units.  The stream seed is ``cell_seed(seed, scenario.name)``, so
+    every scheduler and dispatcher run on a scenario at one ``seed``
+    sees the same stream, whichever experiment runs it.
+    """
+    k = infer_contexts(rates, contexts)
+    if capacity is None:
+        capacity = cluster_capacity(rates, workload, n_machines, k)
+    return ScenarioCell(
+        rates=rates,
+        workload=workload,
+        scenario=scenario,
+        n_machines=n_machines,
+        contexts=k,
+        capacity=capacity,
+        n_jobs=scenario.n_jobs if n_jobs is None else n_jobs,
+        mean_rate=scenario.offered_rate(capacity),
+        stream_seed=cell_seed(seed, scenario.name),
+    )
 
 
 def utilization_fairness(metrics: ClusterMetrics) -> float:

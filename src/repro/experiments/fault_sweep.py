@@ -23,9 +23,10 @@ regression net.  Every (scenario, dispatcher) cell runs a small grid:
 The gate reads only the results file this experiment writes with
 ``--results-dir``, not ``BENCH_CORE.json``.
 
-MTBF/MTTR are expressed as fractions of the cell's estimated run
-duration, so every scenario sees a comparable number of failure events
-regardless of its traffic shape.
+Every cell is a :func:`repro.experiments.common.scenario_cell` run,
+so its ``none`` row is the scenario sweep's cell.  MTBF/MTTR are
+fractions of the cell's expected duration, so every scenario sees a
+comparable number of failure events regardless of its traffic shape.
 """
 
 from __future__ import annotations
@@ -39,16 +40,11 @@ from repro.experiments.common import (
     ExperimentContext,
     cluster_capacity,
     format_table,
-    make_cluster,
     run_cells,
     sample_workloads,
+    scenario_cell,
 )
-from repro.experiments.registry import (
-    Experiment,
-    RunOptions,
-    cell_seed,
-    register,
-)
+from repro.experiments.registry import Experiment, RunOptions, register
 from repro.microarch.rates import RateSource, infer_contexts
 from repro.queueing.faults import FaultConfig
 from repro.queueing.scenarios import Scenario, get_scenario
@@ -176,46 +172,39 @@ def run_fault_cell(
 ) -> FaultOutcome:
     """Run one (scenario, dispatcher, fault mode) cell.
 
-    ``mode`` is ``"none"``, ``"zero"``, or ``"mtbf=<fraction>"``.
-    The offered load is normalized and the arrival stream seeded
-    (``cell_seed(seed, scenario.name)``) exactly as in the scenario
-    sweep, so the ``none`` row of a cell matches the scenario sweep's
-    cell, every dispatcher and fault mode of a scenario sees the same
-    stream, and the fault rows are deltas attributable to faults alone.
+    ``mode`` is ``"none"``, ``"zero"``, or ``"mtbf=<fraction>"``.  The
+    cell is :func:`~repro.experiments.common.scenario_cell`'s, so the
+    ``none`` row is the scenario sweep's cell, every dispatcher and
+    fault mode of a scenario sees the same stream, and the fault rows
+    are deltas attributable to faults alone.  The fault process is
+    seeded with the stream seed.
     """
-    k = infer_contexts(rates, contexts)
-    if capacity is None:
-        capacity = cluster_capacity(rates, workload, n_machines, k)
-    count = scenario.n_jobs if n_jobs is None else n_jobs
-    mean_rate = scenario.offered_rate(capacity)
-    stream_seed = cell_seed(seed, scenario.name)
-    duration = scenario.expected_duration(count, capacity)
+    cell = scenario_cell(
+        rates,
+        workload,
+        scenario,
+        n_machines=n_machines,
+        n_jobs=n_jobs,
+        seed=seed,
+        contexts=contexts,
+        capacity=capacity,
+    )
     if mode == "none":
         faults: FaultConfig | None = None
         mtbf = mttr = 0.0
     elif mode == "zero":
-        faults = FaultConfig(seed=stream_seed)
+        faults = FaultConfig(seed=cell.stream_seed)
         mtbf = mttr = 0.0
     elif mode.startswith("mtbf="):
         fraction = float(mode[len("mtbf="):])
-        faults = fault_config_for(fraction, duration, seed=stream_seed)
+        faults = fault_config_for(
+            fraction, cell.duration, seed=cell.stream_seed
+        )
         mtbf, mttr = faults.mtbf, faults.mttr
     else:
         raise ValueError(f"unknown fault mode {mode!r}")
 
-    cluster = make_cluster(
-        rates, workload, scheduler, dispatcher, n_machines, k
-    )
-    metrics = cluster.run(
-        scenario.build_jobs(
-            workload.types,
-            mean_rate=mean_rate,
-            seed=stream_seed,
-            n_jobs=count,
-        ),
-        faults=faults,
-        **scenario.admission_limits(n_machines, k),
-    )
+    metrics, cluster = cell.run(scheduler, dispatcher, faults=faults)
     stats = cluster.last_fault_stats or {}
     lost_work = float(stats.get("lost_work", 0.0))
     measured = metrics.per_machine[0].measured_time
@@ -229,7 +218,7 @@ def run_fault_cell(
         mtbf=mtbf,
         mttr=mttr,
         n_machines=n_machines,
-        n_jobs=count,
+        n_jobs=cell.n_jobs,
         throughput=metrics.throughput,
         goodput=goodput,
         mean_turnaround=(

@@ -12,13 +12,13 @@ observations — and reports the throughput / latency / fairness
 degradation as a function of the observation-noise level and the
 measurement warm-up horizon.
 
-Pairing is per seed: the oracle and estimated runs of a cell share the
-exact arrival stream (same scenario seed), so every degradation number
-is a paired difference, not a difference of independent samples.  The
-zero-noise cells use the estimator's warm oracle prior and are pinned
-bit-identical to the oracle runs (the differential harness enforces
-the same identity per engine); cells with noise use the realistic
-``single_run`` cold-start prior.
+Pairing is per seed: the oracle and estimated runs of a cell replay
+one :func:`repro.experiments.common.scenario_cell` stream, so every
+degradation number is a paired difference, not a difference of
+independent samples.  The zero-noise cells use the estimator's warm
+oracle prior and are pinned bit-identical to the oracle runs (the
+differential harness enforces the same identity per engine); cells
+with noise use the realistic ``single_run`` cold-start prior.
 
 Summary rows aggregate each (policy, noise, warm-up) group: mean and
 standard deviation of the paired throughput degradation, a paired
@@ -39,19 +39,13 @@ from repro.experiments.common import (
     ExperimentContext,
     cluster_capacity,
     format_table,
-    make_cluster,
     run_cells,
     sample_workloads,
+    scenario_cell,
     utilization_fairness,
 )
-from repro.experiments.registry import (
-    Experiment,
-    RunOptions,
-    cell_seed,
-    register,
-)
+from repro.experiments.registry import Experiment, RunOptions, register
 from repro.microarch.rates import RateSource, infer_contexts
-from repro.queueing.cluster import ClusterMetrics
 from repro.queueing.estimation import EstimationConfig
 from repro.queueing.scenarios import Scenario, all_scenarios, get_scenario
 
@@ -61,7 +55,6 @@ __all__ = [
     "WARMUP_FRACS",
     "TournamentCell",
     "SummaryRow",
-    "run_tournament_cell",
     "compute_tournament",
     "run",
     "render",
@@ -178,139 +171,6 @@ class SummaryRow:
     mean_fairness_delta: float
 
 
-def _run_once(
-    rates: RateSource,
-    workload: Workload,
-    scenario: Scenario,
-    scheduler: str,
-    dispatcher: str,
-    *,
-    k: int,
-    capacity: float,
-    n_machines: int,
-    n_jobs: int,
-    stream_seed: int,
-    warmup_frac: float,
-    rate_source: str,
-    estimation: EstimationConfig | None,
-) -> tuple[ClusterMetrics, dict | None]:
-    """One cluster run of a tournament cell (oracle or estimated)."""
-    jobs = scenario.build_jobs(
-        workload.types,
-        mean_rate=scenario.offered_rate(capacity),
-        seed=stream_seed,
-        n_jobs=n_jobs,
-    )
-    duration = scenario.expected_duration(n_jobs, capacity)
-    cluster = make_cluster(
-        rates, workload, scheduler, dispatcher, n_machines, k
-    )
-    metrics = cluster.run(
-        jobs,
-        warmup_time=warmup_frac * duration,
-        rate_source=rate_source,
-        estimation=estimation,
-        **scenario.admission_limits(n_machines, k),
-    )
-    return metrics, cluster.last_estimator_stats
-
-
-def run_tournament_cell(
-    rates: RateSource,
-    workload: Workload,
-    scenario: Scenario,
-    policy: str,
-    noise: float,
-    *,
-    warmup_frac: float = 0.0,
-    rep: int = 0,
-    n_machines: int = 2,
-    n_jobs: int = 240,
-    seed: int = 0,
-    contexts: int | None = None,
-    capacity: float | None = None,
-    oracle: tuple[ClusterMetrics, float] | None = None,
-) -> TournamentCell:
-    """Run one paired (oracle, estimated) tournament comparison.
-
-    Both runs consume the identical arrival stream (seeded by scenario
-    name and ``rep``); only the rate source differs.  Zero-noise cells
-    use the warm oracle prior — by construction they replay the oracle
-    decisions bit for bit, so their degradation is exactly 0.0 — and
-    noisy cells use the realistic ``single_run`` cold start.  Pass a
-    precomputed ``oracle`` ``(metrics, fairness)`` pair to share one
-    oracle run across the noise levels of a sweep.
-    """
-    scheduler, dispatcher = POLICIES[policy]
-    k = infer_contexts(rates, contexts)
-    if capacity is None:
-        capacity = cluster_capacity(rates, workload, n_machines, k)
-    stream_seed = cell_seed(seed + 7919 * rep, scenario.name)
-    common = dict(
-        k=k,
-        capacity=capacity,
-        n_machines=n_machines,
-        n_jobs=n_jobs,
-        stream_seed=stream_seed,
-        warmup_frac=warmup_frac,
-    )
-    if oracle is None:
-        oracle_metrics, _ = _run_once(
-            rates, workload, scenario, scheduler, dispatcher,
-            rate_source="oracle", estimation=None, **common,
-        )
-        oracle_fair = utilization_fairness(oracle_metrics)
-    else:
-        oracle_metrics, oracle_fair = oracle
-    prior = "oracle" if noise == 0.0 else "single_run"
-    est_metrics, est_stats = _run_once(
-        rates, workload, scenario, scheduler, dispatcher,
-        rate_source="estimated",
-        estimation=EstimationConfig(
-            noise=noise,
-            prior=prior,
-            reopt_observations=REOPT_OBSERVATIONS,
-            seed=stream_seed,
-        ),
-        **common,
-    )
-    est_fair = utilization_fairness(est_metrics)
-
-    o_tp, e_tp = oracle_metrics.throughput, est_metrics.throughput
-    degradation = (o_tp - e_tp) / o_tp if o_tp > 0.0 else 0.0
-    o_turn = (
-        oracle_metrics.mean_turnaround if oracle_metrics.completed else None
-    )
-    e_turn = est_metrics.mean_turnaround if est_metrics.completed else None
-    inflation = (
-        e_turn / o_turn - 1.0
-        if o_turn is not None and e_turn is not None and o_turn > 0.0
-        else None
-    )
-    return TournamentCell(
-        scenario=scenario.name,
-        policy=policy,
-        scheduler=scheduler,
-        dispatcher=dispatcher,
-        noise=noise,
-        warmup_frac=warmup_frac,
-        rep=rep,
-        prior=prior,
-        oracle_throughput=o_tp,
-        est_throughput=e_tp,
-        tp_degradation=degradation,
-        oracle_turnaround=o_turn,
-        est_turnaround=e_turn,
-        turnaround_inflation=inflation,
-        oracle_fairness=oracle_fair,
-        est_fairness=est_fair,
-        fairness_delta=oracle_fair - est_fair,
-        oracle_completed=oracle_metrics.completed,
-        est_completed=est_metrics.completed,
-        estimator=est_stats,
-    )
-
-
 def _run_group(
     rates: RateSource,
     workload: Workload,
@@ -326,41 +186,84 @@ def _run_group(
     contexts: int,
     capacity: float,
 ) -> list[TournamentCell]:
-    """Every cell of one (scenario, policy) group, the tournament's
-    grid cell.
+    """Every paired cell of one (scenario, policy) group, the
+    tournament's grid cell.
 
-    The oracle run of a (warmup, rep) pair is shared across the noise
-    levels — it does not depend on the noise — so a group costs
-    ``warmups x reps x (1 + len(noise_levels))`` runs, not
-    ``... x 2 x len(noise_levels)``.
+    Replication ``rep`` runs the
+    :func:`~repro.experiments.common.scenario_cell` of seed
+    ``seed + 7919 * rep``: the oracle and estimated runs of a pair
+    replay its stream, and only the rate source differs.  Zero-noise
+    runs use the warm oracle prior — by construction they replay the
+    oracle decisions bit for bit, so their degradation is exactly 0.0
+    — and noisy runs the realistic ``single_run`` cold start.  The
+    oracle run of a (warm-up, rep) pair does not depend on the noise,
+    so a group costs ``warmups x reps x (1 + len(noise_levels))`` runs.
     """
     scheduler, dispatcher = POLICIES[policy]
     cells: list[TournamentCell] = []
     for warmup_frac in warmup_fracs:
         for rep in range(n_seeds):
-            oracle_metrics, _ = _run_once(
-                rates, workload, scenario, scheduler, dispatcher,
-                k=contexts,
-                capacity=capacity,
+            cell = scenario_cell(
+                rates,
+                workload,
+                scenario,
                 n_machines=n_machines,
                 n_jobs=n_jobs,
-                stream_seed=cell_seed(seed + 7919 * rep, scenario.name),
-                warmup_frac=warmup_frac,
-                rate_source="oracle",
-                estimation=None,
+                seed=seed + 7919 * rep,
+                contexts=contexts,
+                capacity=capacity,
             )
-            oracle = (oracle_metrics, utilization_fairness(oracle_metrics))
+            warmup = warmup_frac * cell.duration
+            oracle, _ = cell.run(scheduler, dispatcher, warmup_time=warmup)
+            oracle_fair = utilization_fairness(oracle)
+            o_tp = oracle.throughput
+            o_turn = oracle.mean_turnaround if oracle.completed else None
             for noise in noise_levels:
-                cells.append(run_tournament_cell(
-                    rates, workload, scenario, policy, noise,
+                prior = "oracle" if noise == 0.0 else "single_run"
+                est, cluster = cell.run(
+                    scheduler,
+                    dispatcher,
+                    warmup_time=warmup,
+                    rate_source="estimated",
+                    estimation=EstimationConfig(
+                        noise=noise,
+                        prior=prior,
+                        reopt_observations=REOPT_OBSERVATIONS,
+                        seed=cell.stream_seed,
+                    ),
+                )
+                est_fair = utilization_fairness(est)
+                e_tp = est.throughput
+                e_turn = est.mean_turnaround if est.completed else None
+                cells.append(TournamentCell(
+                    scenario=scenario.name,
+                    policy=policy,
+                    scheduler=scheduler,
+                    dispatcher=dispatcher,
+                    noise=noise,
                     warmup_frac=warmup_frac,
                     rep=rep,
-                    n_machines=n_machines,
-                    n_jobs=n_jobs,
-                    seed=seed,
-                    contexts=contexts,
-                    capacity=capacity,
-                    oracle=oracle,
+                    prior=prior,
+                    oracle_throughput=o_tp,
+                    est_throughput=e_tp,
+                    tp_degradation=(
+                        (o_tp - e_tp) / o_tp if o_tp > 0.0 else 0.0
+                    ),
+                    oracle_turnaround=o_turn,
+                    est_turnaround=e_turn,
+                    turnaround_inflation=(
+                        e_turn / o_turn - 1.0
+                        if o_turn is not None
+                        and e_turn is not None
+                        and o_turn > 0.0
+                        else None
+                    ),
+                    oracle_fairness=oracle_fair,
+                    est_fairness=est_fair,
+                    fairness_delta=oracle_fair - est_fair,
+                    oracle_completed=oracle.completed,
+                    est_completed=est.completed,
+                    estimator=cluster.last_estimator_stats,
                 ))
     return cells
 

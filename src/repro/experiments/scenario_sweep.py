@@ -9,12 +9,12 @@ symbiosis-affinity) on the multi-machine simulator, and reports
 throughput / latency / fairness — each row a delta against round-robin
 on the same traffic.
 
-Offered load is normalized per scenario: the mean *job* arrival rate is
-``load × M × single-machine LP throughput ÷ mean job size``, so every
-non-saturated scenario offers the same fraction of cluster capacity in
-work units regardless of its size law.  Fairness is per-machine
-utilization balance (min/max across machines, 1.0 = perfectly even) —
-the dispatcher-level quantity the cluster metrics expose directly.
+Every cell is a :func:`repro.experiments.common.scenario_cell` run,
+the one rule for a cell's stream length, offered load and stream seed
+that ``fault_sweep`` and ``policy_tournament`` share.  Fairness is
+per-machine utilization balance (min/max across machines, 1.0 =
+perfectly even) — the dispatcher-level quantity the cluster metrics
+expose directly.
 """
 
 from __future__ import annotations
@@ -29,20 +29,14 @@ from repro.experiments.common import (
     ExperimentContext,
     cluster_capacity,
     format_table,
-    make_cluster,
     run_cells,
     sample_workloads,
+    scenario_cell,
     utilization_fairness,
 )
-from repro.experiments.registry import (
-    Experiment,
-    RunOptions,
-    cell_seed,
-    register,
-)
+from repro.experiments.registry import Experiment, RunOptions, register
 from repro.microarch.rates import RateSource, infer_contexts
 from repro.queueing.scenarios import Scenario, all_scenarios
-from repro.queueing.sharding import plan_boundaries, run_sharded
 
 __all__ = [
     "DISPATCHERS",
@@ -113,63 +107,32 @@ def run_scenario(
 ) -> ScenarioOutcome:
     """Run one (scenario, dispatcher) cell on the cluster simulator.
 
-    ``capacity`` is the cluster's LP work rate (M × single-machine
-    optimum); pass it when sweeping to amortize the LP solve, else it
-    is computed here.  The run uses the default compiled engine, whose
-    fusion/batching/probe counters land in the outcome.
-
-    ``shards > 1`` splits the run into deterministic time-slice
-    segments (boundaries from the scenario's expected duration —
-    stream length over mean rate, or backlog work over cluster
-    capacity when saturated); ``checkpoint_dir`` additionally writes a
-    crash-safe checkpoint after every shard, in the cell's own
-    ``scenario__dispatcher`` subdirectory, and resumes from one left
-    by a killed run.  Both change only where the run can pause:
-    metrics are bit-identical to the unsharded cell.  The stream seed
-    is ``cell_seed(seed, scenario.name)``, shared by every dispatcher.
+    The cell is :func:`~repro.experiments.common.scenario_cell`'s
+    (stream length, offered rate, stream seed, ``capacity``), run with
+    the default compiled engine, whose fusion/batching/probe counters
+    land in the outcome.  ``shards`` and ``checkpoint_dir`` change only
+    where the run can pause (see
+    :meth:`~repro.experiments.common.ScenarioCell.run`).
     """
-    k = infer_contexts(rates, contexts)
-    if capacity is None:
-        capacity = cluster_capacity(rates, workload, n_machines, k)
-    count = scenario.n_jobs if n_jobs is None else n_jobs
-    mean_rate = scenario.offered_rate(capacity)
-    stream_seed = cell_seed(seed, scenario.name)
-
-    def build_stream():
-        return scenario.build_jobs(
-            workload.types,
-            mean_rate=mean_rate,
-            seed=stream_seed,
-            n_jobs=count,
-        )
-
-    cluster = make_cluster(
-        rates, workload, scheduler, dispatcher, n_machines, k
+    cell = scenario_cell(
+        rates,
+        workload,
+        scenario,
+        n_machines=n_machines,
+        n_jobs=n_jobs,
+        seed=seed,
+        contexts=contexts,
+        capacity=capacity,
     )
-    limits = scenario.admission_limits(n_machines, k)
-    if shards > 1 or checkpoint_dir is not None:
-        # Only checkpoint spacing depends on the duration estimate.
-        duration = scenario.expected_duration(count, capacity)
-        cell_dir = None
-        if checkpoint_dir is not None:
-            cell_dir = Path(checkpoint_dir) / f"{scenario.name}__{dispatcher}"
-            cell_dir.mkdir(parents=True, exist_ok=True)
-        sharded = run_sharded(
-            cluster,
-            build_stream,
-            boundaries=plan_boundaries(max(shards, 1), duration),
-            checkpoint_dir=cell_dir,
-            **limits,
-        )
-        metrics = sharded.metrics
-    else:
-        metrics = cluster.run(build_stream(), **limits)
+    metrics, cluster = cell.run(
+        scheduler, dispatcher, shards=shards, checkpoint_dir=checkpoint_dir
+    )
     return ScenarioOutcome(
         scenario=scenario.name,
         dispatcher=dispatcher,
         n_machines=n_machines,
-        n_jobs=count,
-        mean_rate=mean_rate,
+        n_jobs=cell.n_jobs,
+        mean_rate=cell.mean_rate,
         throughput=metrics.throughput,
         mean_turnaround=(
             metrics.mean_turnaround if metrics.completed else float("nan")

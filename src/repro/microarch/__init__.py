@@ -27,7 +27,7 @@ Entry points: :func:`smt_machine`, :func:`quad_core_machine`,
 """
 
 from repro.microarch.params import JobTypeParams
-from repro.microarch.benchmarks import default_roster, roster_by_name
+from repro.microarch.benchmarks import default_roster
 from repro.microarch.config import (
     FetchPolicy,
     MachineConfig,
@@ -48,7 +48,6 @@ __all__ = [
     "TypeCodec",
     "JobTypeParams",
     "default_roster",
-    "roster_by_name",
     "FetchPolicy",
     "MachineConfig",
     "RobPolicy",

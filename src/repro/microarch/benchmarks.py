@@ -25,10 +25,9 @@ differences the paper leans on in Section V.C.2.
 
 from __future__ import annotations
 
-from repro.errors import WorkloadError
 from repro.microarch.params import JobTypeParams
 
-__all__ = ["default_roster", "roster_by_name", "BENCHMARK_NAMES"]
+__all__ = ["default_roster", "BENCHMARK_NAMES"]
 
 
 _ROSTER: tuple[JobTypeParams, ...] = (
@@ -209,17 +208,3 @@ def default_roster() -> dict[str, JobTypeParams]:
     """The 12 synthetic job types, keyed by name, in Table-I order."""
     return {job.name: job for job in _ROSTER}
 
-
-def roster_by_name(*names: str) -> dict[str, JobTypeParams]:
-    """A sub-roster restricted to ``names``.
-
-    Raises:
-        WorkloadError: if any name is not in the default roster.
-    """
-    roster = default_roster()
-    unknown = [name for name in names if name not in roster]
-    if unknown:
-        raise WorkloadError(
-            f"unknown job types {unknown!r}; available: {sorted(roster)}"
-        )
-    return {name: roster[name] for name in names}

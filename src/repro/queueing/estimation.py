@@ -9,23 +9,18 @@ noisy observed progress, while the simulator keeps stepping jobs with
 the true rates (the physics never lies; only the scheduler's view of
 it does).
 
-Two sources implement the split:
-
-* :class:`OracleRateSource` — a transparent wrapper, bit-identical to
-  reading the wrapped source directly.  It exists so callers can spell
-  both modes the same way (``rate_source="oracle"``).
-* :class:`ThroughputEstimator` — maintains per-coschedule EMA
-  estimates (``est += alpha * (observed - est)``) from observations
-  fed by the engines' sync loop, with configurable multiplicative or
-  additive observation noise drawn from a dedicated derived RNG stream
-  (:func:`repro.util.rng.derive_rng`), cold-start priors built from
-  single-run profiles, per-coschedule confidence tracked by
-  observation count, and **epoch publishing**: observations accumulate
-  into a pending table and only become visible to policies when the
-  estimator publishes (every ``reopt_observations`` observations), at
-  which point registered listeners fire — the cluster uses them to
-  flush the policy-side rate memo and re-solve dispatcher affinity
-  matrices (the "periodic re-optimization rounds").
+:class:`ThroughputEstimator` implements the split.  It maintains
+per-coschedule EMA estimates (``est += alpha * (observed - est)``) from
+observations fed by the engines' sync loop, with configurable
+multiplicative or additive observation noise drawn from a dedicated
+derived RNG stream (:func:`repro.util.rng.derive_rng`), cold-start
+priors built from single-run profiles, per-coschedule confidence
+tracked by observation count, and **epoch publishing**: observations
+accumulate into a pending table and only become visible to policies
+when the estimator publishes (every ``reopt_observations``
+observations), at which point registered listeners fire — the cluster
+uses them to flush the policy-side rate memo and re-solve dispatcher
+affinity matrices (the "periodic re-optimization rounds").
 
 Bit-identity discipline (load-bearing for the differential harness):
 with ``noise=0`` and the warm ``"oracle"`` prior, every estimate is
@@ -48,7 +43,6 @@ from repro.util.rng import derive_rng
 
 __all__ = [
     "EstimationConfig",
-    "OracleRateSource",
     "ThroughputEstimator",
     "NOISE_MODELS",
     "PRIORS",
@@ -132,28 +126,6 @@ class EstimationConfig:
                 f"confidence_scale must be positive, "
                 f"got {self.confidence_scale}"
             )
-
-
-class OracleRateSource:
-    """Transparent pass-through: policies see the true rates.
-
-    ``type_rates`` returns the wrapped source's mapping unchanged (no
-    copy, no reordering), so wrapping is bit-identical to not
-    wrapping.  Unknown attributes delegate to the wrapped source.
-    """
-
-    kind = "oracle"
-
-    def __init__(self, source: RateSource) -> None:
-        self.source = source
-
-    def type_rates(self, coschedule: Sequence[str]):
-        return self.source.type_rates(coschedule)
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.source, name)
 
 
 class ThroughputEstimator:

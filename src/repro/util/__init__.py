@@ -3,7 +3,6 @@
 from repro.util.multiset import (
     multisets,
     multiset_count,
-    multiset_counter,
     multiset_draw_probability,
     distinct_count,
     replace_one,
@@ -25,7 +24,6 @@ __all__ = [
     "scatter",
     "multisets",
     "multiset_count",
-    "multiset_counter",
     "multiset_draw_probability",
     "distinct_count",
     "replace_one",

@@ -19,7 +19,6 @@ T = TypeVar("T", bound=Hashable)
 __all__ = [
     "multisets",
     "multiset_count",
-    "multiset_counter",
     "multiset_draw_probability",
     "distinct_count",
     "replace_one",
@@ -57,11 +56,6 @@ def multiset_count(n_items: int, size: int) -> int:
     if n_items == 0:
         return 1 if size == 0 else 0
     return comb(n_items + size - 1, size)
-
-
-def multiset_counter(ms: Iterable[T]) -> Counter:
-    """Return a Counter of element multiplicities for a multiset."""
-    return Counter(ms)
 
 
 def distinct_count(ms: Iterable[T]) -> int:

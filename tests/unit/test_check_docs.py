@@ -1,4 +1,4 @@
-"""Unit tests for the docs check's script-path rule
+"""Unit tests for the docs check's script-path and dotted-name rules
 (``tools/check_docs.py``)."""
 
 from __future__ import annotations
@@ -34,3 +34,22 @@ def test_dangling_script_path_fails(tmp_path, capsys):
 def test_paths_inside_other_trees_are_not_scripts(tmp_path):
     make_docs(tmp_path, "see src/repro/tools/helper.py and x/benchmarks/y.py\n")
     assert check_docs.check_script_paths(tmp_path) == 0
+
+
+def test_repo_docs_name_only_resolving_dotted_names():
+    assert check_docs.check_dotted_names() == 0
+
+
+def test_dangling_dotted_name_fails(tmp_path, capsys):
+    make_docs(
+        tmp_path,
+        "`repro.experiments.common.run_cells` runs cells; "
+        "`repro.queueing.estimation.OracleRateSource` is gone, as is "
+        "`repro.nowhere`.  src/repro/util/rng.py is a path.\n",
+    )
+    assert check_docs.check_dotted_names(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "README.md: repro.queueing.estimation.OracleRateSource" in out
+    assert "README.md: repro.nowhere" in out
+    assert "run_cells" not in out
+    assert "rng" not in out

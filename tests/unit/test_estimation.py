@@ -20,7 +20,6 @@ from repro.queueing.cluster import Cluster
 from repro.queueing.dispatch import Dispatcher, make_dispatcher
 from repro.queueing.estimation import (
     EstimationConfig,
-    OracleRateSource,
     ThroughputEstimator,
 )
 from repro.queueing.hotpath import synthetic_rates
@@ -85,19 +84,6 @@ class TestConfigValidation:
     def test_bad_confidence_scale(self):
         with pytest.raises(EstimationError, match="confidence_scale"):
             EstimationConfig(confidence_scale=0.0)
-
-
-class TestOracleRateSource:
-    def test_passthrough_is_identical(self):
-        rates, names = build_rates()
-        oracle = OracleRateSource(rates)
-        cos = (names[0], names[1])
-        assert oracle.type_rates(cos) == rates.type_rates(cos)
-        assert oracle.kind == "oracle"
-
-    def test_delegates_unknown_attributes(self):
-        rates, _ = build_rates()
-        assert OracleRateSource(rates).coschedules() == rates.coschedules()
 
 
 class TestEstimatorMechanics:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs check: README code snippets must execute, the runner CLI
 must list every registered experiment, and the docs name no script
-that does not exist.
+and no ``repro.…`` name that does not exist.
 
 Run from the repository root::
 
@@ -12,11 +12,13 @@ a fresh namespace (so snippets stay honest as the API evolves), then
 runs ``python -m repro.experiments --list`` and checks the registry is
 fully enumerated, then checks that every ``tools/``, ``benchmarks/``,
 ``examples/`` or ``perfbench/`` ``.py`` path named in :data:`DOCS`
-exists.  Exits non-zero on the first failure.
+exists, then that every dotted ``repro.…`` name there resolves.  Exits
+non-zero on the first failure.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
@@ -34,6 +36,8 @@ DOCS = ("README.md", "docs/architecture.md", ".claude/skills/verify/SKILL.md")
 _SCRIPT = re.compile(
     r"(?<![\w./-])(?:tools|benchmarks|examples|perfbench)/[\w/]+\.py\b"
 )
+
+_DOTTED = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
 
 
 def check_readme_snippets() -> int:
@@ -94,8 +98,49 @@ def check_script_paths(root: Path = ROOT) -> int:
     return 0
 
 
+def resolves(name: str) -> bool:
+    """Whether dotted ``name`` is a module, or an attribute path under
+    the longest importable module prefix of it."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if not f"{module}.".startswith(f"{exc.name}."):
+                raise  # the module exists but its own import failed
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_dotted_names(root: Path = ROOT) -> int:
+    sys.path.insert(0, str(SRC))
+    dangling = [
+        f"{doc}: {name}"
+        for doc in DOCS
+        for name in sorted(set(_DOTTED.findall((root / doc).read_text())))
+        if not resolves(name)
+    ]
+    if dangling:
+        print("FAIL: docs name repro.… names that do not resolve:\n  "
+              + "\n  ".join(dangling))
+        return 1
+    print(f"ok: every repro.… name in {len(DOCS)} docs resolves")
+    return 0
+
+
 def main() -> int:
-    return check_readme_snippets() or check_cli_list() or check_script_paths()
+    return (
+        check_readme_snippets()
+        or check_cli_list()
+        or check_script_paths()
+        or check_dotted_names()
+    )
 
 
 if __name__ == "__main__":
