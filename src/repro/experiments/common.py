@@ -17,6 +17,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload, all_workloads
+from repro.experiments.registry import cell_seed
 from repro.microarch.benchmarks import BENCHMARK_NAMES
 from repro.microarch.config import quad_core_machine, smt_machine
 from repro.microarch.rate_cache import (
@@ -24,7 +25,6 @@ from repro.microarch.rate_cache import (
     CacheStats,
     RateCacheStore,
 )
-from repro.experiments.registry import cell_seed
 from repro.microarch.rates import (
     RateSource,
     RateTable,
