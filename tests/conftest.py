@@ -18,6 +18,13 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         help="regenerate the golden-trace expectations under "
         "tests/golden/ instead of checking against them",
     )
+    parser.addoption(
+        "--slow-rows",
+        action="store_true",
+        default=False,
+        help="also check the minutes-scale artifact rows goldens "
+        "(ntypes, section7, figure5, figure6)",
+    )
 
 from repro.core.workload import Workload
 from repro.microarch.config import quad_core_machine, smt_machine

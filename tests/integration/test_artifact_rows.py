@@ -9,13 +9,16 @@ samples; this golden pins every field of every row, so a change to the
 microarch model, the LP, the engine or an experiment's own sampling or
 folding shows up here by experiment and field.
 
-The 15 experiments below run in seconds together on a cold rate table.
-ntypes, section7, figure5 and figure6 take longer and stay out of this
-tier.  Fields compare at the engine lock's ``REL_TOL``; NaN matches
-only NaN.  Refreshing after an intentional change::
+The 15 experiments in :data:`ROWS_EXPERIMENTS` run in seconds together
+on a cold rate table.  ntypes, section7, figure5 and figure6
+(:data:`SLOW_ROWS_EXPERIMENTS`, about a minute together cold, most of
+it figure5) stay out of tier-1: they run only under ``--slow-rows``, on the
+same quick context and rate tables.  Fields compare at the engine
+lock's ``REL_TOL``; NaN matches only NaN.  Refreshing after an
+intentional change::
 
     python -m pytest tests/integration/test_artifact_rows.py \
-        --update-golden -q
+        --slow-rows --update-golden -q
 
 which, like every golden refresh, rewrites only files that moved.
 """
@@ -50,6 +53,14 @@ ROWS_EXPERIMENTS: tuple[str, ...] = (
     "summary",
 )
 
+#: Minutes-scale experiments, checked only under ``--slow-rows``.
+SLOW_ROWS_EXPERIMENTS: tuple[str, ...] = (
+    "ntypes",
+    "section7",
+    "figure5",
+    "figure6",
+)
+
 #: The runner's ``--quick`` options and context.
 QUICK = RunOptions(max_workloads=30, quick=True)
 
@@ -65,6 +76,17 @@ def quick_context() -> ExperimentContext:
 
 @pytest.mark.parametrize("name", ROWS_EXPERIMENTS)
 def test_artifact_rows(name, quick_context, request):
+    check_rows(name, quick_context, request)
+
+
+@pytest.mark.parametrize("name", SLOW_ROWS_EXPERIMENTS)
+def test_slow_artifact_rows(name, quick_context, request):
+    if not request.config.getoption("--slow-rows"):
+        pytest.skip("slow rows golden: run with --slow-rows")
+    check_rows(name, quick_context, request)
+
+
+def check_rows(name, quick_context, request):
     result = registry.get(name).run(quick_context, QUICK)
     # Through JSON text, as the runner writes it: tuples become lists.
     payload = json.loads(
@@ -78,7 +100,7 @@ def test_artifact_rows(name, quick_context, request):
         pytest.fail(
             f"missing golden file {path.name}; run "
             "`python -m pytest tests/integration/test_artifact_rows.py "
-            "--update-golden` and commit the result"
+            "--slow-rows --update-golden` and commit the result"
         )
     drift = diff_payload(json.loads(path.read_text()), payload)
     if drift:
