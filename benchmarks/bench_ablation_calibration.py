@@ -1,4 +1,4 @@
-"""Ablation: the SMT calibration knobs DESIGN.md calls out.
+"""Ablation: the SMT front-end fragmentation calibration.
 
 Sweeps the front-end fragmentation factor — the single most influential
 calibration constant — and records how the headline quantities react:

@@ -1,6 +1,6 @@
 """Ablation: LP backend cost (from-scratch simplex vs scipy HiGHS).
 
-DESIGN.md calls out the simplex implementation as a deliberately
+The Section-IV LP runs on a from-scratch simplex, a deliberately
 self-contained substrate; this bench quantifies what that choice costs
 on real Section-IV programs relative to the industrial solver.
 """

@@ -1,6 +1,6 @@
 """repro — reproduction of "Revisiting Symbiotic Job Scheduling" (ISPASS 2015).
 
-The package is organized in four layers (see DESIGN.md):
+The package is organized in four layers (see docs/architecture.md):
 
 * :mod:`repro.lp` — from-scratch linear-programming stack (the paper used
   glpk).
@@ -46,7 +46,6 @@ from repro.microarch import (  # noqa: E402
 from repro.microarch.rates import RateTable  # noqa: E402
 from repro.microarch.rate_cache import CachedRateSource, RateCacheStore  # noqa: E402
 from repro.core import (  # noqa: E402
-    Coschedule,
     Workload,
     OptimalSchedule,
     optimal_throughput,
@@ -66,7 +65,6 @@ __all__ += [
     "RateTable",
     "CachedRateSource",
     "RateCacheStore",
-    "Coschedule",
     "Workload",
     "OptimalSchedule",
     "optimal_throughput",

@@ -1,7 +1,6 @@
 """The paper's contribution: optimal-throughput analysis of symbiotic scheduling.
 
-* :mod:`repro.core.workload` / :mod:`repro.core.coschedule` — the
-  Section-III definitions (N job types, K contexts, coschedules as
+* :mod:`repro.core.workload` — the Section-III definitions (N job types, K contexts, coschedules as
   multisets).
 * :mod:`repro.core.optimal` — the Section-IV linear program: the
   maximum (and minimum) long-term throughput of any scheduler on a
@@ -16,37 +15,31 @@
 """
 
 from repro.core.workload import Workload, all_workloads
-from repro.core.coschedule import Coschedule
 from repro.core.optimal import (
     OptimalSchedule,
     optimal_throughput,
     worst_throughput,
 )
 from repro.core.fcfs import FcfsResult, fcfs_throughput, simulate_fcfs_throughput
-from repro.core.metrics import weighted_speedup
 from repro.core.multimachine import (
     MultiMachineSchedule,
     joint_optimal_throughput,
     reduced_optimal_throughput,
-    verify_reduction,
 )
 from repro.core.units import compare_units, instruction_rate_view
 
 __all__ = [
     "Workload",
     "all_workloads",
-    "Coschedule",
     "OptimalSchedule",
     "optimal_throughput",
     "worst_throughput",
     "FcfsResult",
     "fcfs_throughput",
     "simulate_fcfs_throughput",
-    "weighted_speedup",
     "MultiMachineSchedule",
     "joint_optimal_throughput",
     "reduced_optimal_throughput",
-    "verify_reduction",
     "compare_units",
     "instruction_rate_view",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.workload import Workload
 from repro.microarch.rates import RateSource
 
-__all__ = ["BottleneckFit", "fit_linear_bottleneck", "bottleneck_throughput"]
+__all__ = ["BottleneckFit", "fit_linear_bottleneck"]
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,6 @@ class BottleneckFit:
     workload: Workload
     full_rates: dict[str, float]
     error: float
-
-    @property
-    def rms_error(self) -> float:
-        """Root-mean-square residual (epsilon)."""
-        return float(np.sqrt(self.error))
-
-    def is_linear(self, *, tolerance: float = 1e-3) -> bool:
-        """True when the workload is (numerically) an exact bottleneck."""
-        return self.error <= tolerance
 
 
 def _nonnegative_lstsq(M: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -113,18 +104,3 @@ def fit_linear_bottleneck(
         for j, b in enumerate(types)
     }
     return BottleneckFit(workload=workload, full_rates=full_rates, error=error)
-
-
-def bottleneck_throughput(fit: BottleneckFit) -> float:
-    """Equation 7: the scheduler-independent throughput of an exact bottleneck.
-
-    ``AT = N / sum_b (1 / R_b)``.  Only meaningful when ``fit.error`` is
-    small; infinite fitted rates contribute zero to the denominator.
-    """
-    inverse_sum = sum(
-        0.0 if rate == float("inf") else 1.0 / rate
-        for rate in fit.full_rates.values()
-    )
-    if inverse_sum <= 0.0:
-        return float("inf")
-    return fit.workload.n_types / inverse_sum

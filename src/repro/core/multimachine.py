@@ -14,8 +14,8 @@ This module provides both sides of that claim:
 * :func:`reduced_optimal_throughput` — M times the single-machine
   optimum.
 
-Their equality (verified by the test suite, and exposed via
-:func:`verify_reduction`) is the formal content of the paper's remark.
+Their equality (verified by the test suite) is the formal content of
+the paper's remark.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "MultiMachineSchedule",
     "joint_optimal_throughput",
     "reduced_optimal_throughput",
-    "verify_reduction",
 ]
 
 
@@ -52,11 +51,6 @@ class MultiMachineSchedule:
     n_machines: int
     throughput: float
     per_machine_fractions: tuple[dict[tuple[str, ...], float], ...]
-
-    @property
-    def per_machine_throughput(self) -> float:
-        """Average throughput per machine."""
-        return self.throughput / self.n_machines
 
 
 def joint_optimal_throughput(
@@ -155,22 +149,3 @@ def reduced_optimal_throughput(
             dict(single.fractions) for _ in range(n_machines)
         ),
     )
-
-
-def verify_reduction(
-    rates: RateSource,
-    workload: Workload,
-    n_machines: int,
-    *,
-    contexts: int | None = None,
-    tolerance: float = 1e-7,
-) -> bool:
-    """Check that the joint LP gains nothing over the reduction."""
-    joint = joint_optimal_throughput(
-        rates, workload, n_machines, contexts=contexts
-    )
-    reduced = reduced_optimal_throughput(
-        rates, workload, n_machines, contexts=contexts
-    )
-    scale = max(abs(reduced.throughput), 1.0)
-    return abs(joint.throughput - reduced.throughput) <= tolerance * scale

@@ -80,8 +80,6 @@ class OptimalSchedule:
             toward type b would buy).  Complementary slackness ties
             these to the support: every used coschedule s satisfies
             ``it(s) = y_time + sum_b y_b (r_b(s) - r_1(s))``.
-        per_type_rate: the common long-term execution rate every job
-            type sustains under the schedule (throughput / N).
     """
 
     workload: Workload
@@ -93,11 +91,6 @@ class OptimalSchedule:
     def __post_init__(self) -> None:
         if self.duals is None:
             object.__setattr__(self, "duals", {})
-
-    @property
-    def per_type_rate(self) -> float:
-        """Average per-type execution rate (equal by construction)."""
-        return self.throughput / self.workload.n_types
 
     def support_size(self) -> int:
         """Number of coschedules with non-zero time fraction."""

@@ -40,10 +40,6 @@ class SensitivityReport:
     per_type: dict[str, float]
     mean_sensitivity: float
 
-    def is_insensitive(self, *, threshold: float = 0.10) -> bool:
-        """True when the mean sensitivity is below ``threshold``."""
-        return self.mean_sensitivity < threshold
-
 
 def workload_sensitivity(
     rates: RateSource,

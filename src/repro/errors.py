@@ -13,8 +13,6 @@ __all__ = [
     "ConfigurationError",
     "ModelError",
     "ConvergenceError",
-    "InfeasibleError",
-    "UnboundedError",
     "SolverError",
     "SimulationError",
     "EngineStallError",
@@ -41,15 +39,7 @@ class ConvergenceError(ModelError):
 
 
 class SolverError(ReproError):
-    """Base class for linear-programming solver failures."""
-
-
-class InfeasibleError(SolverError):
-    """The linear program has no feasible point."""
-
-
-class UnboundedError(SolverError):
-    """The linear program is unbounded in the optimization direction."""
+    """A linear-programming solver failure."""
 
 
 class SimulationError(ReproError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ConfigurationError
 from repro.lp.solution import LPSolution
@@ -311,7 +311,3 @@ class Model:
             if var.upper is not None and value > var.upper + tolerance:
                 return False
         return True
-
-    def variable_names(self) -> Iterable[str]:
-        """Names of all registered variables, in creation order."""
-        return [v.name for v in self.variables]

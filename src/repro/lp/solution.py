@@ -5,8 +5,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.errors import InfeasibleError, UnboundedError
-
 __all__ = ["SolveStatus", "LPSolution"]
 
 
@@ -42,19 +40,6 @@ class LPSolution:
     def is_optimal(self) -> bool:
         """True when the solver proved optimality."""
         return self.status is SolveStatus.OPTIMAL
-
-    def require_optimal(self, *, context: str = "LP") -> "LPSolution":
-        """Return self, raising a typed error on non-optimal status.
-
-        Raises:
-            InfeasibleError: the program has no feasible point.
-            UnboundedError: the objective is unbounded.
-        """
-        if self.status is SolveStatus.INFEASIBLE:
-            raise InfeasibleError(f"{context}: no feasible point")
-        if self.status is SolveStatus.UNBOUNDED:
-            raise UnboundedError(f"{context}: objective is unbounded")
-        return self
 
     def value(self, name: str) -> float:
         """Optimal value of variable ``name`` (0.0 if absent/nonbasic)."""

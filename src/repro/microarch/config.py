@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.errors import ConfigurationError
 
@@ -136,25 +136,6 @@ class MachineConfig:
     def is_smt(self) -> bool:
         """True for the SMT configuration."""
         return self.kind == "smt"
-
-    def with_policies(
-        self,
-        *,
-        fetch_policy: FetchPolicy | None = None,
-        rob_policy: RobPolicy | None = None,
-    ) -> "MachineConfig":
-        """A copy with different SMT fetch/ROB policies (Section VII)."""
-        updated = self
-        parts = []
-        if fetch_policy is not None:
-            updated = replace(updated, fetch_policy=fetch_policy)
-            parts.append(fetch_policy.value)
-        if rob_policy is not None:
-            updated = replace(updated, rob_policy=rob_policy)
-            parts.append(rob_policy.value)
-        if parts:
-            updated = replace(updated, name=f"{self.name}[{'+'.join(parts)}]")
-        return updated
 
 
 def smt_machine(

@@ -114,11 +114,6 @@ class JobTypeParams:
         """
         return llc_mpki_of((self,))((cache_mb,))[0]
 
-    @property
-    def memory_bound(self) -> bool:
-        """Heuristic flag: does this job miss the LLC a lot even warm?"""
-        return self.mpki_inf + 0.5 * self.mpki_amp > 5.0
-
     def window_scaling(self, window: float) -> float:
         """Fraction of full ILP/MLP available with ``window`` ROB entries."""
         return window_scaling_of((self,))((window,))[0]

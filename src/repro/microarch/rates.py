@@ -236,8 +236,9 @@ class TableRates:
 
     Satisfies :class:`RateSource`.  Built from a live source by
     :func:`repro.experiments.common.snapshot_rates` (picklable worker
-    payloads), edited by :meth:`with_rates` (Section-V.D
-    counterfactuals), or written out directly (tests).  Every entry
+    payloads), rebuilt with edited entries by
+    :func:`repro.core.fairness.equalize_heterogeneous_rates` (Section V.D),
+    or written out directly (tests).  Every entry
     passes :func:`checked_entry`.
     """
 
@@ -273,16 +274,3 @@ class TableRates:
     def coschedules(self) -> list[tuple[str, ...]]:
         """All coschedules with recorded rates, in canonical order."""
         return sorted(self._table)
-
-    def with_rates(
-        self,
-        coschedule: Sequence[str],
-        rates: Mapping[str, float],
-    ) -> "TableRates":
-        """A copy with one coschedule's rates replaced (counterfactuals)."""
-        updated = dict(self._table)
-        key = canonical_coschedule(coschedule)
-        if key not in updated:
-            raise WorkloadError(f"no rates recorded for coschedule {key}")
-        updated[key] = dict(rates)
-        return TableRates(updated)

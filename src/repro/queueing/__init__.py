@@ -62,7 +62,6 @@ from repro.queueing.sizes import (
     make_size_model,
 )
 from repro.queueing.trace import (
-    TraceRecorder,
     jobs_from_trace,
     load_trace,
     save_trace,
@@ -75,7 +74,6 @@ from repro.queueing.scenarios import (
     all_scenarios,
     get_scenario,
     register_scenario,
-    scenario_names,
 )
 from repro.queueing.schedulers import (
     FcfsScheduler,
@@ -125,7 +123,6 @@ __all__ = [
     "BoundedParetoSizes",
     "BimodalSizes",
     "make_size_model",
-    "TraceRecorder",
     "trace_from_jobs",
     "jobs_from_trace",
     "save_trace",
@@ -135,7 +132,6 @@ __all__ = [
     "SCENARIOS",
     "register_scenario",
     "get_scenario",
-    "scenario_names",
     "all_scenarios",
     "Scheduler",
     "FcfsScheduler",

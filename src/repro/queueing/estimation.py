@@ -276,11 +276,6 @@ class ThroughputEstimator:
         """Register a callback fired after every :meth:`publish`."""
         self._listeners.append(listener)
 
-    def remove_listener(
-        self, listener: Callable[["ThroughputEstimator"], None]
-    ) -> None:
-        self._listeners.remove(listener)
-
     # ------------------------------------------------------------------
     # Confidence and introspection
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["MMKQueue", "turnaround_curve"]
+__all__ = ["MMKQueue"]
 
 
 @dataclass(frozen=True)
@@ -100,24 +100,3 @@ class MMKQueue:
         head = sum(a**n / math.factorial(n) for n in range(k))
         tail = a**k / math.factorial(k) / (1.0 - self.utilization)
         return 1.0 / (head + tail)
-
-
-def turnaround_curve(
-    service_rate: float,
-    servers: int,
-    arrival_rates: list[float],
-) -> list[float]:
-    """Mean turnaround at each arrival rate (inf when unstable).
-
-    This is Figure 4's curve: flat at low load, exploding as the
-    arrival rate approaches the maximum service rate K * mu.
-    """
-    curve = []
-    for rate in arrival_rates:
-        queue = MMKQueue(
-            arrival_rate=rate, service_rate=service_rate, servers=servers
-        )
-        curve.append(
-            queue.mean_turnaround if queue.is_stable else float("inf")
-        )
-    return curve

@@ -20,8 +20,7 @@ state rates are stored as multipliers and normalized so the long-run
 mean equals the requested rate exactly, whatever the burst ratio.
 
 The module-level registry (:func:`register_scenario`,
-:func:`get_scenario`, :func:`scenario_names`) ships the named scenarios
-in :data:`SCENARIOS`; ``python -m repro.experiments scenario_sweep``
+:func:`get_scenario`) ships the named scenarios in :data:`SCENARIOS`; ``python -m repro.experiments scenario_sweep``
 runs every one of them against all three dispatchers, and the
 golden-trace harness (``tests/golden/``) pins a small trace and its
 :class:`~repro.queueing.cluster.ClusterMetrics` per (scenario,
@@ -51,7 +50,6 @@ __all__ = [
     "SCENARIOS",
     "register_scenario",
     "get_scenario",
-    "scenario_names",
     "all_scenarios",
 ]
 
@@ -288,11 +286,6 @@ def get_scenario(name: str) -> Scenario:
         raise WorkloadError(
             f"unknown scenario {name!r}; registered: {sorted(SCENARIOS)}"
         ) from None
-
-
-def scenario_names() -> list[str]:
-    """Registered scenario names in registration order."""
-    return list(SCENARIOS)
 
 
 def all_scenarios() -> list[Scenario]:

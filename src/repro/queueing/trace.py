@@ -5,8 +5,6 @@ job its id, type, size, and arrival time, before the simulator mutates
 ``remaining`` / ``completion_time``.  Traces close the loop between
 the synthetic arrival processes and deterministic replay:
 
-* :class:`TraceRecorder` tees any job iterator, capturing each job as
-  it flows into a simulation (record a live run);
 * :func:`trace_from_jobs` / :func:`jobs_from_trace` convert between
   job lists and the JSON-able payload;
 * :func:`save_trace` / :func:`load_trace` persist the payload;
@@ -29,7 +27,6 @@ from repro.queueing.job import Job
 
 __all__ = [
     "TRACE_FORMAT",
-    "TraceRecorder",
     "trace_from_jobs",
     "jobs_from_trace",
     "save_trace",
@@ -147,53 +144,3 @@ def trace_arrivals(
             for job in trace
         ]
     yield from jobs
-
-
-class TraceRecorder:
-    """Tee a job stream: pass jobs through while snapshotting them.
-
-    Usage::
-
-        recorder = TraceRecorder()
-        metrics = run_cluster(rates, schedulers, dispatcher,
-                              recorder.capture(stream))
-        recorder.save("run.trace.json")
-
-    The snapshot happens *before* the job reaches the simulator, so the
-    recorded trace is the pristine workload even though the simulator
-    mutates the very same ``Job`` objects.
-    """
-
-    def __init__(self) -> None:
-        self.records: list[dict[str, object]] = []
-
-    def capture(self, stream: Iterable[Job]) -> Iterator[Job]:
-        """Yield every job of ``stream``, recording it on the way."""
-        for job in stream:
-            self.records.append(_job_record(job))
-            yield job
-
-    def trace(
-        self, *, metadata: Mapping[str, object] | None = None
-    ) -> dict[str, object]:
-        """The captured trace payload (so far)."""
-        return {
-            "format": TRACE_FORMAT,
-            "metadata": dict(metadata or {}),
-            "jobs": list(self.records),
-        }
-
-    def save(
-        self,
-        path: str | Path,
-        *,
-        metadata: Mapping[str, object] | None = None,
-    ) -> Path:
-        """Persist the captured trace; returns the path written."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fp:
-            json.dump(self.trace(metadata=metadata), fp, indent=2,
-                      sort_keys=True)
-            fp.write("\n")
-        return path

@@ -2,7 +2,6 @@
 
 from repro.util.multiset import (
     multisets,
-    multiset_count,
     multiset_draw_probability,
     distinct_count,
     replace_one,
@@ -23,7 +22,6 @@ __all__ = [
     "hbar",
     "scatter",
     "multisets",
-    "multiset_count",
     "multiset_draw_probability",
     "distinct_count",
     "replace_one",

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import factorial
 from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
 __all__ = [
     "multisets",
-    "multiset_count",
     "multiset_draw_probability",
     "distinct_count",
     "replace_one",
@@ -41,21 +40,6 @@ def multisets(items: Sequence[T], size: int) -> Iterator[tuple[T, ...]]:
     if len(set(items)) != len(items):
         raise ValueError("items must be distinct to enumerate multisets")
     return combinations_with_replacement(tuple(items), size)
-
-
-def multiset_count(n_items: int, size: int) -> int:
-    """Number of multisets of ``size`` elements from ``n_items`` items.
-
-    >>> multiset_count(4, 4)
-    35
-    >>> multiset_count(12, 4)
-    1365
-    """
-    if n_items < 0 or size < 0:
-        raise ValueError("n_items and size must be non-negative")
-    if n_items == 0:
-        return 1 if size == 0 else 0
-    return comb(n_items + size - 1, size)
 
 
 def distinct_count(ms: Iterable[T]) -> int:

@@ -59,7 +59,7 @@ from repro.queueing.dispatch import make_dispatcher
 from repro.queueing.faults import FaultConfig
 from repro.queueing.hotpath import saturated_jobs, synthetic_rates
 from repro.queueing.job import Job
-from repro.queueing.scenarios import get_scenario, scenario_names
+from repro.queueing.scenarios import SCENARIOS, get_scenario
 from repro.queueing.schedulers import make_scheduler
 from repro.queueing.trace import jobs_from_trace, trace_from_jobs
 
@@ -94,7 +94,7 @@ REL_TOL = 1e-9
 
 PAIRS = [
     (scenario, dispatcher)
-    for scenario in scenario_names()
+    for scenario in SCENARIOS
     for dispatcher in DISPATCHERS
 ]
 #: Engines the committed expectations are replayed through — every

@@ -22,9 +22,9 @@ from repro.queueing.arrivals import (
     poisson_arrivals,
 )
 from repro.queueing.trace import (
-    TraceRecorder,
     jobs_from_trace,
     trace_arrivals,
+    trace_from_jobs,
 )
 
 TYPES = ("A", "B", "C")
@@ -99,17 +99,14 @@ class TestArrivalProperties:
     def test_record_serialize_replay_round_trip_bit_identical(
         self, kind, seed, rate
     ):
-        recorder = TraceRecorder()
+        jobs = list(build(kind, seed, rate, 120))
         original = [
-            (j.job_id, j.job_type, j.size, j.arrival_time)
-            for j in recorder.capture(build(kind, seed, rate, 120))
+            (j.job_id, j.job_type, j.size, j.arrival_time) for j in jobs
         ]
         # Through real JSON text and back, twice (replay → re-record).
-        payload = json.loads(json.dumps(recorder.trace()))
+        payload = json.loads(json.dumps(trace_from_jobs(jobs)))
         replayed = list(trace_arrivals(payload))
-        second = TraceRecorder()
-        list(second.capture(iter(replayed)))
-        again = jobs_from_trace(json.loads(json.dumps(second.trace())))
+        again = jobs_from_trace(json.loads(json.dumps(trace_from_jobs(replayed))))
         assert [
             (j.job_id, j.job_type, j.size, j.arrival_time)
             for j in again

@@ -6,10 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from repro.core.bottleneck import (
-    bottleneck_throughput,
-    fit_linear_bottleneck,
-)
+from repro.core.bottleneck import BottleneckFit, fit_linear_bottleneck
 from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload
 from repro.microarch.rates import TableRates
@@ -26,12 +23,16 @@ def exact_bottleneck_rates(R: dict[str, float], k: int = 2) -> TableRates:
     return TableRates(table)
 
 
+def equation7_throughput(fit: BottleneckFit) -> float:
+    """Equation 7: ``AT = N / sum_b (1 / R_b)`` for an exact bottleneck."""
+    return len(fit.full_rates) / sum(1.0 / r for r in fit.full_rates.values())
+
+
 class TestExactBottleneck:
     def test_zero_error(self):
         rates = exact_bottleneck_rates({"A": 2.0, "B": 1.0})
         fit = fit_linear_bottleneck(rates, AB, contexts=2)
         assert fit.error == pytest.approx(0.0, abs=1e-12)
-        assert fit.is_linear()
 
     def test_recovers_full_rates(self):
         rates = exact_bottleneck_rates({"A": 2.0, "B": 1.0})
@@ -45,7 +46,7 @@ class TestExactBottleneck:
         rates = exact_bottleneck_rates({"A": 2.0, "B": 1.0})
         fit = fit_linear_bottleneck(rates, AB, contexts=2)
         lp = optimal_throughput(rates, AB, contexts=2)
-        assert bottleneck_throughput(fit) == pytest.approx(
+        assert equation7_throughput(fit) == pytest.approx(
             lp.throughput, rel=1e-6
         )
 
@@ -56,18 +57,13 @@ class TestExactBottleneck:
         fit = fit_linear_bottleneck(rates, workload, contexts=3)
         assert fit.error == pytest.approx(0.0, abs=1e-12)
         expected = 3 / (1 / 3.0 + 1 / 2.0 + 1 / 1.0)
-        assert bottleneck_throughput(fit) == pytest.approx(expected, rel=1e-6)
+        assert equation7_throughput(fit) == pytest.approx(expected, rel=1e-6)
 
 
 class TestImperfectFit:
     def test_nonzero_error_for_non_bottleneck(self, synthetic_rates):
         fit = fit_linear_bottleneck(synthetic_rates, AB, contexts=2)
         assert fit.error > 1e-4
-        assert not fit.is_linear()
-
-    def test_rms_error_consistent(self, synthetic_rates):
-        fit = fit_linear_bottleneck(synthetic_rates, AB, contexts=2)
-        assert fit.rms_error == pytest.approx(fit.error**0.5)
 
     def test_nonnegative_inverse_rates(self):
         """The non-negativity projection never reports negative R_b."""

@@ -53,3 +53,86 @@ def test_dangling_dotted_name_fails(tmp_path, capsys):
     assert "README.md: repro.nowhere" in out
     assert "run_cells" not in out
     assert "rng" not in out
+
+
+def test_stale_dotted_name_in_code_fails(tmp_path, capsys):
+    make_docs(tmp_path, "no names here\n")
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "mod.py").write_text(
+        '"""See :mod:`repro.core.coschedule` and :mod:`repro.lp`."""\n'
+    )
+    assert check_docs.check_dotted_names(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "src/repro/mod.py: repro.core.coschedule" in out
+    assert "repro.lp\n" not in out
+
+
+def make_tree(root: Path, module: str, files: dict[str, str]) -> None:
+    """A scratch repo whose package ``repro.pkg`` re-exports every
+    public name of ``repro.pkg.mod`` (source ``module``)."""
+    pkg = root / "src" / "repro" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from repro.pkg.mod import *  # noqa\n")
+    (pkg / "mod.py").write_text(module)
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+
+
+MODULE = '''"""Mentions dead() in a docstring."""
+__all__ = ["used", "dead"]
+
+
+def used():
+    return 1
+
+
+def dead():
+    return 2
+'''
+
+CALLER = {"tools/run.py": 'from repro.pkg.mod import used\nused()\nprint("dead")\n'}
+
+
+def test_public_function_nothing_calls_fails(tmp_path, capsys):
+    make_tree(tmp_path, MODULE, CALLER)
+    assert check_docs.check_reachability(tmp_path, allowlist={}) == 1
+    out = capsys.readouterr().out
+    assert "repro.pkg.mod.dead" in out
+    assert "repro.pkg.mod.used" not in out
+
+
+def test_name_only_a_test_calls_fails(tmp_path, capsys):
+    test = {"tests/test_mod.py": "from repro.pkg.mod import dead\ndead()\n"}
+    make_tree(tmp_path, MODULE, {**CALLER, **test})
+    assert check_docs.check_reachability(tmp_path, allowlist={}) == 1
+    assert "repro.pkg.mod.dead" in capsys.readouterr().out
+
+
+def test_allowlisted_name_passes(tmp_path):
+    make_tree(tmp_path, MODULE, CALLER)
+    allowlist = {"repro.pkg.mod.dead": "a test oracle"}
+    assert check_docs.check_reachability(tmp_path, allowlist) == 0
+
+
+def test_stale_allowlist_entry_fails(tmp_path, capsys):
+    make_tree(tmp_path, MODULE, CALLER)
+    allowlist = {
+        "repro.pkg.mod.dead": "a test oracle",
+        "repro.pkg.mod.used": "code uses it now",
+        "repro.pkg.gone.name": "no longer exported",
+    }
+    assert check_docs.check_reachability(tmp_path, allowlist) == 1
+    out = capsys.readouterr().out
+    assert "repro.pkg.mod.used (stale allowlist entry)" in out
+    assert "repro.pkg.gone.name (stale allowlist entry)" in out
+
+
+def test_name_used_only_inside_its_own_module_passes(tmp_path):
+    module = '__all__ = ["LIMIT"]\nLIMIT = 3\n\n\ndef _bound(x):\n    return min(x, LIMIT)\n'
+    make_tree(tmp_path, module, {})
+    assert check_docs.check_reachability(tmp_path, allowlist={}) == 0
+
+
+def test_repo_public_names_are_all_reachable():
+    assert check_docs.check_reachability() == 0

@@ -44,17 +44,6 @@ class TestFactories:
         assert machine.fetch_policy is FetchPolicy.ROUND_ROBIN
         assert machine.rob_policy is RobPolicy.STATIC
 
-    def test_with_policies_renames(self):
-        machine = smt_machine().with_policies(
-            fetch_policy=FetchPolicy.ROUND_ROBIN
-        )
-        assert machine.fetch_policy is FetchPolicy.ROUND_ROBIN
-        assert "round_robin" in machine.name
-
-    def test_with_policies_noop(self):
-        machine = smt_machine()
-        assert machine.with_policies() == machine
-
 
 class TestValidation:
     def base_kwargs(self) -> dict:

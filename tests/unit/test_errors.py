@@ -5,12 +5,10 @@ from __future__ import annotations
 from repro.errors import (
     ConfigurationError,
     ConvergenceError,
-    InfeasibleError,
     ModelError,
     ReproError,
     SimulationError,
     SolverError,
-    UnboundedError,
     WorkloadError,
 )
 
@@ -20,21 +18,15 @@ class TestHierarchy:
         for exc in (
             ConfigurationError,
             ConvergenceError,
-            InfeasibleError,
             ModelError,
             SimulationError,
             SolverError,
-            UnboundedError,
             WorkloadError,
         ):
             assert issubclass(exc, ReproError)
 
     def test_convergence_is_model_error(self):
         assert issubclass(ConvergenceError, ModelError)
-
-    def test_lp_errors_are_solver_errors(self):
-        assert issubclass(InfeasibleError, SolverError)
-        assert issubclass(UnboundedError, SolverError)
 
     def test_catchable_as_repro_error(self):
         try:

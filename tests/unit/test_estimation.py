@@ -136,9 +136,6 @@ class TestEstimatorMechanics:
         assert fired == [est]
         after = est.type_rates(cos)
         assert after != before
-        est.remove_listener(fired.append)
-        est.publish()
-        assert len(fired) == 1
 
     def test_reopt_interval_auto_publishes(self):
         rates, names = build_rates()

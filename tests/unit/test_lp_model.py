@@ -122,9 +122,3 @@ class TestModel:
         assert m.sense is Sense.MAXIMIZE
         solution = m.solve()
         assert solution.objective == pytest.approx(3.0)
-
-    def test_variable_names_in_order(self):
-        m = Model()
-        m.add_variable("b")
-        m.add_variable("a")
-        assert list(m.variable_names()) == ["b", "a"]

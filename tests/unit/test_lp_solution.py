@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import InfeasibleError, UnboundedError
 from repro.lp.solution import LPSolution, SolveStatus
 
 
@@ -22,18 +19,3 @@ class TestLpSolution:
             values={"x": 1e-15, "y": 0.5},
         )
         assert solution.support() == {"y": 0.5}
-
-    def test_require_optimal_passthrough(self):
-        solution = LPSolution(status=SolveStatus.OPTIMAL)
-        assert solution.require_optimal() is solution
-
-    def test_require_optimal_infeasible(self):
-        solution = LPSolution(status=SolveStatus.INFEASIBLE)
-        with pytest.raises(InfeasibleError) as excinfo:
-            solution.require_optimal(context="throughput LP")
-        assert "throughput LP" in str(excinfo.value)
-
-    def test_require_optimal_unbounded(self):
-        solution = LPSolution(status=SolveStatus.UNBOUNDED)
-        with pytest.raises(UnboundedError):
-            solution.require_optimal()

@@ -1,36 +1,17 @@
-"""Tests for the throughput-metric definitions."""
+"""Tests for the throughput-metric definitions (Section III-B)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.metrics import (
-    instantaneous_throughput,
-    total_ipc,
-    weighted_speedup,
-)
+from repro.microarch.rates import instantaneous_throughput
 
 
 class TestMetrics:
-    def test_weighted_speedup_equals_it(self, synthetic_rates):
-        cos = ("A", "B")
-        assert weighted_speedup(synthetic_rates, cos) == pytest.approx(
-            instantaneous_throughput(synthetic_rates, cos)
-        )
-
     def test_it_is_rate_sum(self, synthetic_rates):
         assert instantaneous_throughput(
             synthetic_rates, ("A", "B")
         ) == pytest.approx(1.4)
-
-    def test_total_ipc_on_rate_table(self, smt_rates):
-        cos = ("bzip2", "mcf")
-        assert total_ipc(smt_rates, cos) == pytest.approx(
-            sum(smt_rates.ipcs(cos))
-        )
-
-    def test_alone_weighted_speedup_is_one(self, smt_rates):
-        assert weighted_speedup(smt_rates, ("hmmer",)) == pytest.approx(1.0)
 
     def test_weighted_vs_raw_unit_qualitative_agreement(self, smt_rates):
         """The paper checked conclusions hold for both units of work:
@@ -39,7 +20,9 @@ class TestMetrics:
         homogeneous mcf one in raw-IPC terms (mcf jobs are simply slow).
         """
         hetero = ("bzip2", "hmmer", "libquantum", "mcf")
-        assert weighted_speedup(smt_rates, hetero) > weighted_speedup(
-            smt_rates, ("hmmer",) * 4
+        assert instantaneous_throughput(
+            smt_rates, hetero
+        ) > instantaneous_throughput(smt_rates, ("hmmer",) * 4)
+        assert sum(smt_rates.ipcs(hetero)) > sum(
+            smt_rates.ipcs(("mcf",) * 4)
         )
-        assert total_ipc(smt_rates, hetero) > total_ipc(smt_rates, ("mcf",) * 4)

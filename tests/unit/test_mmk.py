@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.queueing.mmk import MMKQueue, turnaround_curve
+from repro.queueing.mmk import MMKQueue
 
 
 class TestPaperExample:
@@ -59,25 +59,3 @@ class TestStability:
             MMKQueue(arrival_rate=1.0, service_rate=0.0, servers=4)
         with pytest.raises(ConfigurationError):
             MMKQueue(arrival_rate=1.0, service_rate=1.0, servers=0)
-
-
-class TestCurve:
-    def test_monotone_increasing(self):
-        rates = [0.5, 1.0, 2.0, 3.0, 3.5, 3.9]
-        curve = turnaround_curve(1.0, 4, rates)
-        assert curve == sorted(curve)
-
-    def test_infinite_beyond_capacity(self):
-        curve = turnaround_curve(1.0, 4, [3.9, 4.1])
-        assert curve[0] != float("inf")
-        assert curve[1] == float("inf")
-
-    def test_low_load_approaches_service_time(self):
-        curve = turnaround_curve(2.0, 4, [0.01])
-        assert curve[0] == pytest.approx(0.5, rel=1e-3)
-
-    def test_higher_service_rate_always_faster(self):
-        rates = [1.0, 2.0, 3.0]
-        base = turnaround_curve(1.0, 4, rates)
-        better = turnaround_curve(1.03, 4, rates)
-        assert all(b < a for a, b in zip(base, better))

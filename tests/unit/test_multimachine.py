@@ -7,9 +7,7 @@ import pytest
 from repro.core.multimachine import (
     joint_optimal_throughput,
     reduced_optimal_throughput,
-    verify_reduction,
 )
-from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload
 from repro.errors import WorkloadError
 
@@ -31,18 +29,6 @@ class TestReduction:
             reduced.throughput, rel=1e-8
         )
 
-    def test_verify_reduction_true(self, synthetic_rates):
-        assert verify_reduction(synthetic_rates, AB, 3, contexts=2)
-
-    def test_per_machine_throughput(self, synthetic_rates):
-        schedule = reduced_optimal_throughput(
-            synthetic_rates, AB, 4, contexts=2
-        )
-        single = optimal_throughput(synthetic_rates, AB, contexts=2)
-        assert schedule.per_machine_throughput == pytest.approx(
-            single.throughput
-        )
-
     def test_reduced_replicates_fractions(self, synthetic_rates):
         schedule = reduced_optimal_throughput(
             synthetic_rates, AB, 2, contexts=2
@@ -61,7 +47,11 @@ class TestReduction:
             assert sum(fractions.values()) == pytest.approx(1.0)
 
     def test_on_simulated_rates(self, smt_rates, mixed_workload):
-        assert verify_reduction(smt_rates, mixed_workload, 2)
+        joint = joint_optimal_throughput(smt_rates, mixed_workload, 2)
+        reduced = reduced_optimal_throughput(smt_rates, mixed_workload, 2)
+        assert joint.throughput == pytest.approx(
+            reduced.throughput, rel=1e-7
+        )
 
     def test_bad_machine_count(self, synthetic_rates):
         with pytest.raises(WorkloadError):

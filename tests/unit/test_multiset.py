@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from repro.util.multiset import (
     distinct_count,
-    multiset_count,
     multiset_draw_probability,
     multisets,
     replace_one,
@@ -50,18 +49,11 @@ class TestMultisetCount:
     def test_matches_enumeration(self):
         for n, k in [(1, 1), (2, 3), (4, 4), (5, 2)]:
             items = [str(i) for i in range(n)]
-            assert multiset_count(n, k) == len(list(multisets(items, k)))
-
-    def test_formula(self):
-        assert multiset_count(4, 4) == math.comb(7, 4) == 35
+            assert len(list(multisets(items, k))) == math.comb(n + k - 1, k)
 
     def test_zero_items(self):
-        assert multiset_count(0, 0) == 1
-        assert multiset_count(0, 3) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            multiset_count(-1, 2)
+        assert list(multisets((), 0)) == [()]
+        assert list(multisets((), 3)) == []
 
 
 class TestDrawProbability:

@@ -61,10 +61,6 @@ class TestSyntheticTwoTypes:
             schedule = solve(synthetic_rates, AB, contexts=2)
             assert sum(schedule.fractions.values()) == pytest.approx(1.0)
 
-    def test_per_type_rate(self, synthetic_rates):
-        best = optimal_throughput(synthetic_rates, AB, contexts=2)
-        assert best.per_type_rate == pytest.approx(best.throughput / 2)
-
     def test_insensitive_rates_leave_no_headroom(self, insensitive_rates):
         best = optimal_throughput(insensitive_rates, AB, contexts=2)
         worst = worst_throughput(insensitive_rates, AB, contexts=2)

@@ -140,12 +140,6 @@ class TestRoster:
         assert min(warm_mpki) < 1.0  # cache-friendly compute exists
         assert max(warm_mpki) > 20.0  # heavy memory job exists
 
-    def test_memory_bound_flag(self):
-        roster = default_roster()
-        assert roster["mcf"].memory_bound
-        assert roster["libquantum"].memory_bound
-        assert not roster["hmmer"].memory_bound
-
     def test_frozen(self):
         job = make_params()
         with pytest.raises(dataclasses.FrozenInstanceError):

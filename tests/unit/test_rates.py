@@ -131,20 +131,6 @@ class TestTableRates:
         with pytest.raises(WorkloadError):
             TableRates({("A",): {"A": bad}})
 
-    def test_with_rates_replaces_one_entry(self, synthetic_rates):
-        updated = synthetic_rates.with_rates(("A", "B"), {"A": 0.7, "B": 0.7})
-        assert updated.type_rates(("A", "B"))["A"] == 0.7
-        # original untouched
-        assert synthetic_rates.type_rates(("A", "B"))["A"] == 0.9
-
-    def test_with_rates_rejects_nan(self, synthetic_rates):
-        with pytest.raises(WorkloadError):
-            synthetic_rates.with_rates(("A", "B"), {"A": math.nan, "B": 0.5})
-
-    def test_with_rates_missing_entry(self, synthetic_rates):
-        with pytest.raises(WorkloadError):
-            synthetic_rates.with_rates(("A", "C"), {"A": 1.0, "C": 1.0})
-
     def test_per_job_rate(self, synthetic_rates):
         assert synthetic_rates.per_job_rate(("A", "A"), "A") == pytest.approx(0.8)
 

@@ -15,12 +15,10 @@ class TestSensitivity:
     def test_insensitive_workload(self, insensitive_rates):
         report = workload_sensitivity(insensitive_rates, AB, contexts=2)
         assert report.mean_sensitivity == pytest.approx(0.0, abs=1e-12)
-        assert report.is_insensitive()
 
     def test_sensitive_workload(self, synthetic_rates):
         report = workload_sensitivity(synthetic_rates, AB, contexts=2)
         assert report.mean_sensitivity > 0.1
-        assert not report.is_insensitive()
 
     def test_per_type_entries(self, synthetic_rates):
         report = workload_sensitivity(synthetic_rates, AB, contexts=2)
@@ -28,10 +26,6 @@ class TestSensitivity:
         assert report.mean_sensitivity == pytest.approx(
             sum(report.per_type.values()) / 2
         )
-
-    def test_threshold_configurable(self, synthetic_rates):
-        report = workload_sensitivity(synthetic_rates, AB, contexts=2)
-        assert report.is_insensitive(threshold=10.0)
 
     def test_contexts_required_without_machine(self, synthetic_rates):
         with pytest.raises(ValueError):

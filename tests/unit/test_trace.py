@@ -7,14 +7,10 @@ import json
 import pytest
 
 from repro.errors import SimulationError
-from repro.microarch.rates import TableRates
 from repro.queueing.arrivals import poisson_arrivals
-from repro.queueing.engine import run_system
 from repro.queueing.job import Job
-from repro.queueing.schedulers import FcfsScheduler
 from repro.queueing.trace import (
     TRACE_FORMAT,
-    TraceRecorder,
     jobs_from_trace,
     load_trace,
     save_trace,
@@ -64,39 +60,6 @@ class TestRoundTrip:
         replayed = list(trace_arrivals(jobs))
         assert fields(replayed) == fields(jobs)
         assert all(a is not b for a, b in zip(replayed, jobs))
-
-
-class TestRecorder:
-    def test_recorder_tees_stream_unchanged(self):
-        jobs = stream(n=10)
-        recorder = TraceRecorder()
-        seen = list(recorder.capture(iter(jobs)))
-        assert seen == jobs
-        assert fields(jobs_from_trace(recorder.trace())) == fields(jobs)
-
-    def test_recorder_snapshots_before_simulation_mutates(self):
-        """The recorded trace is pristine even though the simulator
-        zeroes each job's ``remaining`` and stamps completions."""
-        rates = TableRates(
-            {("a",): {"a": 1.0}, ("a", "a"): {"a": 2.0}}
-        )
-        jobs = list(
-            poisson_arrivals(("a",), rate=0.5, n_jobs=6, seed=3)
-        )
-        expected = fields(jobs)
-        recorder = TraceRecorder()
-        metrics = run_system(
-            rates, FcfsScheduler(rates, 2), recorder.capture(iter(jobs))
-        )
-        assert metrics.completed == 6
-        assert all(j.remaining == 0.0 for j in jobs)  # sim did mutate
-        assert fields(jobs_from_trace(recorder.trace())) == expected
-
-    def test_recorder_save(self, tmp_path):
-        recorder = TraceRecorder()
-        list(recorder.capture(iter(stream(n=5))))
-        path = recorder.save(tmp_path / "r.json", metadata={"n": 5})
-        assert fields(load_trace(path)) == fields(stream(n=5))
 
 
 class TestValidation:

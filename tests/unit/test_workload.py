@@ -1,10 +1,9 @@
-"""Tests for Workload and Coschedule."""
+"""Tests for Workload."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.coschedule import Coschedule
 from repro.core.workload import Workload, all_workloads
 from repro.errors import WorkloadError
 from repro.microarch.benchmarks import BENCHMARK_NAMES
@@ -66,37 +65,3 @@ class TestAllWorkloads:
     def test_zero_types_rejected(self):
         with pytest.raises(WorkloadError):
             all_workloads(["a"], 0)
-
-
-class TestCoschedule:
-    def test_of_canonicalizes(self):
-        assert Coschedule.of("b", "a").jobs == ("a", "b")
-
-    def test_heterogeneity(self):
-        assert Coschedule.of("a", "a", "a", "a").heterogeneity == 1
-        assert Coschedule.of("a", "a", "b", "c").heterogeneity == 3
-        assert Coschedule.of("a", "b", "c", "d").heterogeneity == 4
-
-    def test_is_homogeneous(self):
-        assert Coschedule.of("a", "a").is_homogeneous
-        assert not Coschedule.of("a", "b").is_homogeneous
-
-    def test_counts(self):
-        counts = Coschedule.of("a", "b", "a").counts()
-        assert counts["a"] == 2
-        assert counts["b"] == 1
-        assert Coschedule.of("a").count_of("z") == 0
-
-    def test_label(self):
-        assert Coschedule.of("b", "a", "a").label() == "2xa+1xb"
-
-    def test_empty_rejected(self):
-        with pytest.raises(WorkloadError):
-            Coschedule(jobs=())
-
-    def test_non_canonical_rejected(self):
-        with pytest.raises(WorkloadError):
-            Coschedule(jobs=("b", "a"))
-
-    def test_from_iterable(self):
-        assert Coschedule.from_iterable(iter(["b", "a"])).jobs == ("a", "b")
