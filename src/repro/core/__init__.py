@@ -1,7 +1,7 @@
 """The paper's contribution: optimal-throughput analysis of symbiotic scheduling.
 
-* :mod:`repro.core.workload` — the Section-III definitions (N job types, K contexts, coschedules as
-  multisets).
+* :mod:`repro.core.workload` — the Section-III definitions (N job
+  types, K contexts, coschedules as multisets).
 * :mod:`repro.core.optimal` — the Section-IV linear program: the
   maximum (and minimum) long-term throughput of any scheduler on a
   fixed workload.

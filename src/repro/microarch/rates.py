@@ -237,9 +237,9 @@ class TableRates:
     Satisfies :class:`RateSource`.  Built from a live source by
     :func:`repro.experiments.common.snapshot_rates` (picklable worker
     payloads), rebuilt with edited entries by
-    :func:`repro.core.fairness.equalize_heterogeneous_rates` (Section V.D),
-    or written out directly (tests).  Every entry
-    passes :func:`checked_entry`.
+    :func:`repro.core.fairness.equalize_heterogeneous_rates` (the
+    Section-V.D counterfactual), or written out directly (tests).  Every
+    entry passes :func:`checked_entry`.
     """
 
     def __init__(

@@ -20,8 +20,9 @@ state rates are stored as multipliers and normalized so the long-run
 mean equals the requested rate exactly, whatever the burst ratio.
 
 The module-level registry (:func:`register_scenario`,
-:func:`get_scenario`) ships the named scenarios in :data:`SCENARIOS`; ``python -m repro.experiments scenario_sweep``
-runs every one of them against all three dispatchers, and the
+:func:`get_scenario`) ships the named scenarios in :data:`SCENARIOS`;
+``python -m repro.experiments scenario_sweep`` runs every one of them
+against all three dispatchers, and the
 golden-trace harness (``tests/golden/``) pins a small trace and its
 :class:`~repro.queueing.cluster.ClusterMetrics` per (scenario,
 dispatcher) pair.

@@ -106,7 +106,9 @@ class TestArrivalProperties:
         # Through real JSON text and back, twice (replay → re-record).
         payload = json.loads(json.dumps(trace_from_jobs(jobs)))
         replayed = list(trace_arrivals(payload))
-        again = jobs_from_trace(json.loads(json.dumps(trace_from_jobs(replayed))))
+        again = jobs_from_trace(
+            json.loads(json.dumps(trace_from_jobs(replayed)))
+        )
         assert [
             (j.job_id, j.job_type, j.size, j.arrival_time)
             for j in again

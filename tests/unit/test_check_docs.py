@@ -91,7 +91,9 @@ def dead():
     return 2
 '''
 
-CALLER = {"tools/run.py": 'from repro.pkg.mod import used\nused()\nprint("dead")\n'}
+CALLER = {
+    "tools/run.py": 'from repro.pkg.mod import used\nused()\nprint("dead")\n'
+}
 
 
 def test_public_function_nothing_calls_fails(tmp_path, capsys):
@@ -129,7 +131,10 @@ def test_stale_allowlist_entry_fails(tmp_path, capsys):
 
 
 def test_name_used_only_inside_its_own_module_passes(tmp_path):
-    module = '__all__ = ["LIMIT"]\nLIMIT = 3\n\n\ndef _bound(x):\n    return min(x, LIMIT)\n'
+    module = (
+        '__all__ = ["LIMIT"]\nLIMIT = 3\n\n\n'
+        "def _bound(x):\n    return min(x, LIMIT)\n"
+    )
     make_tree(tmp_path, module, {})
     assert check_docs.check_reachability(tmp_path, allowlist={}) == 0
 

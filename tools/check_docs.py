@@ -150,7 +150,7 @@ def resolves(name: str) -> bool:
     return False
 
 
-def code_files(root: Path = ROOT) -> Iterator[Path]:
+def code_files(root: Path) -> Iterator[Path]:
     """Every ``.py`` file under :data:`CODE_DIRS`, in a stable order."""
     for top in CODE_DIRS:
         if (root / top).is_dir():
