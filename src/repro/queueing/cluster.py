@@ -935,6 +935,17 @@ def run_loop(
                     target = route(pending, clock)
                 else:
                     break
+                # An arrival up to _EPSILON after the clock is batched
+                # in only at one of its machine's own events, as the
+                # single-machine engine batches it; at another
+                # machine's event it waits for its own instant, so that
+                # event cannot start its work early.
+                if (
+                    pending.arrival_time > clock
+                    and machines[target].last_sync != clock
+                ):
+                    routed = target
+                    break
                 routed = None
                 if pending.arrival_time < last_arrival - _EPSILON:
                     raise SimulationError("arrivals out of order")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.workload import Workload
 from repro.errors import SimulationError
@@ -238,6 +238,20 @@ class TestRoundRobinDecomposition:
         job_streams,
         scheduler_names,
         st.integers(min_value=2, max_value=3),
+    )
+    # Job 1 arrives 1e-9 after job 0, inside the batching epsilon: it
+    # must not start on machine 1 at machine 0's arrival event.
+    @example(
+        stream=[
+            ("A", 1.0, 1.0),
+            ("B", 1e-09, 1.0),
+            ("A", 0.0, 1.0),
+            ("B", 1.0, 1.0),
+            ("A", 0.0, 1.0),
+            ("A", 0.0, 2.0),
+        ],
+        name="fcfs",
+        m=2,
     )
     @settings(max_examples=60, deadline=None)
     def test_cluster_matches_independent_machines(self, stream, name, m):

@@ -150,6 +150,90 @@ class TestClusterBasics:
         assert metrics.utilization == pytest.approx(2.0)
 
 
+ENGINES = ["legacy", "compiled"]
+
+#: An arrival this far after an event is inside the loop's 1e-9
+#: batching window.
+NEAR = 1.0 + 1e-9
+
+
+class TestEpsilonBatching:
+    """An arrival up to 1e-9 after the clock joins a machine early only
+    at that machine's own event, as a single-machine run batches it."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_arrival_after_another_machines_event_waits(
+        self, unit_rates, engine
+    ):
+        metrics = fcfs_cluster(unit_rates, 2).run(
+            jobs_at(("A", 1.0, 1.0), ("B", NEAR, 1.0)), engine=engine
+        )
+        other = metrics.per_machine[1]
+        assert other.empty_time == NEAR
+        assert other.turnaround_sum == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_arrival_after_own_completion_is_batched(
+        self, unit_rates, engine
+    ):
+        # Machine 1 finishes job 1 at t=1 and takes job 3 right there.
+        metrics = fcfs_cluster(unit_rates, 2).run(
+            jobs_at(
+                ("A", 0.0, 3.0),
+                ("B", 0.0, 1.0),
+                ("A", 0.5, 1.0),
+                ("B", NEAR, 1.0),
+            ),
+            engine=engine,
+        )
+        assert metrics.per_machine[1].completed == 2
+        # Job 3 starts at t=1 and finishes at t=2.
+        assert metrics.per_machine[1].turnaround_sum == pytest.approx(
+            2.0 - 1e-9, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_single_machine_batches_at_the_clock(self, unit_rates, engine):
+        metrics = fcfs_cluster(unit_rates, 1).run(
+            jobs_at(("A", 1.0, 1.0), ("B", NEAR, 1.0)), engine=engine
+        )
+        # Both start at t=1 and finish at t=2.
+        assert metrics.per_machine[0].turnaround_sum == pytest.approx(
+            2.0 - 1e-9, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_waiting_arrival_is_routed_once(self, unit_rates, engine):
+        """The round-robin cursor advances once per job, so the jobs
+        after a waiting arrival still alternate machines."""
+        metrics = fcfs_cluster(unit_rates, 2).run(
+            jobs_at(
+                ("A", 1.0, 1.0),
+                ("B", NEAR, 1.0),
+                ("A", 1.5, 1.0),
+                ("B", 2.5, 1.0),
+            ),
+            engine=engine,
+        )
+        assert [m.completed for m in metrics.per_machine] == [2, 2]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_waiting_arrival_survives_a_pause(self, unit_rates, engine):
+        stream = (("A", 1.0, 1.0), ("B", NEAR, 1.0), ("A", 1.5, 1.0))
+        whole = fcfs_cluster(unit_rates, 2).run(
+            jobs_at(*stream), engine=engine
+        )
+        handle = fcfs_cluster(unit_rates, 2).start(
+            iter(jobs_at(*stream)), engine=engine
+        )
+        try:
+            assert not handle.advance(pause_at=1.0 + 0.5e-9)
+            assert handle.advance()
+        finally:
+            handle.close()
+        assert handle.result() == whole
+
+
 class TestClusterGuards:
     def test_needs_at_least_one_machine(self, unit_rates):
         with pytest.raises(SimulationError):
