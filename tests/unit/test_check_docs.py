@@ -1,10 +1,13 @@
-"""Unit tests for the docs check's script-path and dotted-name rules
-(``tools/check_docs.py``)."""
+"""Unit tests for the docs check's script-path, dotted-name and
+reachability rules (``tools/check_docs.py``)."""
 
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
@@ -141,3 +144,61 @@ def test_name_used_only_inside_its_own_module_passes(tmp_path):
 
 def test_repo_public_names_are_all_reachable():
     assert check_docs.check_reachability() == 0
+
+
+def test_reexport_in_a_caller_package_is_not_a_use(tmp_path, capsys):
+    reexport = {
+        "tools/helpers/__init__.py": "from repro.pkg.mod import dead\n"
+    }
+    make_tree(tmp_path, MODULE, {**CALLER, **reexport})
+    assert check_docs.check_reachability(tmp_path, allowlist={}) == 1
+    assert "repro.pkg.mod.dead" in capsys.readouterr().out
+
+
+def test_attribute_use_counts(tmp_path):
+    caller = {
+        "tools/run.py": "import repro.pkg.mod as mod\nmod.used()\nmod.dead()\n"
+    }
+    make_tree(tmp_path, MODULE, caller)
+    assert check_docs.check_reachability(tmp_path, allowlist={}) == 0
+
+
+CALLER_DIRS = ["examples", "benchmarks", "tools", "perfbench"]
+
+
+@pytest.mark.parametrize("caller_dir", CALLER_DIRS)
+def test_use_from_each_caller_tree_counts(tmp_path, caller_dir):
+    caller = f"{caller_dir}/run.py"
+    uses = {caller: "from repro.pkg.mod import used, dead\nused()\ndead()\n"}
+    make_tree(tmp_path, MODULE, uses)
+    assert check_docs.check_reachability(tmp_path, allowlist={}) == 0
+
+
+@pytest.mark.parametrize("code_dir", CALLER_DIRS)
+def test_stale_dotted_name_in_each_code_tree_fails(
+    tmp_path, capsys, code_dir
+):
+    make_docs(tmp_path, "no names here\n")
+    (tmp_path / code_dir).mkdir()
+    (tmp_path / code_dir / "run.py").write_text(
+        "# Formerly repro.core.coschedule.\n"
+    )
+    assert check_docs.check_dotted_names(tmp_path) == 1
+    assert (
+        f"{code_dir}/run.py: repro.core.coschedule"
+        in capsys.readouterr().out
+    )
+
+
+@pytest.mark.parametrize("name", sorted(check_docs.REACHABLE_BY_DESIGN))
+def test_allowlist_reason_holds(name):
+    """Each allowlisted name is documented as a checked entry and is
+    still called by a test, as its reason says."""
+    bare = name.rpartition(".")[2]
+    assert bare in (check_docs.ROOT / "docs" / "architecture.md").read_text()
+    callers = [
+        path
+        for path in sorted((check_docs.ROOT / "tests").rglob("test_*.py"))
+        if bare in check_docs.used_names(ast.parse(path.read_text()))
+    ]
+    assert callers, f"no test calls {name}"

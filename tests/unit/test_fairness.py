@@ -47,6 +47,12 @@ class TestEqualize:
             synthetic_rates.type_rates(("A", "A"))
         )
 
+    def test_input_table_untouched(self, synthetic_rates):
+        """The counterfactual is a new table; the baseline it is
+        compared with keeps its heterogeneous rates."""
+        equalize_heterogeneous_rates(synthetic_rates, AB, contexts=2)
+        assert synthetic_rates.type_rates(("A", "B")) == {"A": 0.9, "B": 0.5}
+
     def test_requires_n_equal_k(self, synthetic_rates):
         with pytest.raises(WorkloadError):
             equalize_heterogeneous_rates(synthetic_rates, AB, contexts=3)

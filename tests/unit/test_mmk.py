@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import figure4
 from repro.queueing.mmk import MMKQueue
 
 
@@ -59,3 +60,35 @@ class TestStability:
             MMKQueue(arrival_rate=1.0, service_rate=0.0, servers=4)
         with pytest.raises(ConfigurationError):
             MMKQueue(arrival_rate=1.0, service_rate=1.0, servers=0)
+
+
+class TestCurve:
+    """Figure 4's sampled curves: flat at low load, exploding as the
+    arrival rate approaches the maximum service rate K * mu."""
+
+    def test_monotone_increasing(self):
+        curve = figure4.compute_curves(n_points=12)
+        for column in ("base_turnaround", "improved_turnaround"):
+            values = [getattr(point, column) for point in curve]
+            assert values == sorted(values)
+
+    def test_infinite_beyond_capacity(self):
+        curve = figure4.compute_curves(n_points=21, max_load=1.05)
+        for point in curve:
+            base_stable = point.arrival_rate < 4.0
+            improved_stable = point.arrival_rate < 4.0 * 1.03
+            assert (point.base_turnaround != float("inf")) == base_stable
+            assert (
+                point.improved_turnaround != float("inf")
+            ) == improved_stable
+        assert any(p.base_turnaround == float("inf") for p in curve)
+
+    def test_low_load_approaches_service_time(self):
+        first = figure4.compute_curves(service_rate=2.0, n_points=1000)[0]
+        assert first.base_turnaround == pytest.approx(0.5, rel=1e-3)
+
+    def test_higher_service_rate_always_faster(self):
+        curve = figure4.compute_curves(n_points=9)
+        assert all(
+            p.improved_turnaround < p.base_turnaround for p in curve
+        )

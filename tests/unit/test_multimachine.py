@@ -8,6 +8,7 @@ from repro.core.multimachine import (
     joint_optimal_throughput,
     reduced_optimal_throughput,
 )
+from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload
 from repro.errors import WorkloadError
 
@@ -28,6 +29,13 @@ class TestReduction:
         assert joint.throughput == pytest.approx(
             reduced.throughput, rel=1e-8
         )
+
+    def test_per_machine_throughput(self, synthetic_rates):
+        schedule = reduced_optimal_throughput(
+            synthetic_rates, AB, 4, contexts=2
+        )
+        single = optimal_throughput(synthetic_rates, AB, contexts=2)
+        assert schedule.throughput / 4 == pytest.approx(single.throughput)
 
     def test_reduced_replicates_fractions(self, synthetic_rates):
         schedule = reduced_optimal_throughput(

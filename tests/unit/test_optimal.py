@@ -61,6 +61,18 @@ class TestSyntheticTwoTypes:
             schedule = solve(synthetic_rates, AB, contexts=2)
             assert sum(schedule.fractions.values()) == pytest.approx(1.0)
 
+    def test_per_type_rate(self, synthetic_rates):
+        """Equal work: each type runs at throughput / N under the
+        optimal time fractions."""
+        best = optimal_throughput(synthetic_rates, AB, contexts=2)
+        for job_type in ("A", "B"):
+            rate = sum(
+                fraction
+                * synthetic_rates.type_rates(cos).get(job_type, 0.0)
+                for cos, fraction in best.fractions.items()
+            )
+            assert rate == pytest.approx(best.throughput / 2)
+
     def test_insensitive_rates_leave_no_headroom(self, insensitive_rates):
         best = optimal_throughput(insensitive_rates, AB, contexts=2)
         worst = worst_throughput(insensitive_rates, AB, contexts=2)

@@ -140,6 +140,14 @@ class TestRoster:
         assert min(warm_mpki) < 1.0  # cache-friendly compute exists
         assert max(warm_mpki) > 20.0  # heavy memory job exists
 
+    def test_memory_bound_flag(self):
+        """mcf and libquantum miss a warm 4 MB LLC often; hmmer does
+        not (the memory-bound / compute-bound split of Table I)."""
+        roster = default_roster()
+        assert roster["mcf"].llc_mpki(4.0) > 5.0
+        assert roster["libquantum"].llc_mpki(4.0) > 5.0
+        assert roster["hmmer"].llc_mpki(4.0) < 5.0
+
     def test_frozen(self):
         job = make_params()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -7,8 +7,11 @@ import json
 import pytest
 
 from repro.errors import SimulationError
+from repro.microarch.rates import TableRates
 from repro.queueing.arrivals import poisson_arrivals
+from repro.queueing.engine import run_system
 from repro.queueing.job import Job
+from repro.queueing.schedulers import FcfsScheduler
 from repro.queueing.trace import (
     TRACE_FORMAT,
     jobs_from_trace,
@@ -60,6 +63,19 @@ class TestRoundTrip:
         replayed = list(trace_arrivals(jobs))
         assert fields(replayed) == fields(jobs)
         assert all(a is not b for a, b in zip(replayed, jobs))
+
+
+class TestSnapshot:
+    def test_trace_of_a_simulated_stream_is_pristine(self):
+        """Simulation zeroes each job's ``remaining`` and stamps its
+        completion; a trace taken afterwards still holds the workload."""
+        rates = TableRates({("a",): {"a": 1.0}, ("a", "a"): {"a": 2.0}})
+        jobs = list(poisson_arrivals(("a",), rate=0.5, n_jobs=6, seed=3))
+        expected = fields(jobs)
+        metrics = run_system(rates, FcfsScheduler(rates, 2), iter(jobs))
+        assert metrics.completed == 6
+        assert all(j.remaining == 0.0 for j in jobs)  # sim did mutate
+        assert fields(jobs_from_trace(trace_from_jobs(jobs))) == expected
 
 
 class TestValidation:
